@@ -248,8 +248,9 @@ def run_job(cfg: JobConfig) -> RunReport:
                            rel=cfg.precision, max_iterations=cfg.iterations,
                            max_escalations=cfg.precision_escalations)
         result = run_sieve(ctx)
-    except (ValueError, ArithmeticError) as e:
-        return RunReport(cfg, None, "error", "aborted: %s" % e, [str(e)],
+    except Exception as e:
+        return RunReport(cfg, None, "error", "aborted: %s" % e,
+                         ["%s: %s" % (type(e).__name__, e)],
                          time.monotonic() - t0, cfg.aux_primes)
     return RunReport(cfg, result, result.status, result.closing, [],
                      time.monotonic() - t0, ctx.aux_primes)

@@ -44,6 +44,7 @@ from .padic import (
     PrecisionLossError,
     QuadExtension,
     QuadExtNumber,
+    log_penalty_tail_cap,
     padic_sqrt,
     strassmann_count,
 )
@@ -250,6 +251,14 @@ class _ExtOps:
             c = PadicNumber.from_rational(Fraction(c), self.ext.prime, self.rel)
         return QuadExtNumber.from_base(self.ext, c)
 
+    def dot(self, xs, ys) -> QuadExtNumber:
+        # extension coefficients are pairs, so the integer kernel does not apply
+        acc = self.zero()
+        for x, y in zip(xs, ys):
+            if not (x.is_exact_zero() or y.is_exact_zero()):
+                acc = acc + x * y
+        return acc
+
 
 def _ext_horner(fc, x: QuadExtNumber) -> QuadExtNumber:
     acc = None
@@ -349,9 +358,7 @@ def _ext_eval(p: int, lam, t: QuadExtNumber) -> QuadExtNumber:
     acc = None
     for c in reversed(lam):
         acc = c if acc is None else acc * t + c
-    zero = PadicNumber.exact_zero(p)
-    dummy = PadicPowerSeries(p, [zero] * len(lam), 0, 0, tail_log_penalty=True)
-    cap = int(math.floor(dummy._eval_tail_cap(Fraction(vt))))
+    cap = int(math.floor(log_penalty_tail_cap(p, len(lam) - 1, 0, Fraction(vt))))
     return QuadExtNumber(acc.ext, acc.a.with_abs_cap(cap), acc.b.with_abs_cap(cap))
 
 

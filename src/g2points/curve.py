@@ -20,6 +20,7 @@ from .padic import (
     QuadExtNumber,
     hensel_root,
     legendre_symbol,
+    padic_dot,
     padic_sqrt,
     smallest_nonresidue,
     sqrt_mod_p,
@@ -305,7 +306,8 @@ def disc_center(C: HyperellipticCurve, fp_point, p: int,
 # the same recursions serve Q_p and its quadratic extensions
 
 class _FieldOps:
-    """Constructor shim for the series recursions over Q_p."""
+    """Constructor shim for the series recursions over Q_p; sums of products
+    go through the integer kernel :func:`padic_dot`."""
 
     __slots__ = ("p", "rel")
 
@@ -318,6 +320,9 @@ class _FieldOps:
 
     def one(self):
         return PadicNumber.from_int(1, self.p, self.rel)
+
+    def dot(self, xs, ys):
+        return padic_dot(self.p, xs, ys)
 
 
 def _lzero(F, n):
@@ -338,14 +343,10 @@ def _lsub(F, a, b, n):
 
 
 def _lmul(F, a, b, n):
-    out = _lzero(F, n)
-    for i, x in enumerate(a[:n]):
-        if x.is_exact_zero():
-            continue
-        for j, y in enumerate(b[: n - i]):
-            if y.is_exact_zero():
-                continue
-            out[i + j] = out[i + j] + x * y
+    out = []
+    for k in range(n):
+        i0 = max(0, k - len(b) + 1)
+        out.append(F.dot(a[i0: k + 1], b[k - i0:: -1]))
     return out
 
 
@@ -353,11 +354,7 @@ def _linv(F, a, n):
     inv0 = a[0].inverse()
     out = [inv0]
     for d in range(1, n):
-        s = F.zero()
-        for j in range(1, d + 1):
-            if j < len(a) and not a[j].is_exact_zero():
-                s = s + a[j] * out[d - j]
-        out.append(-inv0 * s)
+        out.append(-inv0 * F.dot(a[1: d + 1], out[d - 1:: -1]))
     return out
 
 
@@ -375,9 +372,7 @@ def _affine_y_coeffs(F, fc, x0, y0, T):
     taylor = _taylor_coeffs(F, fc, x0)
     ys = [y0]
     for m in range(1, T + 1):
-        s = F.zero()
-        for i in range(1, m):
-            s = s + ys[i] * ys[m - i]
+        s = F.dot(ys[1: m], ys[m - 1: 0: -1])
         Fm = taylor[m] if m < len(taylor) else F.zero()
         ys.append((Fm - s) / (y0 * 2))
     return ys

@@ -403,6 +403,46 @@ def padic_agree(a: PadicNumber, b: PadicNumber) -> bool:
     return (a - b).is_zeroish()
 
 
+def padic_dot(p: int, xs, ys) -> PadicNumber:
+    """sum(x*y for x, y in zip(xs, ys)) over Q_p, computed on plain ints.
+
+    Returns exactly the PadicNumber of the left fold ``acc = acc + x*y`` from
+    an exact zero.  Addition is canonical, so that fold depends only on
+    A = min abs precision over the products that are not exact zeros and on
+    S = sum of unit * p^val over the products with known digits, mod p^A.
+    A product with no known digits lowers A and adds nothing to S.  S is
+    kept exactly as s * p^m, m the least valuation seen so far.
+    """
+    A = m = _INF
+    s = 0
+    for x, y in zip(xs, ys):
+        v = x._val + y._val
+        if v == _INF:
+            continue
+        r = x._rel
+        if y._rel < r:
+            r = y._rel
+        if v + r < A:
+            A = v + r
+        if not r:
+            continue
+        if v == m:
+            s += x._unit * y._unit
+        elif v > m:
+            s += x._unit * y._unit * p ** (v - m)
+        elif m == _INF:
+            s = x._unit * y._unit
+            m = v
+        else:
+            s = s * p ** (m - v) + x._unit * y._unit
+            m = v
+    if A == _INF:
+        return PadicNumber.exact_zero(p)
+    if m >= A:
+        return PadicNumber.zeroish(p, A)
+    return PadicNumber._make(p, m, s, A - m)
+
+
 class QuadExtension:
     """Descriptor of Q_p(sqrt(d)) with d in {c, p, p*c}.
 
@@ -904,18 +944,11 @@ class PadicPowerSeries:
             hi = sa + self.truncation_order + sb + other.truncation_order
         hi = int(hi)
         lo = sa + sb
-        n = hi - lo + 1
-        out = [PadicNumber.exact_zero(p) for _ in range(n)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_exact_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                k = i + j
-                if k >= n:
-                    break
-                if b.is_exact_zero():
-                    continue
-                out[k] = out[k] + a * b
+        a, b = self.coeffs, other.coeffs
+        out = []
+        for k in range(hi - lo + 1):
+            i0 = max(0, k - len(b) + 1)
+            out.append(padic_dot(p, a[i0: k + 1], b[k - i0:: -1]))
         if self.tail_valuation_bound == _INF and other.tail_valuation_bound == _INF:
             tail = _INF
         else:
@@ -939,11 +972,6 @@ class PadicPowerSeries:
         for c in dropped:
             if c.valuation < tail:
                 tail = c.valuation
-        if self.tail_log_penalty:
-            # the dropped coefficients are exact, but folding them in keeps the
-            # weaker penalized form sound only if their valuation respects it;
-            # be conservative and drop the penalty bookkeeping by lowering base
-            pass
         return PadicPowerSeries(self.prime, self.coeffs[: order + 1], tail,
                                 self.shift, self.tail_log_penalty)
 
@@ -1022,18 +1050,9 @@ class PadicPowerSeries:
         if base == _INF:
             return _INF
         T = self.shift + self.truncation_order
-        p = self.prime
         if not self.tail_log_penalty:
             return base + (T + 1) * delta
-        # scan a window past T, then use floor(log_p d) <= d*delta/2 beyond it
-        end = T + 2
-        while not (end * delta >= 2 * (_ilog(p, end) + 1) and p ** _ilog(p, end) >= 4 * (T + 2)):
-            end += max(T, 8)
-            if end > 200000:
-                break
-        best = min(base - _ilog(p, d) + d * delta for d in range(T + 1, end + 1))
-        analytic = base + Fraction(end + 1) * delta / 2
-        return min(best, analytic)
+        return log_penalty_tail_cap(self.prime, T, base, delta)
 
     def compose(self, inner: "PadicPowerSeries") -> "PadicPowerSeries":
         """self(inner(t)) for inner vanishing at 0 with integral coefficients."""
@@ -1074,15 +1093,8 @@ class PadicPowerSeries:
         p = self.prime
         inv0 = c0.inverse()
         out = [inv0]
-        T = self.truncation_order
-        for d in range(1, T + 1):
-            s = PadicNumber.exact_zero(p)
-            for j in range(1, d + 1):
-                cj = self.coeffs[j] if j <= T else None
-                if cj is None or cj.is_exact_zero():
-                    continue
-                s = s + cj * out[d - j]
-            out.append(-inv0 * s)
+        for d in range(1, self.truncation_order + 1):
+            out.append(-inv0 * padic_dot(p, self.coeffs[1: d + 1], out[d - 1:: -1]))
         tail = 0 if self.tail_valuation_bound != _INF else _INF
         return PadicPowerSeries(p, out, tail, 0)
 
@@ -1090,6 +1102,32 @@ class PadicPowerSeries:
         return "PadicPowerSeries(p=%d, T=%d, shift=%d, tail>=%s%s)" % (
             self.prime, self.truncation_order, self.shift, self.tail_valuation_bound,
             ", log-penalty" if self.tail_log_penalty else "")
+
+
+def log_penalty_tail_cap(p: int, T: int, base, delta: Fraction):
+    """min over d > T of base - floor(log_p d) + d*delta, for delta > 0.
+
+    The lower bound on v(c_d t^d) for every degree d past T of a series
+    whose tail carries a log penalty, evaluated at v(t) = delta.
+    """
+    # scan a window past T, then use floor(log_p d) <= d*delta/2 beyond it
+    end = T + 2
+    while not (end * delta >= 2 * (_ilog(p, end) + 1) and p ** _ilog(p, end) >= 4 * (T + 2)):
+        end += max(T, 8)
+        if end > 200000:
+            raise InconclusiveTruncationError(
+                "no proven tail cap for v(t) = %s past degree %d" % (delta, T))
+    # floor(log_p d) is constant on [p^k, p^(k+1)) and delta > 0, so each
+    # block's minimum sits at its first degree inside [T + 1, end]
+    k = _ilog(p, T + 1)
+    best = base - k + (T + 1) * delta
+    d = p ** (k + 1)
+    while d <= end:
+        k += 1
+        best = min(best, base - k + d * delta)
+        d *= p
+    analytic = base + Fraction(end + 1) * delta / 2
+    return min(best, analytic)
 
 
 def strassmann_count(f: PadicPowerSeries) -> int:

@@ -15,9 +15,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .padic import PadicNumber, PrecisionLossError, QuadExtension, QuadExtNumber
-
-DEFAULT_PRECISION = 20
+from .padic import (
+    DEFAULT_PRECISION,
+    PadicNumber,
+    PrecisionLossError,
+    QuadExtension,
+    QuadExtNumber,
+)
 
 
 class RationalDomain:

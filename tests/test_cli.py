@@ -171,6 +171,20 @@ class TestRunJob:
         assert any("not minimal" in d for d in rep.diagnostics)
         assert "diagnostic:" in emit_report(rep, "human")
 
+    def test_unexpected_exception_is_an_error_status(self, flynn_config,
+                                                     monkeypatch):
+        import g2points.cli as cli
+
+        def boom(ctx):
+            raise RuntimeError("sieve exploded")
+
+        monkeypatch.setattr(cli, "run_sieve", boom)
+        rep = run_job(flynn_config)
+        assert rep.status == "error"
+        assert rep.result is None
+        assert rep.diagnostics == ["RuntimeError: sieve exploded"]
+        assert json.loads(emit_report(rep, "machine"))["status"] == "error"
+
     def test_determinism_modulo_telemetry(self, flynn_config, flynn_report):
         again = run_job(flynn_config)
         d1 = json.loads(emit_report(flynn_report, "machine"))

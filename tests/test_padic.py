@@ -5,7 +5,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from g2points.curve import _FieldOps, _linv, _lmul
 from g2points.padic import (
     DEFAULT_PRECISION,
     InconclusiveTruncationError,
@@ -20,12 +23,14 @@ from g2points.padic import (
     hensel_root,
     legendre_symbol,
     mahler_bound_holds,
+    padic_dot,
     padic_sqrt,
     smallest_nonresidue,
     sqrt_mod_p,
     strassmann_count,
     vp_int,
     with_precision_retry,
+    _ilog,
 )
 
 
@@ -503,3 +508,150 @@ class TestHelpers:
         assert calls == [10, 20, 40]
         with pytest.raises(PrecisionLossError):
             with_precision_retry(fn, 10, 1)
+
+
+# -- the integer sum-of-products kernel ---------------------------------------
+
+def fold_dot(p, xs, ys):
+    """Reference: the left fold of PadicNumber operators from an exact zero."""
+    acc = PadicNumber.exact_zero(p)
+    for x, y in zip(xs, ys):
+        acc = acc + x * y
+    return acc
+
+
+def fields(x):
+    return (x._val, x._unit, x._rel)
+
+
+@st.composite
+def padics(draw, p, min_val=-4, max_val=12):
+    kind = draw(st.sampled_from(["exact", "zeroish", "known", "known", "known"]))
+    if kind == "exact":
+        return PadicNumber.exact_zero(p)
+    if kind == "zeroish":
+        return PadicNumber.zeroish(p, draw(st.integers(min_val, max_val + 25)))
+    rel = draw(st.integers(1, 25))
+    unit = draw(st.integers(1, p ** rel - 1))
+    # _make moves any p-factor of the unit into the valuation
+    return PadicNumber._make(p, draw(st.integers(min_val, max_val)), unit, rel)
+
+
+@st.composite
+def dot_inputs(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(0, 8))
+    xs = draw(st.lists(padics(p), min_size=n, max_size=n))
+    ys = draw(st.lists(padics(p), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        # repeat the products negated, so the sum cancels to O(p^A)
+        xs, ys = xs + xs, ys + [-y for y in ys]
+    return p, xs, ys
+
+
+@st.composite
+def integral_series(draw, p, unit_constant=False):
+    n = draw(st.integers(1, 12))
+    cs = draw(st.lists(padics(p, 0, 6), min_size=n, max_size=n))
+    if unit_constant:
+        rel = draw(st.integers(1, 25))
+        cs[0] = PadicNumber._make(p, 0, draw(st.integers(1, p - 1))
+                                  + p * draw(st.integers(0, p ** rel)), rel)
+    return cs
+
+
+def ref_mul(p, a, b, n):
+    out = [PadicNumber.exact_zero(p) for _ in range(n)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            if i + j < n:
+                out[i + j] = out[i + j] + x * y
+    return out
+
+
+def ref_inv(p, a, n):
+    inv0 = a[0].inverse()
+    out = [inv0]
+    for d in range(1, n):
+        s = PadicNumber.exact_zero(p)
+        for j in range(1, min(d, len(a) - 1) + 1):
+            s = s + a[j] * out[d - j]
+        out.append(-inv0 * s)
+    return out
+
+
+class TestDotKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(dot_inputs())
+    def test_matches_operator_fold(self, args):
+        p, xs, ys = args
+        assert fields(padic_dot(p, xs, ys)) == fields(fold_dot(p, xs, ys))
+
+    def test_full_cancellation_is_zeroish_at_min_abs_precision(self):
+        x, y = N(3, rel=10), N(5, rel=4)
+        got = padic_dot(7, [x, x], [y, -y])
+        assert fields(got) == fields(PadicNumber.zeroish(7, 4))
+        assert fields(got) == fields(fold_dot(7, [x, x], [y, -y]))
+
+    def test_empty_and_exact_zero_products(self):
+        z = PadicNumber.exact_zero(5)
+        assert padic_dot(5, [], []).is_exact_zero()
+        assert padic_dot(5, [z, N(1, 5)], [N(2, 5), z]).is_exact_zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_series_products_and_inverses(self, data):
+        p = data.draw(st.sampled_from([3, 5, 7]))
+        a = data.draw(integral_series(p, unit_constant=True))
+        b = data.draw(integral_series(p))
+        n = len(a) + len(b) - 1
+        want = [fields(c) for c in ref_mul(p, a, b, n)]
+        prod = PadicPowerSeries(p, a) * PadicPowerSeries(p, b)
+        assert [fields(c) for c in prod.coeffs] == want
+        F = _FieldOps(p)
+        assert [fields(c) for c in _lmul(F, a, b, n)] == want
+        m = data.draw(st.integers(1, n))
+        assert [fields(c) for c in _lmul(F, a, b, m)] == want[:m]
+        inv = PadicPowerSeries(p, a, tail_valuation_bound=0).inverse()
+        assert [fields(c) for c in inv.coeffs] == \
+            [fields(c) for c in ref_inv(p, a, len(a))]
+        assert [fields(c) for c in _linv(F, a, n)] == \
+            [fields(c) for c in ref_inv(p, a, n)]
+
+
+# -- tail cap of a log-penalized series ---------------------------------------
+
+def scanned_tail_cap(s, delta):
+    """Reference: the degree-by-degree scan the block minimum replaced."""
+    base = s.tail_valuation_bound
+    if base == math.inf:
+        return math.inf
+    T = s.shift + s.truncation_order
+    p = s.prime
+    if not s.tail_log_penalty:
+        return base + (T + 1) * delta
+    end = T + 2
+    while not (end * delta >= 2 * (_ilog(p, end) + 1) and p ** _ilog(p, end) >= 4 * (T + 2)):
+        end += max(T, 8)
+    best = min(base - _ilog(p, d) + d * delta for d in range(T + 1, end + 1))
+    return min(best, base + Fraction(end + 1) * delta / 2)
+
+
+class TestTailCap:
+    def test_block_minimum_matches_scan(self):
+        for p in (3, 5, 7, 11):
+            for T in (0, 1, 2, 6, 9, 26, 86, 160):
+                for base in (-3, 0, 5):
+                    for penalty in (False, True):
+                        s = PadicPowerSeries(p, [1] * (T + 1), base, 0, penalty)
+                        for delta in (Fraction(1, 3), Fraction(1, 2), Fraction(1),
+                                      Fraction(3, 2), Fraction(2), Fraction(5)):
+                            got = s._eval_tail_cap(delta)
+                            want = scanned_tail_cap(s, delta)
+                            assert got == want and type(got) is type(want), \
+                                (p, T, base, penalty, delta)
+
+    def test_tiny_valuation_raises_instead_of_capping_silently(self):
+        s = PadicPowerSeries(7, [1] * 5, tail_valuation_bound=0).antiderivative()
+        with pytest.raises(InconclusiveTruncationError):
+            s._eval_tail_cap(Fraction(1, 10 ** 6))
