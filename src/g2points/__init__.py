@@ -40,7 +40,6 @@ from .jacobian import (
     curve_preimage,
     embed_point,
     enumerate_Fp_jacobian,
-    filtration_level,
     reduce_divisor,
     scalar_mul,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "exhaustive_jacobian",
     "exhaustive_series_zeros",
     "expand_differential",
-    "filtration_level",
     "fp_curve_points",
     "hensel_root",
     "is_on_curve",

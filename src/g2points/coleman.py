@@ -47,8 +47,9 @@ from .padic import (
     log_penalty_tail_cap,
     padic_sqrt,
     strassmann_count,
+    valuation_is_negative,
 )
-from .polys import PadicDomain, RationalDomain
+from .polys import PadicDomain, QuadExtDomain, RationalDomain
 
 _INF = math.inf
 
@@ -124,23 +125,6 @@ def _underlying(w) -> Differential:
 
 # -- residue-disc bookkeeping ----------------------------------------------
 
-def _drops_to_infinity(x) -> bool:
-    """Certified v(x) < 0 decision; raises when precision cannot resolve it."""
-    if isinstance(x, QuadExtNumber):
-        if x.is_zeroish():
-            if x.valuation_p() >= 0:
-                return False
-            raise PrecisionLossError("sign of the coordinate valuation unresolved")
-        if (x.a.is_zeroish() or x.b.is_zeroish()) and x.valuation_p() < 0:
-            raise PrecisionLossError("sign of the coordinate valuation unresolved")
-        return x.valuation_p() < 0
-    if x.is_zeroish():
-        if x.is_exact_zero() or x.valuation >= 0:
-            return False
-        raise PrecisionLossError("sign of the coordinate valuation unresolved")
-    return x.valuation < 0
-
-
 def _residue_disc_key(C: HyperellipticCurve, P: CurvePoint, p: int):
     """Reduction of P as a disc label.
 
@@ -151,7 +135,7 @@ def _residue_disc_key(C: HyperellipticCurve, P: CurvePoint, p: int):
     if P.at_infinity:
         return FP_INFINITY
     if isinstance(P.x, QuadExtNumber):
-        if _drops_to_infinity(P.x):
+        if valuation_is_negative(P.x):
             return FP_INFINITY
         xa, xb = P.x.residue_pair()
         ya, yb = P.y.residue_pair()
@@ -228,38 +212,6 @@ def tiny_integral(C: HyperellipticCurve, w, frm: CurvePoint, to: CurvePoint,
 
 # -- quadratic-extension disc centers ---------------------------------------
 
-class _ExtOps:
-    """Constructor adapter over Q_p(sqrt(d)) for the shared series recursions."""
-
-    __slots__ = ("ext", "rel")
-
-    def __init__(self, ext: QuadExtension, rel: int):
-        self.ext = ext
-        self.rel = rel
-
-    def zero(self) -> QuadExtNumber:
-        z = PadicNumber.exact_zero(self.ext.prime)
-        return QuadExtNumber(self.ext, z, z)
-
-    def one(self) -> QuadExtNumber:
-        return self.lift(1)
-
-    def lift(self, c) -> QuadExtNumber:
-        if isinstance(c, QuadExtNumber):
-            return c
-        if not isinstance(c, PadicNumber):
-            c = PadicNumber.from_rational(Fraction(c), self.ext.prime, self.rel)
-        return QuadExtNumber.from_base(self.ext, c)
-
-    def dot(self, xs, ys) -> QuadExtNumber:
-        # extension coefficients are pairs, so the integer kernel does not apply
-        acc = self.zero()
-        for x, y in zip(xs, ys):
-            if not (x.is_exact_zero() or y.is_exact_zero()):
-                acc = acc + x * y
-        return acc
-
-
 def _ext_horner(fc, x: QuadExtNumber) -> QuadExtNumber:
     acc = None
     for c in reversed(fc):
@@ -267,10 +219,10 @@ def _ext_horner(fc, x: QuadExtNumber) -> QuadExtNumber:
     return acc
 
 
-def _ext_sqrt(F: _ExtOps, z: QuadExtNumber) -> QuadExtNumber:
+def _ext_sqrt(F: QuadExtDomain, z: QuadExtNumber) -> QuadExtNumber:
     """Square root of a unit of the unramified extension: brute-force the
     residue, then Newton."""
-    ext, p = F.ext, F.ext.prime
+    ext, p = F.ext, F.p
     za, zb = z.residue_pair()
     start = None
     for ra in range(p):
@@ -294,7 +246,7 @@ def _ext_sqrt(F: _ExtOps, z: QuadExtNumber) -> QuadExtNumber:
     raise ArithmeticError("Newton iteration for the extension sqrt stalled")
 
 
-def _ext_newton_root(F: _ExtOps, fc, x0: QuadExtNumber) -> QuadExtNumber:
+def _ext_newton_root(F: QuadExtDomain, fc, x0: QuadExtNumber) -> QuadExtNumber:
     """Root of f near a simple residue root x0 over the extension."""
     fpc = [fc[i] * i for i in range(1, len(fc))]
     x = x0
@@ -313,7 +265,7 @@ def _ext_center_lambda(C: HyperellipticCurve, wd: Differential, key,
     _, _, xa, xb, ya, yb = key
     if ext.e != 1:
         raise ValueError("extension discs are labeled over the unramified field")
-    F = _ExtOps(ext, rel)
+    F = QuadExtDomain(ext, rel)
     fc = [F.lift(k) for k in C.f_coeffs]
     xc = QuadExtNumber(ext, PadicNumber.from_rational(xa, p, rel),
                        PadicNumber.from_rational(xb, p, rel))
@@ -438,7 +390,7 @@ def _kernel_log(C: HyperellipticCurve, delta: MumfordDivisor, p: int, rel: int):
     vc += [zero] * (deg + 1 - len(vc))
     if deg == 1:
         x1 = -(uc[0] / uc[1])
-        if not _drops_to_infinity(x1):
+        if not valuation_is_negative(x1):
             raise DecompositionFailureError(
                 "degree-1 kernel class with integral support")
         P = CurvePoint(x1, vc[0] + vc[1] * x1, False)
@@ -459,7 +411,7 @@ def _kernel_log(C: HyperellipticCurve, delta: MumfordDivisor, p: int, rel: int):
     if isinstance(root, PadicNumber):
         xs = [(-uc[1] + root) * inv2a, (-uc[1] - root) * inv2a]
         ys = [vc[0] + vc[1] * x for x in xs]
-        drops = [_drops_to_infinity(x) for x in xs]
+        drops = [valuation_is_negative(x) for x in xs]
         if all(drops):
             _, lams = _basis_lambdas(C, FP_INFINITY, p, T, rel)
             ts = [_infinity_param(CurvePoint(x, y, False), p, rel)
@@ -473,10 +425,10 @@ def _kernel_log(C: HyperellipticCurve, delta: MumfordDivisor, p: int, rel: int):
                               CurvePoint(xs[1], -ys[1], False), p, T, rel)
     # conjugate pair over a quadratic extension
     ext = root.ext
-    F = _ExtOps(ext, rel)
+    F = QuadExtDomain(ext, rel)
     x1 = (F.lift(-uc[1]) + root) * F.lift(inv2a)
     y1 = F.lift(vc[0]) + F.lift(vc[1]) * x1
-    if _drops_to_infinity(x1):
+    if valuation_is_negative(x1):
         _, lams = _basis_lambdas(C, FP_INFINITY, p, T, rel)
         t = _infinity_param(CurvePoint(x1, y1, False), p, rel)
         return tuple(lam.evaluate(t).trace() for lam in lams)
@@ -542,7 +494,7 @@ def _near_doubled_log(C, uc, vc, disc, p, T, rel):
         k_eps = None
     else:
         k_eps = int(disc.valuation) // 2
-    if _drops_to_infinity(x0):
+    if valuation_is_negative(x0):
         _, lams = _basis_lambdas(C, FP_INFINITY, p, T, rel)
         t = _infinity_param(CurvePoint(x0, y0, False), p, rel)
         out = [lam.evaluate(t) * 2 for lam in lams]

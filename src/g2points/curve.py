@@ -17,15 +17,14 @@ from .padic import (
     PadicPoly,
     PadicPowerSeries,
     PrecisionLossError,
-    QuadExtNumber,
     hensel_root,
     legendre_symbol,
-    padic_dot,
     padic_sqrt,
     smallest_nonresidue,
     sqrt_mod_p,
-    vp_int,
+    vp,
 )
+from .polys import PadicDomain
 
 _INF = math.inf
 
@@ -211,13 +210,6 @@ def _fraction_residue(q: Fraction, p: int) -> int:
     return q.numerator * pow(q.denominator, -1, p) % p
 
 
-def _fraction_valuation(q: Fraction, p: int):
-    if q == 0:
-        return _INF
-    v = vp_int(q.numerator, p) if q.numerator % p == 0 else 0
-    return v - (vp_int(q.denominator, p) if q.denominator % p == 0 else 0)
-
-
 def reduce_point(C: HyperellipticCurve, P: CurvePoint, p: int):
     """Image of P in C(F_p): a coordinate pair, or FP_INFINITY.
 
@@ -228,7 +220,7 @@ def reduce_point(C: HyperellipticCurve, P: CurvePoint, p: int):
     if P.at_infinity:
         return FP_INFINITY
     if P.is_rational():
-        if _fraction_valuation(P.x, p) < 0:
+        if vp(P.x, p) < 0:
             return FP_INFINITY
         return (_fraction_residue(P.x, p), _fraction_residue(P.y, p))
     if P.x.is_zeroish() and not P.x.is_exact_zero() and P.x.valuation < 1:
@@ -302,39 +294,21 @@ def disc_center(C: HyperellipticCurve, fp_point, p: int,
 
 
 # -- local series helpers (plain coefficient lists, truncated products) ----
-# generic over the coefficient field through a small constructor adapter, so
-# the same recursions serve Q_p and its quadratic extensions
-
-class _FieldOps:
-    """Constructor shim for the series recursions over Q_p; sums of products
-    go through the integer kernel :func:`padic_dot`."""
-
-    __slots__ = ("p", "rel")
-
-    def __init__(self, p: int, rel: int = DEFAULT_PRECISION):
-        self.p = p
-        self.rel = rel
-
-    def zero(self):
-        return PadicNumber.exact_zero(self.p)
-
-    def one(self):
-        return PadicNumber.from_int(1, self.p, self.rel)
-
-    def dot(self, xs, ys):
-        return padic_dot(self.p, xs, ys)
-
+# generic over the coefficient field through a polys domain (PadicDomain or
+# QuadExtDomain), so the same recursions serve Q_p and its quadratic
+# extensions
 
 def _lzero(F, n):
     return [F.zero() for _ in range(n)]
 
 
 def _ladd(F, a, b, n):
-    out = _lzero(F, n)
-    for i in range(n):
-        x = a[i] if i < len(a) else F.zero()
-        y = b[i] if i < len(b) else F.zero()
-        out[i] = x + y
+    """a + b to n coefficients, n at most the longer length.  Past the
+    shorter list the longer one's entries are copied: adding an exact zero
+    would return them unchanged."""
+    k = min(len(a), len(b), n)
+    out = [a[i] + b[i] for i in range(k)]
+    out.extend((a if len(a) > len(b) else b)[k:n])
     return out
 
 
@@ -391,7 +365,7 @@ def _weierstrass_x_coeffs(F, fc, x0, T):
         res = _lsub(F, fx, t2, m)
         dfx = _lpolyval(F, fpc, xs, m)
         step = _lmul(F, res, _linv(F, dfx, m), m)
-        xs = _lsub(F, xs + _lzero(F, m - len(xs)), step, m)
+        xs = _lsub(F, xs, step, m)
     return xs[: T + 1]
 
 
@@ -420,7 +394,7 @@ def local_expansion(C: HyperellipticCurve, center: CurvePoint, p: int, T: int,
 
 def _expansion_at_affine(C, p, fc, x0, y0, T, rel):
     # y(t)^2 = f(x0 + t): coefficient recursion off 2 y0 y_m = F_m - cross terms
-    ys = _affine_y_coeffs(_FieldOps(p, rel), fc, x0, y0, T)
+    ys = _affine_y_coeffs(PadicDomain(p, rel), fc, x0, y0, T)
     x_series = PadicPowerSeries(p, [x0, PadicNumber.from_int(1, p, rel)], _INF, 0)
     y_series = PadicPowerSeries(p, ys, 0, 0)
     return x_series, y_series
@@ -444,7 +418,7 @@ def _taylor_coeffs(F, fc, x0):
 
 def _expansion_at_weierstrass(C, p, fc, x0, T, rel):
     # solve f(x(t)) = t^2 by series Newton; x(t) is even in t
-    xs = _weierstrass_x_coeffs(_FieldOps(p, rel), fc, x0, T)
+    xs = _weierstrass_x_coeffs(PadicDomain(p, rel), fc, x0, T)
     x_series = PadicPowerSeries(p, xs, 0, 0)
     y_series = PadicPowerSeries(
         p, [PadicNumber.exact_zero(p), PadicNumber.from_int(1, p, rel)],
@@ -454,7 +428,7 @@ def _expansion_at_weierstrass(C, p, fc, x0, T, rel):
 
 def _expansion_at_infinity(p, fc, T):
     # xi = 1/x satisfies xi = t^2 g(xi), g(w) = 1 + c4 w + ... + c0 w^5
-    F = _FieldOps(p)
+    F = PadicDomain(p)
     one = F.one()
     g = [one, fc[4], fc[3], fc[2], fc[1], fc[0]]
     gp = [g[i] * i for i in range(1, 6)]
@@ -538,7 +512,7 @@ def expand_differential(C: HyperellipticCurve, w: Differential, center: CurvePoi
         numer = PadicPowerSeries(p, [w.c1], _INF, 0) + xs * w.c2
         return _laurent_to_series(numer * hser)
     numer = PadicPowerSeries(p, [w.c1 + w.c2 * xs.coeffs[0], w.c2], _INF, 0)
-    inv2y = PadicPowerSeries(p, _linv(_FieldOps(p, rel),
+    inv2y = PadicPowerSeries(p, _linv(PadicDomain(p, rel),
                                       [c * 2 for c in ys.coeffs],
                                       len(ys.coeffs)), 0, 0)
     return _laurent_to_series(numer * inv2y)

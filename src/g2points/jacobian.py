@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .curve import CurvePoint, HyperellipticCurve, count_Fp_points, count_Fp2_points
 from .padic import (DEFAULT_PRECISION, PadicNumber, PrecisionLossError,
-                    QuadExtNumber, padic_sqrt)
+                    QuadExtNumber, padic_sqrt, valuation_is_negative, vp)
 from .polys import (PadicDomain, PrimeFieldDomain, RationalDomain, poly_add,
                     poly_degree_certified, poly_divexact, poly_eq, poly_lift,
                     poly_mod, poly_monic, poly_mul, poly_neg, poly_trim,
@@ -305,42 +305,6 @@ def _sqrts_mod(a, p):
 
 # -- reduction J(Q) -> J(F_p) ------------------------------------------------
 
-def _vp_fraction(x: Fraction, p: int):
-    if x == 0:
-        return math.inf
-    v = 0
-    n, d = x.numerator, x.denominator
-    while n % p == 0:
-        n //= p
-        v += 1
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
-
-
-def _decide_negative_valuation(x) -> bool:
-    """True if v(x) < 0, False if v(x) >= 0; raises if undecidable."""
-    if isinstance(x, QuadExtNumber):
-        v = x.valuation_p()
-        if (x.a.is_zeroish() or x.b.is_zeroish()) and v < 0:
-            raise PrecisionLossError("root valuation sign unresolved")
-        return v < 0
-    if x.is_exact_zero():
-        return False
-    if x.is_zeroish():
-        if x.valuation >= 0:
-            return False
-        raise PrecisionLossError("root valuation sign unresolved")
-    return x.valuation < 0
-
-
-def _residue_of(x, p):
-    if isinstance(x, QuadExtNumber):
-        return x.residue_pair()
-    return x.residue()
-
-
 def reduce_divisor(C: HyperellipticCurve, D: MumfordDivisor, p: int,
                    rel: int = DEFAULT_PRECISION) -> MumfordDivisor:
     """Reduce a divisor class to J(F_p), pointwise: factor u over Q_p
@@ -368,7 +332,7 @@ def _reduce_rational(C, fdom, D, p, rel):
 
     if deg == 1:
         x1 = -Fraction(D.u[0]) / Fraction(D.u[1])
-        if _vp_fraction(x1, p) < 0:
+        if vp(x1, p) < 0:
             return MumfordDivisor.identity(fdom)
         y1 = Fraction(D.v[0]) if D.v else Fraction(0)
         return _fp_point_class(fdom, as_padic(x1).residue(),
@@ -380,7 +344,7 @@ def _reduce_rational(C, fdom, D, p, rel):
 
     if disc == 0:
         x = -u1c / (2 * u2c)
-        if _vp_fraction(x, p) < 0:
+        if vp(x, p) < 0:
             return MumfordDivisor.identity(fdom)
         y = vcoe[0] + vcoe[1] * x
         return _doubled_point_class(C, fdom, as_padic(x).residue(),
@@ -402,7 +366,7 @@ def _reduce_padic(C, fdom, D, p):
     vcoe = list(D.v) + [PadicNumber.exact_zero(p)] * (2 - len(D.v))
     if deg == 1:
         x1 = -(uc[0] / uc[1])
-        if _decide_negative_valuation(x1):
+        if valuation_is_negative(x1):
             return MumfordDivisor.identity(fdom)
         return _fp_point_class(fdom, x1.residue(), vcoe[0].residue())
     disc = uc[1] * uc[1] - uc[2] * uc[0] * 4
@@ -411,7 +375,7 @@ def _reduce_padic(C, fdom, D, p):
         # midpoint value decides every subcase (a pair whose y-residues
         # cancel gives residue 0 there, hence the canonical class)
         x = -(uc[1] / (uc[2] * 2))
-        if _decide_negative_valuation(x):
+        if valuation_is_negative(x):
             return MumfordDivisor.identity(fdom)
         y = vcoe[0] + vcoe[1] * x
         return _doubled_point_class(C, fdom, x.residue(), y.residue())
@@ -425,7 +389,7 @@ def _assemble_from_roots(C, fdom, root, minus_b, inv2a, vcoe, p):
     if isinstance(root, PadicNumber):
         xs = [(minus_b + root) * inv2a, (minus_b - root) * inv2a]
         ys = [vcoe[0] + vcoe[1] * x for x in xs]
-        drop = [_decide_negative_valuation(x) for x in xs]
+        drop = [valuation_is_negative(x) for x in xs]
         if all(drop):
             return MumfordDivisor.identity(fdom)
         if any(drop):
@@ -447,7 +411,7 @@ def _assemble_from_roots(C, fdom, root, minus_b, inv2a, vcoe, p):
 
     x1 = (lift(minus_b) + root) * lift(inv2a)
     y1 = lift(vcoe[0]) + lift(vcoe[1]) * x1
-    if _decide_negative_valuation(x1):
+    if valuation_is_negative(x1):
         return MumfordDivisor.identity(fdom)  # conjugates share valuation
     xa, xb = x1.residue_pair()
     ya, yb = y1.residue_pair()
@@ -505,29 +469,3 @@ def torsion_multiple_bound(C: HyperellipticCurve, primes) -> int:
     for q in primes:
         g = math.gcd(g, enumerate_Fp_jacobian(C, q).order)
     return g
-
-
-def filtration_level(C: HyperellipticCurve, D: MumfordDivisor, p: int,
-                     rel: int = DEFAULT_PRECISION) -> int:
-    """Largest n with min(v(l1), v(l2)) >= n for the log coordinates of D;
-    requires D in the kernel of reduction.  Identity caps at the working
-    precision."""
-    from .coleman import log_jacobian
-    lv = log_jacobian(C, D, p, rel=rel)
-    vals = []
-    floors = []
-    for coord in (lv.l1, lv.l2):
-        if coord.is_exact_zero():
-            continue
-        if coord.is_zeroish():
-            floors.append(coord.valuation)
-        else:
-            vals.append(coord.valuation)
-    if not vals:
-        if not floors:
-            return rel  # exact identity
-        raise PrecisionLossError("log coordinates vanish at working precision")
-    n = min(vals)
-    if any(fl <= n for fl in floors):
-        raise PrecisionLossError("log coordinate undecided at level boundary")
-    return n

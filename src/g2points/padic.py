@@ -46,13 +46,17 @@ class InconclusiveTruncationError(ArithmeticError):
     change a zero count."""
 
 
-def vp_int(n: int, p: int) -> int:
-    """Valuation of a nonzero integer."""
-    if n == 0:
-        raise ValueError("valuation of 0 is infinite")
+def vp(x, p: int):
+    """p-adic valuation of an int or a Fraction; math.inf at 0."""
+    if x == 0:
+        return _INF
+    if not isinstance(x, int):
+        # a Fraction; tested this way round because isinstance against
+        # Fraction goes through the numbers ABCs, which slows every _make
+        return vp(x.numerator, p) - vp(x.denominator, p)
     v = 0
-    while n % p == 0:
-        n //= p
+    while x % p == 0:
+        x //= p
         v += 1
     return v
 
@@ -142,7 +146,7 @@ class PadicNumber:
         unit %= mod
         if unit == 0:
             return cls(p, val + rel, 0, 0)
-        s = vp_int(unit, p)
+        s = vp(unit, p)
         if s:
             # keep the absolute precision, move digits into the valuation
             val += s
@@ -163,7 +167,7 @@ class PadicNumber:
     def from_int(cls, n: int, p: int, rel: int = DEFAULT_PRECISION) -> "PadicNumber":
         if n == 0:
             return cls.exact_zero(p)
-        v = vp_int(n, p)
+        v = vp(n, p)
         return cls._make(p, v, n // p ** v, rel)
 
     @classmethod
@@ -172,8 +176,8 @@ class PadicNumber:
         if q == 0:
             return cls.exact_zero(p)
         num, den = q.numerator, q.denominator
-        vn = vp_int(num, p)
-        vd = vp_int(den, p) if den % p == 0 else 0
+        vn = vp(num, p)
+        vd = vp(den, p)
         num //= p ** vn
         den //= p ** vd
         unit = num * pow(den, -1, p ** rel) % p ** rel
@@ -258,10 +262,7 @@ class PadicNumber:
                 if absprec is None or absprec == _INF:
                     rel = max(self._rel, DEFAULT_PRECISION)
                 else:
-                    v = vp_int(q.numerator, self.prime) - (
-                        vp_int(q.denominator, self.prime)
-                        if q.denominator % self.prime == 0 else 0)
-                    rel = max(int(absprec) - v, 1)
+                    rel = max(int(absprec) - vp(q, self.prime), 1)
             return PadicNumber.from_rational(q, self.prime, max(rel, 1))
         return None
 
@@ -637,6 +638,23 @@ class QuadExtNumber:
 
     def __repr__(self):
         return "QuadExtNumber((%r) + (%r)*sqrt(%d))" % (self.a, self.b, self.ext.d)
+
+
+def valuation_is_negative(x) -> bool:
+    """Certified v(x) < 0 decision for a PadicNumber or a QuadExtNumber.
+
+    True when v(x) < 0, False when v(x) >= 0; raises PrecisionLossError
+    when a part with no known digits leaves the sign open.
+    """
+    if isinstance(x, QuadExtNumber):
+        v = x.valuation_p()
+        undecided = x.a.is_zeroish() or x.b.is_zeroish()
+    else:
+        v = x.valuation
+        undecided = x.is_zeroish()
+    if v < 0 and undecided:
+        raise PrecisionLossError("sign of the valuation unresolved at working precision")
+    return v < 0
 
 
 def padic_sqrt(a: PadicNumber, ext: QuadExtension | None = None):
@@ -1053,33 +1071,6 @@ class PadicPowerSeries:
         if not self.tail_log_penalty:
             return base + (T + 1) * delta
         return log_penalty_tail_cap(self.prime, T, base, delta)
-
-    def compose(self, inner: "PadicPowerSeries") -> "PadicPowerSeries":
-        """self(inner(t)) for inner vanishing at 0 with integral coefficients."""
-        if self.shift != 0 or inner.shift != 0:
-            raise ValueError("composition requires shift 0")
-        c0 = inner.coeffs[0]
-        if not c0.is_exact_zero() and not (c0.is_zeroish() and c0.valuation >= 1) \
-                and not c0.valuation >= 1:
-            raise ValueError("inner series must vanish at 0")
-        if inner._finite_min_val() < 0:
-            raise ValueError("inner series must be integral")
-        if self.tail_log_penalty or inner.tail_log_penalty:
-            raise ValueError("composing log-penalized tails is unsupported")
-        p = self.prime
-        T = min(self.truncation_order, inner.truncation_order)
-        acc = PadicPowerSeries(p, [PadicNumber.exact_zero(p)], _INF, 0)
-        for c in reversed(self.coeffs[: T + 1]):
-            acc = (acc * inner).truncate(T) + PadicPowerSeries(p, [c], _INF, 0)
-        fmin = self._finite_min_val()
-        candidates = [self.tail_valuation_bound, acc.tail_valuation_bound]
-        if inner.tail_valuation_bound != _INF:
-            candidates.append(inner.tail_valuation_bound + fmin)
-        if self.tail_valuation_bound != _INF or inner.tail_valuation_bound != _INF \
-                or self.truncation_order > T or inner.truncation_order > T:
-            candidates.append(fmin)
-        tail = min(candidates)
-        return PadicPowerSeries(p, acc.coeffs[: T + 1], tail, 0)
 
     def inverse(self) -> "PadicPowerSeries":
         """1/self for an integral series with unit constant term."""

@@ -8,6 +8,9 @@ predicates the algorithms actually branch on: "certainly zero" and
 known digits is neither, and any degree decision that depends on one
 raises PrecisionLossError so the caller can retry with more digits.
 
+The Q_p and extension domains also drive the truncated series recursions
+in curve and coleman; their sums of products go through ``dot``.
+
 Polynomials are ascending coefficient lists; [] is the zero polynomial.
 """
 
@@ -21,6 +24,7 @@ from .padic import (
     PrecisionLossError,
     QuadExtension,
     QuadExtNumber,
+    padic_dot,
 )
 
 
@@ -142,6 +146,9 @@ class PadicDomain:
     def div(self, a, b):
         return a / b
 
+    def dot(self, xs, ys):
+        return padic_dot(self.p, xs, ys)
+
     def is_zero(self, a):
         # only an exact zero is *certainly* zero
         return a.is_exact_zero()
@@ -192,6 +199,14 @@ class QuadExtDomain:
 
     def div(self, a, b):
         return a / b
+
+    def dot(self, xs, ys):
+        # extension elements are pairs, so the integer kernel does not apply
+        acc = self.zero()
+        for x, y in zip(xs, ys):
+            if not (x.is_exact_zero() or y.is_exact_zero()):
+                acc = acc + x * y
+        return acc
 
     def is_zero(self, a):
         return a.a.is_exact_zero() and a.b.is_exact_zero()
@@ -262,13 +277,6 @@ def poly_mul(dom, a, b):
 
 def poly_scale(dom, c, a):
     return poly_trim(dom, [dom.mul(c, x) for x in a])
-
-
-def poly_eval(dom, a, x):
-    acc = dom.zero()
-    for c in reversed(a):
-        acc = dom.add(dom.mul(acc, x), c)
-    return acc
 
 
 def poly_divmod(dom, a, b):

@@ -24,7 +24,8 @@ from .jacobian import (MumfordDivisor, _prime_factors, cantor_add,
                        curve_preimage, enumerate_Fp_jacobian, reduce_divisor,
                        scalar_mul, torsion_multiple_bound)
 from .padic import (DEFAULT_PRECISION, InconclusiveTruncationError,
-                    PrecisionLossError, strassmann_count)
+                    PrecisionLossError, strassmann_count, vp,
+                    with_precision_retry)
 from .polys import PrimeFieldDomain, RationalDomain
 
 HYPOTHESES = (
@@ -264,16 +265,13 @@ def search_points(ctx: SieveContext, state: SieveState) -> SieveState:
 
 
 def _with_budget(ctx: SieveContext, state: SieveState, fn):
-    # escalate the working precision on retryable failures, within budget
-    rel = ctx.rel
-    for k in range(ctx.max_escalations + 1):
-        try:
-            return fn(rel)
-        except (PrecisionLossError, InconclusiveTruncationError):
-            if k == ctx.max_escalations:
-                raise
+    # escalate the working precision on retryable failures, within budget;
+    # every attempt above the configured precision is one escalation
+    def attempt(rel):
+        if rel > ctx.rel:
             state.escalations += 1
-            rel *= 2
+        return fn(rel)
+    return with_precision_retry(attempt, ctx.rel, ctx.max_escalations)
 
 
 def _ensure_form(ctx: SieveContext, state: SieveState) -> None:
@@ -286,16 +284,18 @@ def _ensure_form(ctx: SieveContext, state: SieveState) -> None:
 
 
 def _certify_transversality(ctx, state, Q):
-    rel = ctx.rel
-    for k in range(ctx.max_escalations + 1):
+    def attempt(rel):
         ok, v = transversality_certificate(ctx.curve, state.form, Q,
                                            ctx.prime, rel)
-        if ok:
-            return v
-        if k < ctx.max_escalations:
-            state.escalations += 1
-            rel *= 2
-    return None
+        if not ok:
+            raise PrecisionLossError("form vanishes at the disc center at "
+                                     "precision %d" % rel)
+        return v
+
+    try:
+        return _with_budget(ctx, state, attempt)
+    except (PrecisionLossError, InconclusiveTruncationError):
+        return None
 
 
 def _certify_point(ctx, state, rec, n):
@@ -334,16 +334,6 @@ def _log_floor(L):
     return min(vals) if vals else None
 
 
-def _vp_or_inf(k: int, p: int):
-    if k == 0:
-        return math.inf
-    v = 0
-    while k % p == 0:
-        k //= p
-        v += 1
-    return v
-
-
 def _excise_found_classes(ctx, state, n):
     # a class matching a found point Q at level n contains no other
     # rational point: its members differ from [Q - inf] by an element of
@@ -362,7 +352,7 @@ def _excise_found_classes(ctx, state, n):
         kept = set()
         for s in state.survivors[rec.label]:
             if (img.class_index(s, rec.label) == target
-                    and _vp_or_inf(s - rec.s, ctx.prime) + vg >= n):
+                    and vp(s - rec.s, ctx.prime) + vg >= n):
                 excised += 1
             else:
                 kept.add(s)

@@ -22,12 +22,13 @@ from g2points.curve import (CurvePoint, Differential, HyperellipticCurve,
                             disc_center, expand_differential, fp_curve_points,
                             local_expansion, reduce_point)
 from g2points.jacobian import (MumfordDivisor, cantor_add, embed_point,
-                               filtration_level, reduce_divisor, scalar_mul)
+                               reduce_divisor, scalar_mul)
 from g2points.padic import (PadicNumber, PadicPoly, QuadExtension,
                             QuadExtNumber, hensel_root, legendre_symbol,
                             padic_agree, padic_sqrt, strassmann_count,
                             with_precision_retry)
-from g2points.polys import PadicDomain, RationalDomain
+from g2points.polys import PadicDomain, QuadExtDomain, RationalDomain
+from g2points.sieve import _log_floor
 
 FLYNN = [0, 60, -112, 65, -14, 1]
 CURVE2 = [1, 2, 0, 0, 0, 1]  # good reduction at 3, 5, 7, 11
@@ -242,9 +243,9 @@ class TestExtensionSupport:
     def _yext_divisor(self, C, rel=20):
         # conjugate pair over Q_7(sqrt(c)) reducing to x = 4, where
         # f(4) = 6 mod 7 is a nonsquare: no Q_7 point sits over that disc
-        from g2points.coleman import _ExtOps, _ext_horner, _ext_sqrt
+        from g2points.coleman import _ext_horner, _ext_sqrt
         ext = QuadExtension(7, QuadExtension.UNRAMIFIED)
-        F = _ExtOps(ext, rel)
+        F = QuadExtDomain(ext, rel)
         fc = [F.lift(k) for k in C.f_coeffs]
         x1 = QuadExtNumber(ext, PadicNumber.from_rational(4, 7, rel),
                            PadicNumber.from_rational(7, 7, rel))
@@ -471,13 +472,16 @@ class TestAnchoredSeries:
 
 
 class TestFiltrationLevel:
+    """The log-valuation floor the sieve excises classes with."""
+
     def test_generator_multiples(self, C, gamma):
-        assert filtration_level(C, scalar_mul(C, 6, gamma), 7) == 1
+        assert _log_floor(log_jacobian(C, scalar_mul(C, 6, gamma), 7)) == 1
         lv = with_precision_retry(
-            lambda r: filtration_level(C, scalar_mul(C, 42, gamma), 7, rel=r),
+            lambda r: _log_floor(
+                log_jacobian(C, scalar_mul(C, 42, gamma), 7, rel=r)),
             20, 3)
         assert lv == 2
 
-    def test_identity_caps_at_precision(self, C):
-        lv = filtration_level(C, MumfordDivisor.identity(RationalDomain()), 7)
-        assert lv == 20
+    def test_identity_has_no_floor(self, C):
+        L = log_jacobian(C, MumfordDivisor.identity(RationalDomain()), 7)
+        assert _log_floor(L) is None

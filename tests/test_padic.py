@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2points.curve import _FieldOps, _linv, _lmul
+from g2points.curve import _linv, _lmul
 from g2points.padic import (
     DEFAULT_PRECISION,
     InconclusiveTruncationError,
@@ -28,10 +28,12 @@ from g2points.padic import (
     smallest_nonresidue,
     sqrt_mod_p,
     strassmann_count,
-    vp_int,
+    valuation_is_negative,
+    vp,
     with_precision_retry,
     _ilog,
 )
+from g2points.polys import PadicDomain
 
 
 def N(x, p=7, rel=DEFAULT_PRECISION):
@@ -416,21 +418,6 @@ class TestPowerSeries:
         with pytest.raises(ValueError):
             PadicPowerSeries(7, [7, 1]).inverse()
 
-    def test_compose(self):
-        # f(t) = 1 + t + t^2, g(t) = 2t + t^2 -> coefficients by hand
-        f = PadicPowerSeries(7, [1, 1, 1], tail_valuation_bound=0)
-        g = PadicPowerSeries(7, [0, 2, 1], tail_valuation_bound=0)
-        h = f.compose(g)
-        assert (h.coeff_of_degree(0) - 1).is_zeroish()
-        assert (h.coeff_of_degree(1) - 2).is_zeroish()
-        assert (h.coeff_of_degree(2) - 5).is_zeroish()
-
-    def test_compose_requires_vanishing_inner(self):
-        f = PadicPowerSeries(7, [1, 1])
-        g = PadicPowerSeries(7, [1, 1])
-        with pytest.raises(ValueError):
-            f.compose(g)
-
 
 class TestMahler:
     def test_quadratic_at_zero(self):
@@ -466,16 +453,17 @@ class TestMahler:
             f = PadicPowerSeries(p, [PadicNumber.from_rational(c, p, 24) for c in poly])
             x = PadicNumber.from_rational(p * rng.randint(-8, 8), p, 24)
             for k in (0, 1, 2):
-                assert mahler_bound_holds(f, [vp_int(r, p) if r else 2 for r in roots],
+                assert mahler_bound_holds(f, [vp(r, p) if r else 2 for r in roots],
                                           r_val, x, k), (p, roots, k)
 
 
 class TestHelpers:
     def test_vp_int(self):
-        assert vp_int(56, 7) == 1
-        assert vp_int(-49, 7) == 2
-        with pytest.raises(ValueError):
-            vp_int(0, 7)
+        assert vp(56, 7) == 1
+        assert vp(-49, 7) == 2
+        assert vp(0, 7) == math.inf
+        assert vp(Fraction(-98, 15), 7) == 2
+        assert vp(Fraction(5, 343), 7) == -3
 
     def test_legendre_and_sqrt_mod(self):
         assert legendre_symbol(2, 7) == 1
@@ -508,6 +496,30 @@ class TestHelpers:
         assert calls == [10, 20, 40]
         with pytest.raises(PrecisionLossError):
             with_precision_retry(fn, 10, 1)
+
+    def test_valuation_is_negative(self):
+        assert valuation_is_negative(N(Fraction(3, 49)))
+        assert not valuation_is_negative(N(14))
+        assert not valuation_is_negative(PadicNumber.exact_zero(7))
+        assert not valuation_is_negative(PadicNumber.zeroish(7, 0))
+        assert not valuation_is_negative(PadicNumber.zeroish(7, 3))
+        with pytest.raises(PrecisionLossError):
+            valuation_is_negative(PadicNumber.zeroish(7, -1))
+
+    def test_valuation_is_negative_in_an_extension(self):
+        ext = QuadExtension(7, QuadExtension.UNRAMIFIED)
+        assert valuation_is_negative(QuadExtNumber(ext, N(Fraction(1, 7)), N(2)))
+        assert not valuation_is_negative(QuadExtNumber(ext, N(1), N(7)))
+        z = PadicNumber.exact_zero(7)
+        assert not valuation_is_negative(QuadExtNumber(ext, z, z))
+        assert not valuation_is_negative(
+            QuadExtNumber(ext, PadicNumber.zeroish(7, 2), N(1)))
+        with pytest.raises(PrecisionLossError):
+            valuation_is_negative(
+                QuadExtNumber(ext, PadicNumber.zeroish(7, 3), N(Fraction(1, 7))))
+        with pytest.raises(PrecisionLossError):
+            valuation_is_negative(
+                QuadExtNumber(ext, PadicNumber.zeroish(7, -2), PadicNumber.zeroish(7, 4)))
 
 
 # -- the integer sum-of-products kernel ---------------------------------------
@@ -608,7 +620,7 @@ class TestDotKernel:
         want = [fields(c) for c in ref_mul(p, a, b, n)]
         prod = PadicPowerSeries(p, a) * PadicPowerSeries(p, b)
         assert [fields(c) for c in prod.coeffs] == want
-        F = _FieldOps(p)
+        F = PadicDomain(p)
         assert [fields(c) for c in _lmul(F, a, b, n)] == want
         m = data.draw(st.integers(1, n))
         assert [fields(c) for c in _lmul(F, a, b, m)] == want[:m]

@@ -7,10 +7,13 @@ import pytest
 from g2points.coleman import single_point_criterion
 from g2points.curve import CurvePoint, HyperellipticCurve
 from g2points.jacobian import MumfordDivisor
-from g2points.padic import strassmann_count
+from g2points import sieve
+from g2points.padic import PrecisionLossError, strassmann_count
 from g2points.polys import RationalDomain
-from g2points.sieve import (HYPOTHESES, SieveContext, build_images, deepen,
-                            initial_state, run, search_points, sieve_pass)
+from g2points.sieve import (HYPOTHESES, SieveContext, SieveState,
+                            _certify_transversality, _with_budget,
+                            build_images, deepen, initial_state, run,
+                            search_points, sieve_pass)
 
 F_COEFFS = [0, 60, -112, 65, -14, 1]
 AUX = (11, 13, 17, 23)
@@ -190,6 +193,60 @@ class TestDeepen:
         # lcm(6270, exp(J(F_7)) * 7^(n-1)) at n = 2
         assert result.N == 43890
         assert result.N % 6270 == 0 and result.N % (6 * 7) == 0
+
+
+class TestPrecisionBudget:
+    """Every precision escalation of a run goes through _with_budget."""
+
+    @staticmethod
+    def _failing(times, rels):
+        def fn(rel):
+            rels.append(rel)
+            if len(rels) <= times:
+                raise PrecisionLossError("need more digits")
+            return rel
+        return fn
+
+    def test_each_retry_counts_one_escalation(self, ctx):
+        state = SieveState(1, {}, {}, {})
+        rels = []
+        assert _with_budget(ctx, state, self._failing(2, rels)) == 4 * ctx.rel
+        assert rels == [ctx.rel, 2 * ctx.rel, 4 * ctx.rel]
+        assert state.escalations == 2
+
+    def test_spent_budget_raises(self, ctx):
+        state = SieveState(1, {}, {}, {})
+        rels = []
+        with pytest.raises(PrecisionLossError):
+            _with_budget(ctx, state,
+                         self._failing(ctx.max_escalations + 1, rels))
+        assert len(rels) == ctx.max_escalations + 1
+        assert state.escalations == ctx.max_escalations
+
+    def test_unresolved_transversality_gives_none(self, ctx, monkeypatch):
+        rels = []
+
+        def never(C, w, Q, p, rel):
+            rels.append(rel)
+            return False, None
+
+        monkeypatch.setattr(sieve, "transversality_certificate", never)
+        state = SieveState(1, {}, {}, {})
+        assert _certify_transversality(ctx, state, CurvePoint.infinity()) \
+            is None
+        assert rels == [ctx.rel * 2 ** k
+                        for k in range(ctx.max_escalations + 1)]
+        assert state.escalations == ctx.max_escalations
+
+    def test_transversality_certified_after_one_escalation(self, ctx,
+                                                           monkeypatch):
+        def late(C, w, Q, p, rel):
+            return (True, 1) if rel > ctx.rel else (False, None)
+
+        monkeypatch.setattr(sieve, "transversality_certificate", late)
+        state = SieveState(1, {}, {}, {})
+        assert _certify_transversality(ctx, state, CurvePoint.infinity()) == 1
+        assert state.escalations == 1
 
 
 class TestCertificates:
