@@ -19,11 +19,7 @@ from .curve import (
     Differential,
     HyperellipticCurve,
     TransversalityError,
-    _affine_y_coeffs,
-    _linv,
-    _lmul,
     _taylor_coeffs,
-    _weierstrass_x_coeffs,
     disc_center,
     expand_differential,
     reduce_point,
@@ -42,9 +38,7 @@ from .padic import (
     PadicNumber,
     PadicPowerSeries,
     PrecisionLossError,
-    QuadExtension,
     QuadExtNumber,
-    log_penalty_tail_cap,
     padic_sqrt,
     strassmann_count,
     valuation_is_negative,
@@ -145,12 +139,9 @@ def _residue_disc_key(C: HyperellipticCurve, P: CurvePoint, p: int):
     return reduce_point(C, P, p)
 
 
-def _is_ext_key(key) -> bool:
-    return isinstance(key, tuple) and len(key) == 6 and key[0] == "ext"
-
-
-def _as_padic(c, p: int, rel: int) -> PadicNumber:
-    if isinstance(c, PadicNumber):
+def _as_padic(c, p: int, rel: int):
+    """c as a p-adic field element; rationals are lifted into Q_p."""
+    if isinstance(c, (PadicNumber, QuadExtNumber)):
         return c
     return PadicNumber.from_rational(Fraction(c), p, rel)
 
@@ -170,10 +161,7 @@ def _disc_param(P: CurvePoint, center: CurvePoint, p: int, rel: int):
     if center.at_infinity:
         return _infinity_param(P, p, rel)
     if center.y.is_exact_zero():
-        t = P.y
-        return _as_padic(t, p, rel) if not isinstance(t, QuadExtNumber) else t
-    if isinstance(P.x, QuadExtNumber):
-        return P.x - center.x
+        return _as_padic(P.y, p, rel)
     return _as_padic(P.x, p, rel) - center.x
 
 
@@ -195,123 +183,13 @@ def tiny_integral(C: HyperellipticCurve, w, frm: CurvePoint, to: CurvePoint,
     if k1 != k2:
         raise ValueError("endpoints lie in different residue discs")
     T = TRUNCATION_FACTOR * rel
-    if _is_ext_key(k1):
-        ext = QuadExtension(p, k1[1])
-        lam, xc, weier = _ext_center_lambda(C, wd, k1, ext, p, T, rel)
-        val = (_ext_eval(p, lam, _ext_param(to, xc, weier))
-               - _ext_eval(p, lam, _ext_param(frm, xc, weier)))
-    else:
-        center = disc_center(C, k1, p, rel)
-        lam = expand_differential(C, wd, center, p, T, rel).antiderivative()
-        val = (lam.evaluate(_disc_param(to, center, p, rel))
-               - lam.evaluate(_disc_param(frm, center, p, rel)))
+    center = disc_center(C, k1, p, rel)
+    lam = expand_differential(C, wd, center, p, T, rel).antiderivative()
+    val = (lam.evaluate(_disc_param(to, center, p, rel))
+           - lam.evaluate(_disc_param(frm, center, p, rel)))
     if isinstance(val, QuadExtNumber) and val.b.is_zeroish():
         return val.a
     return val
-
-
-# -- quadratic-extension disc centers ---------------------------------------
-
-def _ext_horner(fc, x: QuadExtNumber) -> QuadExtNumber:
-    acc = None
-    for c in reversed(fc):
-        acc = c if acc is None else acc * x + c
-    return acc
-
-
-def _ext_sqrt(F: QuadExtDomain, z: QuadExtNumber) -> QuadExtNumber:
-    """Square root of a unit of the unramified extension: brute-force the
-    residue, then Newton."""
-    ext, p = F.ext, F.p
-    za, zb = z.residue_pair()
-    start = None
-    for ra in range(p):
-        for rb in range(p):
-            if ((ra * ra + ext.d * rb * rb) % p == za
-                    and (2 * ra * rb) % p == zb):
-                start = (ra, rb)
-                break
-        if start is not None:
-            break
-    if start is None:
-        raise ArithmeticError("residue is not a square in the extension")
-    x = QuadExtNumber(ext, PadicNumber.from_rational(start[0], p, F.rel),
-                      PadicNumber.from_rational(start[1], p, F.rel))
-    half = F.lift(Fraction(1, 2))
-    for _ in range(64):
-        d = x * x - z
-        if d.is_zeroish():
-            return x
-        x = (x + z / x) * half
-    raise ArithmeticError("Newton iteration for the extension sqrt stalled")
-
-
-def _ext_newton_root(F: QuadExtDomain, fc, x0: QuadExtNumber) -> QuadExtNumber:
-    """Root of f near a simple residue root x0 over the extension."""
-    fpc = [fc[i] * i for i in range(1, len(fc))]
-    x = x0
-    for _ in range(64):
-        v = _ext_horner(fc, x)
-        if v.is_zeroish():
-            return x
-        x = x - v / _ext_horner(fpc, x)
-    raise ArithmeticError("Newton iteration for the extension root stalled")
-
-
-def _ext_center_lambda(C: HyperellipticCurve, wd: Differential, key,
-                       ext: QuadExtension, p: int, T: int, rel: int):
-    """Antiderivative coefficients of wd on a disc whose center needs
-    extension coordinates; returns (lambda coefficients, x-center, weier)."""
-    _, _, xa, xb, ya, yb = key
-    if ext.e != 1:
-        raise ValueError("extension discs are labeled over the unramified field")
-    F = QuadExtDomain(ext, rel)
-    fc = [F.lift(k) for k in C.f_coeffs]
-    xc = QuadExtNumber(ext, PadicNumber.from_rational(xa, p, rel),
-                       PadicNumber.from_rational(xb, p, rel))
-    weier = (ya, yb) == (0, 0)
-    if weier:
-        # t = y, x(t) the even series solving f(x(t)) = t^2
-        xc = _ext_newton_root(F, fc, xc)
-        xs = _weierstrass_x_coeffs(F, fc, xc, T)
-        numer = [F.lift(wd.c1) + xs[0] * wd.c2] + [c * wd.c2 for c in xs[1:]]
-        half_dxdt = [xs[j + 2] * Fraction(j + 2, 2) for j in range(len(xs) - 2)]
-        a = _lmul(F, numer, half_dxdt, T + 1)
-    else:
-        yc = _ext_sqrt(F, _ext_horner(fc, xc))
-        if yc.residue_pair() != (ya, yb):
-            yc = -yc
-        if yc.residue_pair() != (ya, yb):
-            raise ArithmeticError("center sign mismatch on the disc label")
-        ys = _affine_y_coeffs(F, fc, xc, yc, T)
-        numer = [F.lift(wd.c1) + xc * wd.c2, F.lift(wd.c2)]
-        inv2y = _linv(F, [c * 2 for c in ys], T + 1)
-        a = _lmul(F, numer, inv2y, T + 1)
-    lam = [F.zero()]
-    lam.extend(a[i] * Fraction(1, i + 1) for i in range(len(a)))
-    return lam, xc, weier
-
-
-def _ext_param(P: CurvePoint, xc: QuadExtNumber, weier: bool) -> QuadExtNumber:
-    t = P.y if weier else P.x - xc
-    if not isinstance(t, QuadExtNumber):
-        raise ValueError("extension-disc endpoints need extension coordinates")
-    return t
-
-
-def _ext_eval(p: int, lam, t: QuadExtNumber) -> QuadExtNumber:
-    """Horner value of the antiderivative coefficients at t, capped by the
-    same tail bound a penalized series of that length would carry."""
-    if t.is_exact_zero():
-        return lam[0]
-    vt = t.valuation_p()
-    if vt <= 0:
-        raise ValueError("series evaluation requires v(t) > 0")
-    acc = None
-    for c in reversed(lam):
-        acc = c if acc is None else acc * t + c
-    cap = int(math.floor(log_penalty_tail_cap(p, len(lam) - 1, 0, Fraction(vt))))
-    return QuadExtNumber(acc.ext, acc.a.with_abs_cap(cap), acc.b.with_abs_cap(cap))
 
 
 # -- the Jacobian logarithm --------------------------------------------------
@@ -325,7 +203,8 @@ _DISC_LAMBDA_CACHE: dict = {}
 
 def _basis_lambdas(C: HyperellipticCurve, disc_key, p: int, T: int, rel: int):
     """(center, (antiderivative of dx/2y, antiderivative of x dx/2y)) for a
-    residue disc over F_p, cached per curve and precision."""
+    residue disc, labeled as in _residue_disc_key, cached per curve and
+    precision."""
     ck = (C.f_coeffs, disc_key, p, T, rel)
     hit = _DISC_LAMBDA_CACHE.get(ck)
     if hit is None:
@@ -424,29 +303,22 @@ def _kernel_log(C: HyperellipticCurve, delta: MumfordDivisor, p: int, rel: int):
         return _same_disc_log(C, CurvePoint(xs[0], ys[0], False),
                               CurvePoint(xs[1], -ys[1], False), p, T, rel)
     # conjugate pair over a quadratic extension
-    ext = root.ext
-    F = QuadExtDomain(ext, rel)
+    F = QuadExtDomain(root.ext, rel)
     x1 = (F.lift(-uc[1]) + root) * F.lift(inv2a)
     y1 = F.lift(vc[0]) + F.lift(vc[1]) * x1
     if valuation_is_negative(x1):
         _, lams = _basis_lambdas(C, FP_INFINITY, p, T, rel)
         t = _infinity_param(CurvePoint(x1, y1, False), p, rel)
         return tuple(lam.evaluate(t).trace() for lam in lams)
-    # sigma(P)-bar = iota(P)-bar forces the x-residue into F_p
-    xa, xb = x1.residue_pair()
-    ya, yb = y1.residue_pair()
-    if xb != 0:
+    # sigma(P)-bar = iota(P)-bar forces the x-residue into F_p; when the
+    # y-residue generates F_{p^2}, f(x-bar) is a non-residue and the disc
+    # is centered over the extension
+    if x1.residue_pair()[1] != 0:
         raise DecompositionFailureError(
             "kernel class reducing outside the F_p locus")
-    P_to = CurvePoint(x1, y1, False)
-    P_frm = CurvePoint(x1.conjugate(), -(y1.conjugate()), False)
-    if yb != 0:
-        # y-residue generates F_{p^2}: f(x-bar) is a non-residue and the
-        # disc has no center over Q_p
-        vals = _ext_pair_log(C, ("ext", ext.kind, xa, xb, ya, yb),
-                             P_to, P_frm, ext, p, T, rel)
-        return vals
-    return _same_disc_log(C, P_to, P_frm, p, T, rel)
+    return _same_disc_log(C, CurvePoint(x1, y1, False),
+                          CurvePoint(x1.conjugate(), -(y1.conjugate()), False),
+                          p, T, rel)
 
 
 def _same_disc_log(C: HyperellipticCurve, P_to: CurvePoint, P_frm: CurvePoint,
@@ -455,7 +327,7 @@ def _same_disc_log(C: HyperellipticCurve, P_to: CurvePoint, P_frm: CurvePoint,
     if key != _residue_disc_key(C, P_frm, p):
         raise DecompositionFailureError(
             "kernel endpoints land in distinct residue discs")
-    if key == FP_INFINITY or _is_ext_key(key):
+    if key == FP_INFINITY:
         raise DecompositionFailureError("unexpected disc label for an affine pair")
     center, lams = _basis_lambdas(C, key, p, T, rel)
     out = []
@@ -465,17 +337,6 @@ def _same_disc_log(C: HyperellipticCurve, P_to: CurvePoint, P_frm: CurvePoint,
         if isinstance(val, QuadExtNumber):
             val = val.base_part_checked()
         out.append(val)
-    return tuple(out)
-
-
-def _ext_pair_log(C, key, P_to, P_frm, ext, p, T, rel):
-    wds = _basis(p, rel)
-    out = []
-    for wd in wds:
-        lam, xc, weier = _ext_center_lambda(C, wd, key, ext, p, T, rel)
-        val = (_ext_eval(p, lam, _ext_param(P_to, xc, weier))
-               - _ext_eval(p, lam, _ext_param(P_frm, xc, weier)))
-        out.append(val.base_part_checked())
     return tuple(out)
 
 
@@ -506,7 +367,7 @@ def _near_doubled_log(C, uc, vc, disc, p, T, rel):
     # A midpoint that reduces anywhere else means the zeroish discriminant
     # was precision erosion, not a genuine double root: retryable.
     key = _residue_disc_key(C, CurvePoint(x0, y0, False), p)
-    if key == FP_INFINITY or _is_ext_key(key):
+    if key == FP_INFINITY:
         raise PrecisionLossError("eroded kernel data: midpoint is not affine")
     fbar = 0
     for k in reversed(C.f_coeffs):
@@ -645,12 +506,10 @@ def point_anchored_series(C: HyperellipticCurve, w, Q: CurvePoint, p: int,
     constant term exactly 0 (so r = 0 is the zero at Q)."""
     wd = _underlying(w)
     T = TRUNCATION_FACTOR * rel
-    if Q.at_infinity:
-        return expand_differential(C, wd, Q, p, T, rel) \
-            .antiderivative().rescale_argument(n)
-    y0 = _as_padic(Q.y, p, rel)
-    if y0.is_exact_zero() or y0.valuation == 0:
-        # Q anchors its own expansion: branch point (t = y) or ordinary disc
+    y0 = None if Q.at_infinity else _as_padic(Q.y, p, rel)
+    if y0 is None or y0.is_exact_zero() or y0.valuation == 0:
+        # Q anchors its own expansion: infinity (t = x^2/y), branch point
+        # (t = y) or ordinary disc
         return expand_differential(C, wd, Q, p, T, rel) \
             .antiderivative().rescale_argument(n)
     # Q sits above a Weierstrass point without being one: recenter the disc
@@ -673,7 +532,7 @@ def _recentered_series(lam: PadicPowerSeries, t0: PadicNumber) -> PadicPowerSeri
         raise ValueError("recentering requires certified v(t0) >= 1")
     p = lam.prime
     v0 = Fraction(int(t0.valuation))
-    bs = _taylor_coeffs(None, list(lam.coeffs), t0)
+    bs = _taylor_coeffs(lam.coeffs, t0)
     M = lam._eval_tail_cap(v0)
     if M != _INF:
         bs = [b.with_abs_cap(int(math.floor(M - k * v0)))

@@ -17,6 +17,9 @@ from .padic import (
     PadicPoly,
     PadicPowerSeries,
     PrecisionLossError,
+    QuadExtension,
+    QuadExtNumber,
+    _ext_sqrt,
     hensel_root,
     legendre_symbol,
     padic_sqrt,
@@ -24,7 +27,7 @@ from .padic import (
     sqrt_mod_p,
     vp,
 )
-from .polys import PadicDomain
+from .polys import PadicDomain, QuadExtDomain
 
 _INF = math.inf
 
@@ -271,25 +274,46 @@ def count_Fp2_points(C: HyperellipticCurve, p: int) -> int:
 
 def disc_center(C: HyperellipticCurve, fp_point, p: int,
                 rel: int = DEFAULT_PRECISION) -> CurvePoint:
-    """Canonical p-adic center of the residue disc of an F_p-point.
+    """Canonical p-adic center of a residue disc.
 
+    fp_point is an F_p-point as in reduce_point, or the label
+    ("ext", kind, xa, xb, ya, yb) of a point over F_{p^2} = F_p(sqrt(c)),
+    whose center has coordinates in the unramified extension Q_p(sqrt(c)).
     Smallest non-negative integer lift of the x-coordinate, corrected onto
     the curve by Hensel: the square root of f(x0) matching the reduced y
     away from Weierstrass points, the exact root of f at them.
     """
     if fp_point == FP_INFINITY:
         return CurvePoint.infinity()
-    xbar, ybar = fp_point
-    if ybar % p == 0:
+    if fp_point[0] == "ext":
+        _, kind, xa, xb, ya, yb = fp_point
+        ext = QuadExtension(p, kind)
+        if ext.e != 1:
+            raise ValueError("extension discs are labeled over the unramified field")
+        x0 = QuadExtNumber(ext, PadicNumber.from_int(xa, p, rel),
+                           PadicNumber.from_int(xb, p, rel))
+        ybar = (ya % p, yb % p)
+        weierstrass = ybar == (0, 0)
+    else:
+        xbar, ybar = fp_point
+        x0 = PadicNumber.from_int(xbar, p, rel)
+        ybar %= p
+        weierstrass = ybar == 0
+    if weierstrass:
         f = PadicPoly(p, [PadicNumber.from_int(k, p, rel) for k in C.f_coeffs])
-        x0 = hensel_root(f, PadicNumber.from_int(xbar, p, rel))
-        return CurvePoint(x0, PadicNumber.exact_zero(p), False)
-    x0 = PadicNumber.from_int(xbar, p, rel)
-    y0 = padic_sqrt(C.f_eval(x0))
-    if not isinstance(y0, PadicNumber):
-        raise ArithmeticError("f(x0) is a unit square by assumption")
-    if y0.residue() != ybar % p:
+        return CurvePoint(hensel_root(f, x0, rel), PadicNumber.exact_zero(p), False)
+    if isinstance(x0, QuadExtNumber):
+        y0 = _ext_sqrt(QuadExtDomain(x0.ext, rel), C.f_eval(x0))
+        residue = QuadExtNumber.residue_pair
+    else:
+        y0 = padic_sqrt(C.f_eval(x0))
+        if not isinstance(y0, PadicNumber):
+            raise ArithmeticError("f(x0) is a unit square by assumption")
+        residue = PadicNumber.residue
+    if residue(y0) != ybar:
         y0 = -y0
+    if residue(y0) != ybar:
+        raise ArithmeticError("center sign mismatch on the disc label")
     return CurvePoint(x0, y0, False)
 
 
@@ -343,7 +367,7 @@ def _lpolyval(F, poly_coeffs, s, n):
 
 def _affine_y_coeffs(F, fc, x0, y0, T):
     """y(t) on y^2 = f(x0 + t) to T coefficients, y(0) = y0 a unit."""
-    taylor = _taylor_coeffs(F, fc, x0)
+    taylor = _taylor_coeffs(fc, x0)
     ys = [y0]
     for m in range(1, T + 1):
         s = F.dot(ys[1: m], ys[m - 1: 0: -1])
@@ -375,32 +399,33 @@ def local_expansion(C: HyperellipticCurve, center: CurvePoint, p: int, T: int,
 
     t = x - x0 off the Weierstrass locus, t = y at a Weierstrass center,
     t = x^2/y at infinity (where x(t) is Laurent with leading term t^-2).
-    Coefficients are p-adically integral; tail bounds reflect that.
+    Coefficients are p-adically integral; tail bounds reflect that.  They
+    lie in the field of the center's x-coordinate: Q_p, or its unramified
+    quadratic extension for a disc with no Q_p-rational center.
     """
-    fc = [PadicNumber.from_int(k, p, rel) for k in C.f_coeffs]
+    F = (QuadExtDomain(center.x.ext, rel) if isinstance(center.x, QuadExtNumber)
+         else PadicDomain(p, rel))
+    fc = [F.lift(k) for k in C.f_coeffs]
     if center.at_infinity:
         return _expansion_at_infinity(p, fc, T)
-    x0 = center.x if isinstance(center.x, PadicNumber) \
-        else PadicNumber.from_rational(center.x, p, rel)
-    y0 = center.y if isinstance(center.y, PadicNumber) \
-        else PadicNumber.from_rational(center.y, p, rel)
+    x0, y0 = F.lift(center.x), F.lift(center.y)
     ybar_zero = y0.is_zeroish() or y0.valuation >= 1
     if ybar_zero:
         if not y0.is_zeroish():
             raise ValueError("Weierstrass-disc center must have y = 0")
-        return _expansion_at_weierstrass(C, p, fc, x0, T, rel)
-    return _expansion_at_affine(C, p, fc, x0, y0, T, rel)
+        return _expansion_at_weierstrass(F, fc, x0, T)
+    return _expansion_at_affine(F, fc, x0, y0, T)
 
 
-def _expansion_at_affine(C, p, fc, x0, y0, T, rel):
+def _expansion_at_affine(F, fc, x0, y0, T):
     # y(t)^2 = f(x0 + t): coefficient recursion off 2 y0 y_m = F_m - cross terms
-    ys = _affine_y_coeffs(PadicDomain(p, rel), fc, x0, y0, T)
-    x_series = PadicPowerSeries(p, [x0, PadicNumber.from_int(1, p, rel)], _INF, 0)
-    y_series = PadicPowerSeries(p, ys, 0, 0)
+    ys = _affine_y_coeffs(F, fc, x0, y0, T)
+    x_series = PadicPowerSeries(F.p, [x0, F.one()], _INF, 0)
+    y_series = PadicPowerSeries(F.p, ys, 0, 0)
     return x_series, y_series
 
 
-def _taylor_coeffs(F, fc, x0):
+def _taylor_coeffs(fc, x0):
     """Coefficients of f(x0 + t) by repeated synthetic division."""
     cs = list(fc)
     out = []
@@ -416,13 +441,11 @@ def _taylor_coeffs(F, fc, x0):
     return out
 
 
-def _expansion_at_weierstrass(C, p, fc, x0, T, rel):
+def _expansion_at_weierstrass(F, fc, x0, T):
     # solve f(x(t)) = t^2 by series Newton; x(t) is even in t
-    xs = _weierstrass_x_coeffs(PadicDomain(p, rel), fc, x0, T)
-    x_series = PadicPowerSeries(p, xs, 0, 0)
-    y_series = PadicPowerSeries(
-        p, [PadicNumber.exact_zero(p), PadicNumber.from_int(1, p, rel)],
-        _INF, 0)
+    xs = _weierstrass_x_coeffs(F, fc, x0, T)
+    x_series = PadicPowerSeries(F.p, xs, 0, 0)
+    y_series = PadicPowerSeries(F.p, [F.zero(), F.one()], _INF, 0)
     return x_series, y_series
 
 
@@ -512,9 +535,7 @@ def expand_differential(C: HyperellipticCurve, w: Differential, center: CurvePoi
         numer = PadicPowerSeries(p, [w.c1], _INF, 0) + xs * w.c2
         return _laurent_to_series(numer * hser)
     numer = PadicPowerSeries(p, [w.c1 + w.c2 * xs.coeffs[0], w.c2], _INF, 0)
-    inv2y = PadicPowerSeries(p, _linv(PadicDomain(p, rel),
-                                      [c * 2 for c in ys.coeffs],
-                                      len(ys.coeffs)), 0, 0)
+    inv2y = PadicPowerSeries(p, [c * 2 for c in ys.coeffs], 0, 0).inverse()
     return _laurent_to_series(numer * inv2y)
 
 

@@ -444,6 +444,20 @@ def padic_dot(p: int, xs, ys) -> PadicNumber:
     return PadicNumber._make(p, m, s, A - m)
 
 
+def object_dot(zero, xs, ys):
+    """sum(x*y for x, y in zip(xs, ys)) as the object fold from ``zero``.
+
+    The sum of products for coefficients that padic_dot cannot take, such
+    as QuadExtNumber pairs.  Exact-zero products are skipped: adding one
+    would return the accumulator unchanged.
+    """
+    acc = zero
+    for x, y in zip(xs, ys):
+        if not (x.is_exact_zero() or y.is_exact_zero()):
+            acc = acc + x * y
+    return acc
+
+
 class QuadExtension:
     """Descriptor of Q_p(sqrt(d)) with d in {c, p, p*c}.
 
@@ -696,6 +710,33 @@ def padic_sqrt(a: PadicNumber, ext: QuadExtension | None = None):
     return QuadExtNumber(target, PadicNumber.exact_zero(p), _canonical_sign(b))
 
 
+def _ext_sqrt(F, z: QuadExtNumber) -> QuadExtNumber:
+    """Square root of a unit z of the unramified extension F.ext at F.rel
+    digits (F a polys.QuadExtDomain): brute-force the residue, then Newton."""
+    ext, p = F.ext, F.p
+    za, zb = z.residue_pair()
+    start = None
+    for ra in range(p):
+        for rb in range(p):
+            if ((ra * ra + ext.d * rb * rb) % p == za
+                    and (2 * ra * rb) % p == zb):
+                start = (ra, rb)
+                break
+        if start is not None:
+            break
+    if start is None:
+        raise ArithmeticError("residue is not a square in the extension")
+    x = QuadExtNumber(ext, PadicNumber.from_rational(start[0], p, F.rel),
+                      PadicNumber.from_rational(start[1], p, F.rel))
+    half = F.lift(Fraction(1, 2))
+    for _ in range(64):
+        d = x * x - z
+        if d.is_zeroish():
+            return x
+        x = (x + z / x) * half
+    raise ArithmeticError("Newton iteration for the extension sqrt stalled")
+
+
 def _canonical_sign(x: PadicNumber) -> PadicNumber:
     return -x if x.unit_part() % x.prime > (x.prime - 1) // 2 else x
 
@@ -817,7 +858,8 @@ def hensel_root(f: PadicPoly, x0: PadicNumber, target_rel: int | None = None) ->
     """The unique root of f near x0, under v(f(x0)) > 2 v(f'(x0)).
 
     Newton iteration with quadratic convergence.  Raises
-    NotHenselLiftableError when the hypothesis fails at x0.
+    NotHenselLiftableError when the hypothesis fails at x0.  x0 may be a
+    QuadExtNumber when target_rel is given.
     """
     fx = f(x0)
     df = f.derivative()
@@ -865,7 +907,7 @@ class PadicPowerSeries:
     def __init__(self, prime: int, coeffs, tail_valuation_bound=_INF, shift: int = 0,
                  tail_log_penalty: bool = False):
         self.prime = prime
-        self.coeffs = [c if isinstance(c, PadicNumber)
+        self.coeffs = [c if isinstance(c, (PadicNumber, QuadExtNumber))
                        else PadicNumber.from_rational(c, prime)
                        for c in coeffs] or [PadicNumber.exact_zero(prime)]
         self.tail_valuation_bound = tail_valuation_bound
@@ -895,12 +937,6 @@ class PadicPowerSeries:
             if c.valuation < m:
                 m = c.valuation
         return m
-
-    def min_valuation_bound(self):
-        """Lower bound for v over all coefficients, tail included."""
-        if self.tail_log_penalty:
-            raise ValueError("no uniform bound for a log-penalized tail")
-        return self._finite_min_val()
 
     def is_normal(self) -> bool:
         """All coefficients integral and tending to 0 (shift 0 required)."""
@@ -963,10 +999,11 @@ class PadicPowerSeries:
         hi = int(hi)
         lo = sa + sb
         a, b = self.coeffs, other.coeffs
+        dot = _series_dot(p, a + b)
         out = []
         for k in range(hi - lo + 1):
             i0 = max(0, k - len(b) + 1)
-            out.append(padic_dot(p, a[i0: k + 1], b[k - i0:: -1]))
+            out.append(dot(a[i0: k + 1], b[k - i0:: -1]))
         if self.tail_valuation_bound == _INF and other.tail_valuation_bound == _INF:
             tail = _INF
         else:
@@ -980,18 +1017,6 @@ class PadicPowerSeries:
         """Multiply by t^k."""
         return PadicPowerSeries(self.prime, list(self.coeffs), self.tail_valuation_bound,
                                 self.shift + k, self.tail_log_penalty)
-
-    def truncate(self, order: int) -> "PadicPowerSeries":
-        """Keep coefficients of index <= order, folding the rest into the tail."""
-        if order >= self.truncation_order:
-            return self
-        dropped = self.coeffs[order + 1:]
-        tail = self.tail_valuation_bound
-        for c in dropped:
-            if c.valuation < tail:
-                tail = c.valuation
-        return PadicPowerSeries(self.prime, self.coeffs[: order + 1], tail,
-                                self.shift, self.tail_log_penalty)
 
     def derivative(self) -> "PadicPowerSeries":
         p = self.prime
@@ -1082,10 +1107,11 @@ class PadicPowerSeries:
         if c0.valuation != 0 or self._finite_min_val() < 0:
             raise ValueError("series inverse requires an integral series with unit constant")
         p = self.prime
+        dot = _series_dot(p, self.coeffs)
         inv0 = c0.inverse()
         out = [inv0]
         for d in range(1, self.truncation_order + 1):
-            out.append(-inv0 * padic_dot(p, self.coeffs[1: d + 1], out[d - 1:: -1]))
+            out.append(-inv0 * dot(self.coeffs[1: d + 1], out[d - 1:: -1]))
         tail = 0 if self.tail_valuation_bound != _INF else _INF
         return PadicPowerSeries(p, out, tail, 0)
 
@@ -1093,6 +1119,15 @@ class PadicPowerSeries:
         return "PadicPowerSeries(p=%d, T=%d, shift=%d, tail>=%s%s)" % (
             self.prime, self.truncation_order, self.shift, self.tail_valuation_bound,
             ", log-penalty" if self.tail_log_penalty else "")
+
+
+def _series_dot(p: int, coeffs):
+    """The sum of products for one series product or inverse: padic_dot
+    when every coefficient is a PadicNumber, else the object fold."""
+    if all(type(c) is PadicNumber for c in coeffs):
+        return lambda xs, ys: padic_dot(p, xs, ys)
+    zero = PadicNumber.exact_zero(p)
+    return lambda xs, ys: object_dot(zero, xs, ys)
 
 
 def log_penalty_tail_cap(p: int, T: int, base, delta: Fraction):

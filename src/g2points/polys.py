@@ -9,7 +9,7 @@ known digits is neither, and any degree decision that depends on one
 raises PrecisionLossError so the caller can retry with more digits.
 
 The Q_p and extension domains also drive the truncated series recursions
-in curve and coleman; their sums of products go through ``dot``.
+in curve; their sums of products go through ``dot``.
 
 Polynomials are ascending coefficient lists; [] is the zero polynomial.
 """
@@ -24,6 +24,7 @@ from .padic import (
     PrecisionLossError,
     QuadExtension,
     QuadExtNumber,
+    object_dot,
     padic_dot,
 )
 
@@ -202,11 +203,7 @@ class QuadExtDomain:
 
     def dot(self, xs, ys):
         # extension elements are pairs, so the integer kernel does not apply
-        acc = self.zero()
-        for x, y in zip(xs, ys):
-            if not (x.is_exact_zero() or y.is_exact_zero()):
-                acc = acc + x * y
-        return acc
+        return object_dot(self.zero(), xs, ys)
 
     def is_zero(self, a):
         return a.a.is_exact_zero() and a.b.is_exact_zero()

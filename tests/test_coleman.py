@@ -243,13 +243,12 @@ class TestExtensionSupport:
     def _yext_divisor(self, C, rel=20):
         # conjugate pair over Q_7(sqrt(c)) reducing to x = 4, where
         # f(4) = 6 mod 7 is a nonsquare: no Q_7 point sits over that disc
-        from g2points.coleman import _ext_horner, _ext_sqrt
+        from g2points.padic import _ext_sqrt
         ext = QuadExtension(7, QuadExtension.UNRAMIFIED)
         F = QuadExtDomain(ext, rel)
-        fc = [F.lift(k) for k in C.f_coeffs]
         x1 = QuadExtNumber(ext, PadicNumber.from_rational(4, 7, rel),
                            PadicNumber.from_rational(7, 7, rel))
-        y1 = _ext_sqrt(F, _ext_horner(fc, x1))
+        y1 = _ext_sqrt(F, C.f_eval(x1))
         b = y1.b / x1.b
         a = y1.a - b * x1.a
         u = [x1.norm(), -x1.trace(), PadicNumber.from_rational(1, 7, rel)]
@@ -310,6 +309,58 @@ class TestExtensionSupport:
         L = log_jacobian(C, D, 7)
         assert vec_agree(log_jacobian(C, D.neg(), 7), L * -1)
         assert vec_agree(log_jacobian(C, cantor_add(C, D, D), 7), L * 2)
+
+    @pytest.mark.parametrize("fp_point", [(3, 6), (2, 0)])
+    def test_lifted_center_expands_like_qp(self, C, fp_point):
+        # the same center written over Q_7(sqrt(3)) must give the Q_7
+        # coefficients digit for digit, with exactly zero sqrt(3) parts
+        ext = QuadExtension(7, QuadExtension.UNRAMIFIED)
+        F = QuadExtDomain(ext)
+        center = disc_center(C, fp_point, 7)
+        lifted = CurvePoint(QuadExtNumber.from_base(ext, center.x),
+                            QuadExtNumber.from_base(ext, center.y), False)
+        w = Differential(2, 3, 7)
+        a = expand_differential(C, w, center, 7, 40)
+        b = expand_differential(C, w, lifted, 7, 40)
+        assert a.tail_valuation_bound == b.tail_valuation_bound
+        assert len(a.coeffs) == len(b.coeffs)
+        fields = lambda c: (c.valuation, c.unit_part(), c.rel_precision)
+        for x, y in zip(a.coeffs, b.coeffs):
+            y = F.lift(y)
+            assert y.b.is_exact_zero()
+            assert fields(y.a) == fields(x)
+
+    @pytest.mark.parametrize("f_coeffs, label, w", [
+        # f(x-bar) = 5 sqrt(3) is a square in F_49 but x-bar is not in F_7
+        (FLYNN, ("ext", "unramified", 0, 1, 3, 2), Differential(1, 5, 7)),
+        # x^2 - 3 divides f: a branch point over F_49 (t = y)
+        ([0, -6, 9, -1, -3, 1], ("ext", "unramified", 0, 1, 0, 0),
+         Differential(2, 3, 7)),
+    ])
+    def test_tiny_integral_on_extension_disc(self, f_coeffs, label, w):
+        Cx = HyperellipticCurve(f_coeffs)
+        ext = QuadExtension(7, QuadExtension.UNRAMIFIED)
+        xs, ys = local_expansion(Cx, disc_center(Cx, label, 7), 7, 40)
+        rng = random.Random(5)
+        pts = []
+        for _ in range(3):
+            t = QuadExtNumber(
+                ext, PadicNumber.from_int(7 * rng.randrange(1, 7 ** 5), 7),
+                PadicNumber.from_int(7 * rng.randrange(1, 7 ** 5), 7))
+            pts.append(CurvePoint(xs.evaluate(t), ys.evaluate(t), False))
+        a01 = tiny_integral(Cx, w, pts[0], pts[1], 7, rel=10)
+        a12 = tiny_integral(Cx, w, pts[1], pts[2], 7, rel=10)
+        a02 = tiny_integral(Cx, w, pts[0], pts[2], 7, rel=10)
+        assert isinstance(a01, QuadExtNumber) and not a01.b.is_zeroish()
+        assert (a01 + a12 - a02).is_zeroish()
+        assert (a01 + tiny_integral(Cx, w, pts[1], pts[0], 7, rel=10)
+                ).is_zeroish()
+        # w is defined over Q_7, so conjugating both endpoints conjugates
+        # the integral; the conjugate disc has a different center
+        conj = [CurvePoint(P.x.conjugate(), P.y.conjugate(), False)
+                for P in pts[:2]]
+        assert (tiny_integral(Cx, w, conj[0], conj[1], 7, rel=10)
+                - a01.conjugate()).is_zeroish()
 
 
 class TestAnnihilatingForm:
