@@ -27,6 +27,7 @@ from .curve import (
 )
 from .jacobian import (
     MumfordDivisor,
+    divisor_support,
     embed_point,
     enumerate_Fp_jacobian,
     reduce_divisor,
@@ -39,11 +40,10 @@ from .padic import (
     PadicPowerSeries,
     PrecisionLossError,
     QuadExtNumber,
-    padic_sqrt,
     strassmann_count,
     valuation_is_negative,
 )
-from .polys import PadicDomain, QuadExtDomain, RationalDomain
+from .polys import PadicDomain
 
 _INF = math.inf
 
@@ -119,26 +119,6 @@ def _underlying(w) -> Differential:
 
 # -- residue-disc bookkeeping ----------------------------------------------
 
-def _residue_disc_key(C: HyperellipticCurve, P: CurvePoint, p: int):
-    """Reduction of P as a disc label.
-
-    FP_INFINITY or an (x, y) pair over F_p as in reduce_point; points with
-    coordinates in a quadratic extension whose reduction leaves F_p get an
-    ("ext", kind, xa, xb, ya, yb) tuple with residues w.r.t. sqrt(d).
-    """
-    if P.at_infinity:
-        return FP_INFINITY
-    if isinstance(P.x, QuadExtNumber):
-        if valuation_is_negative(P.x):
-            return FP_INFINITY
-        xa, xb = P.x.residue_pair()
-        ya, yb = P.y.residue_pair()
-        if xb == 0 and yb == 0:
-            return (xa, ya)
-        return ("ext", P.x.ext.kind, xa, xb, ya, yb)
-    return reduce_point(C, P, p)
-
-
 def _as_padic(c, p: int, rel: int):
     """c as a p-adic field element; rationals are lifted into Q_p."""
     if isinstance(c, (PadicNumber, QuadExtNumber)):
@@ -169,7 +149,8 @@ def _disc_param(P: CurvePoint, center: CurvePoint, p: int, rel: int):
 
 def tiny_integral(C: HyperellipticCurve, w, frm: CurvePoint, to: CurvePoint,
                   p: int, rel: int = DEFAULT_PRECISION):
-    """Integral of w from frm to to, both in one residue disc.
+    """Integral of w from frm to to, both in one residue disc, combined
+    from the disc's cached basis antiderivatives.
 
     Endpoints may have rational, p-adic, or quadratic-extension coordinates;
     the value lies in the same field (a conjugate-symmetric extension value
@@ -178,15 +159,10 @@ def tiny_integral(C: HyperellipticCurve, w, frm: CurvePoint, to: CurvePoint,
     if not C.good_reduction(p):
         raise ValueError("tiny integrals need a prime of good reduction")
     wd = _underlying(w)
-    k1 = _residue_disc_key(C, frm, p)
-    k2 = _residue_disc_key(C, to, p)
-    if k1 != k2:
+    basis = _basis_integrals(C, frm, to, p, rel)
+    if basis is None:
         raise ValueError("endpoints lie in different residue discs")
-    T = TRUNCATION_FACTOR * rel
-    center = disc_center(C, k1, p, rel)
-    lam = expand_differential(C, wd, center, p, T, rel).antiderivative()
-    val = (lam.evaluate(_disc_param(to, center, p, rel))
-           - lam.evaluate(_disc_param(frm, center, p, rel)))
+    val = wd.c1 * basis[0] + wd.c2 * basis[1]
     if isinstance(val, QuadExtNumber) and val.b.is_zeroish():
         return val.a
     return val
@@ -203,7 +179,7 @@ _DISC_LAMBDA_CACHE: dict = {}
 
 def _basis_lambdas(C: HyperellipticCurve, disc_key, p: int, T: int, rel: int):
     """(center, (antiderivative of dx/2y, antiderivative of x dx/2y)) for a
-    residue disc, labeled as in _residue_disc_key, cached per curve and
+    residue disc, labeled as reduce_point labels it, cached per curve and
     precision."""
     ck = (C.f_coeffs, disc_key, p, T, rel)
     hit = _DISC_LAMBDA_CACHE.get(ck)
@@ -216,14 +192,22 @@ def _basis_lambdas(C: HyperellipticCurve, disc_key, p: int, T: int, rel: int):
     return hit
 
 
-def _to_padic_divisor(D: MumfordDivisor, p: int, rel: int) -> MumfordDivisor:
-    if isinstance(D.domain, PadicDomain):
-        if D.domain.p != p:
-            raise ValueError("divisor lives over a different prime")
-        return D
-    dom = PadicDomain(p, rel)
-    conv = lambda c: PadicNumber.from_rational(Fraction(c), p, rel)
-    return MumfordDivisor(dom, [conv(c) for c in D.u], [conv(c) for c in D.v])
+def _basis_integrals(C: HyperellipticCurve, frm: CurvePoint, to: CurvePoint,
+                     p: int, rel: int):
+    """Integrals of dx/2y and x dx/2y from frm to to, or None when the
+    endpoints lie in different residue discs."""
+    key = reduce_point(C, to, p)
+    if key != reduce_point(C, frm, p):
+        return None
+    center, lams = _basis_lambdas(C, key, p, TRUNCATION_FACTOR * rel, rel)
+    t_to = _disc_param(to, center, p, rel)
+    t_frm = _disc_param(frm, center, p, rel)
+    return tuple(lam.evaluate(t_to) - lam.evaluate(t_frm) for lam in lams)
+
+
+def _base_value(val):
+    """val as a Q_p element, raising when it has a certified sqrt(d) part."""
+    return val.base_part_checked() if isinstance(val, QuadExtNumber) else val
 
 
 def log_jacobian(C: HyperellipticCurve, D: MumfordDivisor, p: int,
@@ -240,13 +224,9 @@ def log_jacobian(C: HyperellipticCurve, D: MumfordDivisor, p: int,
         m = int(m_hint)
         if m < 1 or not scalar_mul(C, m, dbar).is_identity():
             raise ValueError("m_hint does not kill the reduced class")
-    if isinstance(D.domain, RationalDomain):
-        # exact ladder: no capped-precision pivots, and a torsion class
-        # dies to the exact identity instead of an uncertifiable zero
-        delta = scalar_mul(C, m, D)
-    else:
-        delta = scalar_mul(C, m, _to_padic_divisor(D, p, rel))
-    l1, l2 = _kernel_log(C, delta, p, rel)
+    # a rational D keeps the exact ladder: no capped-precision pivots, and
+    # a torsion class dies to the exact identity, not an uncertifiable zero
+    l1, l2 = _kernel_log(C, scalar_mul(C, m, D), p, rel)
     inv_m = Fraction(1, m)
     return LogVector(l1 * inv_m, l2 * inv_m)
 
@@ -254,93 +234,41 @@ def log_jacobian(C: HyperellipticCurve, D: MumfordDivisor, p: int,
 def _kernel_log(C: HyperellipticCurve, delta: MumfordDivisor, p: int, rel: int):
     """Basis tiny integrals for a divisor class in the kernel of reduction.
 
-    The reduction being the canonical class forces the support into one of:
-    empty, a single point in the disc at infinity, two points at infinity,
-    or an affine pair P, Q with Q-bar = (iota P)-bar, integrated as a single
-    path from iota(Q) to P inside P's disc.
+    The reduction being the canonical class forces the support, as
+    divisor_support splits it, into one of: empty, one point, two points or
+    a conjugate pair in the disc at infinity, or an affine pair P, Q with
+    Q-bar = (iota P)-bar, integrated as a single path from iota(Q) to P
+    inside P's disc.
     """
-    zero = PadicNumber.exact_zero(p)
-    deg = delta.degree()
-    if deg == 0:
+    points, disc = divisor_support(delta, p, rel)
+    if not points:
+        zero = PadicNumber.exact_zero(p)
         return zero, zero
     T = TRUNCATION_FACTOR * rel
-    uc = [_as_padic(c, p, rel) for c in delta.u]
-    vc = [_as_padic(c, p, rel) for c in delta.v]
-    vc += [zero] * (deg + 1 - len(vc))
-    if deg == 1:
-        x1 = -(uc[0] / uc[1])
-        if not valuation_is_negative(x1):
-            raise DecompositionFailureError(
-                "degree-1 kernel class with integral support")
-        P = CurvePoint(x1, vc[0] + vc[1] * x1, False)
+    if disc is not None and disc.is_zeroish():
+        return _near_doubled_log(C, delta, points[0], disc, p, T, rel)
+    drops = [valuation_is_negative(P.x) for P in points]
+    if all(drops):
         _, lams = _basis_lambdas(C, FP_INFINITY, p, T, rel)
-        t = _infinity_param(P, p, rel)
-        return tuple(lam.evaluate(t) for lam in lams)
-    # degree 2: split u
-    if isinstance(delta.domain, RationalDomain):
-        dq = (Fraction(delta.u[1]) ** 2
-              - 4 * Fraction(delta.u[2]) * Fraction(delta.u[0]))
-        disc = PadicNumber.from_rational(dq, p, rel)
-    else:
-        disc = uc[1] * uc[1] - uc[2] * uc[0] * 4
-    if disc.is_zeroish():
-        return _near_doubled_log(C, uc, vc, disc, p, T, rel)
-    root = padic_sqrt(disc)
-    inv2a = (uc[2] * 2).inverse()
-    if isinstance(root, PadicNumber):
-        xs = [(-uc[1] + root) * inv2a, (-uc[1] - root) * inv2a]
-        ys = [vc[0] + vc[1] * x for x in xs]
-        drops = [valuation_is_negative(x) for x in xs]
-        if all(drops):
-            _, lams = _basis_lambdas(C, FP_INFINITY, p, T, rel)
-            ts = [_infinity_param(CurvePoint(x, y, False), p, rel)
-                  for x, y in zip(xs, ys)]
-            return tuple(lam.evaluate(ts[0]) + lam.evaluate(ts[1])
-                         for lam in lams)
-        if any(drops):
-            raise DecompositionFailureError(
-                "kernel class with mixed affine and infinite support")
-        return _same_disc_log(C, CurvePoint(xs[0], ys[0], False),
-                              CurvePoint(xs[1], -ys[1], False), p, T, rel)
-    # conjugate pair over a quadratic extension
-    F = QuadExtDomain(root.ext, rel)
-    x1 = (F.lift(-uc[1]) + root) * F.lift(inv2a)
-    y1 = F.lift(vc[0]) + F.lift(vc[1]) * x1
-    if valuation_is_negative(x1):
-        _, lams = _basis_lambdas(C, FP_INFINITY, p, T, rel)
-        t = _infinity_param(CurvePoint(x1, y1, False), p, rel)
-        return tuple(lam.evaluate(t).trace() for lam in lams)
-    # sigma(P)-bar = iota(P)-bar forces the x-residue into F_p; when the
-    # y-residue generates F_{p^2}, f(x-bar) is a non-residue and the disc
-    # is centered over the extension
-    if x1.residue_pair()[1] != 0:
+        ts = [_infinity_param(P, p, rel) for P in points]
+        return tuple(_base_value(sum((lam.evaluate(t) for t in ts[1:]),
+                                     lam.evaluate(ts[0])))
+                     for lam in lams)
+    if any(drops):
         raise DecompositionFailureError(
-            "kernel class reducing outside the F_p locus")
-    return _same_disc_log(C, CurvePoint(x1, y1, False),
-                          CurvePoint(x1.conjugate(), -(y1.conjugate()), False),
-                          p, T, rel)
-
-
-def _same_disc_log(C: HyperellipticCurve, P_to: CurvePoint, P_frm: CurvePoint,
-                   p: int, T: int, rel: int):
-    key = _residue_disc_key(C, P_to, p)
-    if key != _residue_disc_key(C, P_frm, p):
+            "kernel class with mixed affine and infinite support")
+    if len(points) == 1:
+        raise DecompositionFailureError(
+            "degree-1 kernel class with integral support")
+    P, Q = points
+    basis = _basis_integrals(C, Q.involution(), P, p, rel)
+    if basis is None:
         raise DecompositionFailureError(
             "kernel endpoints land in distinct residue discs")
-    if key == FP_INFINITY:
-        raise DecompositionFailureError("unexpected disc label for an affine pair")
-    center, lams = _basis_lambdas(C, key, p, T, rel)
-    out = []
-    for lam in lams:
-        val = (lam.evaluate(_disc_param(P_to, center, p, rel))
-               - lam.evaluate(_disc_param(P_frm, center, p, rel)))
-        if isinstance(val, QuadExtNumber):
-            val = val.base_part_checked()
-        out.append(val)
-    return tuple(out)
+    return tuple(_base_value(val) for val in basis)
 
 
-def _near_doubled_log(C, uc, vc, disc, p, T, rel):
+def _near_doubled_log(C, delta, mid, disc, p, T, rel):
     """Kernel class whose two support points cannot be separated: integrate
     from the midpoint's involute and cap by the perturbation size.
 
@@ -349,15 +277,13 @@ def _near_doubled_log(C, uc, vc, disc, p, T, rel):
     |lambda(t + dt) - lambda(t)| <= |dt| bounds the error of treating the
     class as exactly doubled.
     """
-    x0 = -(uc[1] / (uc[2] * 2))
-    y0 = vc[0] + vc[1] * x0
     if disc.is_exact_zero():
         k_eps = None
     else:
         k_eps = int(disc.valuation) // 2
-    if valuation_is_negative(x0):
+    if valuation_is_negative(mid.x):
         _, lams = _basis_lambdas(C, FP_INFINITY, p, T, rel)
-        t = _infinity_param(CurvePoint(x0, y0, False), p, rel)
+        t = _infinity_param(mid, p, rel)
         out = [lam.evaluate(t) * 2 for lam in lams]
         # dt/dx has positive valuation on the disc at infinity
         if k_eps is not None:
@@ -366,9 +292,7 @@ def _near_doubled_log(C, uc, vc, disc, p, T, rel):
     # affine doubled support reduces to a Weierstrass point; t = y there.
     # A midpoint that reduces anywhere else means the zeroish discriminant
     # was precision erosion, not a genuine double root: retryable.
-    key = _residue_disc_key(C, CurvePoint(x0, y0, False), p)
-    if key == FP_INFINITY:
-        raise PrecisionLossError("eroded kernel data: midpoint is not affine")
+    key = reduce_point(C, mid, p)
     fbar = 0
     for k in reversed(C.f_coeffs):
         fbar = (fbar * key[0] + k) % p
@@ -377,15 +301,13 @@ def _near_doubled_log(C, uc, vc, disc, p, T, rel):
             "eroded kernel data: midpoint does not reduce to a branch point")
     center, lams = _basis_lambdas(C, key, p, T, rel)
     cap = None
-    if k_eps is not None:
-        if vc[1].is_exact_zero():
-            cap = None  # v is constant: the parameter y0 is exact in eps
-        else:
-            # dy = v'(x) dx along the support, so |dt| <= |v1| |eps|
-            cap = k_eps + int(vc[1].valuation)
+    if k_eps is not None and len(delta.v) == 2:
+        # dy = v'(x) dx along the support, so |dt| <= |v1| |eps|; a
+        # constant v makes the parameter y0 exact in eps
+        cap = k_eps + int(_as_padic(delta.v[1], p, rel).valuation)
     out = []
     for lam in lams:
-        val = lam.evaluate(y0) - lam.evaluate(-y0)
+        val = lam.evaluate(mid.y) - lam.evaluate(-mid.y)
         if cap is not None:
             val = val.with_abs_cap(cap)
         out.append(val)
@@ -485,8 +407,7 @@ def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
         if reduce_point(C, Q, p) != fp_point:
             continue
         t = _disc_param(Q, center, p, rel)
-        vt = t.valuation_p() if isinstance(t, QuadExtNumber) else t.valuation
-        if vt >= n:
+        if t.valuation_p() >= n:
             inside += 1
     if count < inside:
         raise ArithmeticError(

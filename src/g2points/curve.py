@@ -25,6 +25,7 @@ from .padic import (
     padic_sqrt,
     smallest_nonresidue,
     sqrt_mod_p,
+    valuation_is_negative,
     vp,
 )
 from .polys import PadicDomain, QuadExtDomain
@@ -214,7 +215,10 @@ def _fraction_residue(q: Fraction, p: int) -> int:
 
 
 def reduce_point(C: HyperellipticCurve, P: CurvePoint, p: int):
-    """Image of P in C(F_p): a coordinate pair, or FP_INFINITY.
+    """Image of P in C(F_p) as a residue-disc label: a coordinate pair,
+    FP_INFINITY, or for a point over a quadratic extension whose reduction
+    leaves F_p the label ("ext", kind, xa, xb, ya, yb) of disc_center, with
+    residues taken w.r.t. sqrt(d).
 
     Points with v(x) < 0 land in the residue disc at infinity.
     """
@@ -226,11 +230,15 @@ def reduce_point(C: HyperellipticCurve, P: CurvePoint, p: int):
         if vp(P.x, p) < 0:
             return FP_INFINITY
         return (_fraction_residue(P.x, p), _fraction_residue(P.y, p))
-    if P.x.is_zeroish() and not P.x.is_exact_zero() and P.x.valuation < 1:
-        raise PrecisionLossError("x-coordinate has no known digits")
-    if P.x.valuation < 0:
+    if valuation_is_negative(P.x):
         return FP_INFINITY
-    return (P.x.residue(), P.y.residue())
+    if isinstance(P.x, PadicNumber):
+        return (P.x.residue(), P.y.residue())
+    xa, xb = P.x.residue_pair()
+    ya, yb = P.y.residue_pair()
+    if xb == 0 and yb == 0:
+        return (xa, ya)
+    return ("ext", P.x.ext.kind, xa, xb, ya, yb)
 
 
 def fp_curve_points(C: HyperellipticCurve, p: int):
@@ -276,8 +284,8 @@ def disc_center(C: HyperellipticCurve, fp_point, p: int,
                 rel: int = DEFAULT_PRECISION) -> CurvePoint:
     """Canonical p-adic center of a residue disc.
 
-    fp_point is an F_p-point as in reduce_point, or the label
-    ("ext", kind, xa, xb, ya, yb) of a point over F_{p^2} = F_p(sqrt(c)),
+    fp_point is a label as reduce_point returns it: an F_p-point, or
+    ("ext", kind, xa, xb, ya, yb) for a point over F_{p^2} = F_p(sqrt(c)),
     whose center has coordinates in the unramified extension Q_p(sqrt(c)).
     Smallest non-negative integer lift of the x-coordinate, corrected onto
     the curve by Hensel: the square root of f(x0) matching the reduced y

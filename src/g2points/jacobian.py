@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .curve import CurvePoint, HyperellipticCurve, count_Fp_points, count_Fp2_points
-from .padic import (DEFAULT_PRECISION, PadicNumber, PrecisionLossError,
-                    QuadExtNumber, padic_sqrt, valuation_is_negative, vp)
-from .polys import (PadicDomain, PrimeFieldDomain, RationalDomain, poly_add,
-                    poly_degree_certified, poly_divexact, poly_eq, poly_lift,
-                    poly_mod, poly_monic, poly_mul, poly_neg, poly_trim,
-                    poly_xgcd)
+from .curve import (FP_INFINITY, CurvePoint, HyperellipticCurve, count_Fp_points,
+                    count_Fp2_points, reduce_point)
+from .padic import DEFAULT_PRECISION, PadicNumber, QuadExtension, padic_sqrt
+from .polys import (PadicDomain, PrimeFieldDomain, QuadExtDomain,
+                    RationalDomain, poly_add, poly_degree_certified,
+                    poly_divexact, poly_eq, poly_lift, poly_mod, poly_monic,
+                    poly_mul, poly_neg, poly_trim, poly_xgcd)
 
 
 class MumfordDivisor:
@@ -305,125 +305,84 @@ def _sqrts_mod(a, p):
 
 # -- reduction J(Q) -> J(F_p) ------------------------------------------------
 
+def divisor_support(D: MumfordDivisor, p: int, rel: int = DEFAULT_PRECISION):
+    """(points, disc): the support of a class of degree <= 2 over Q or Q_p.
+
+    points is empty for the identity, one point for degree 1, and for
+    degree 2 the two roots x of u with y = v(x): both over Q_p, or a
+    conjugate pair P, sigma(P) over Q_p(sqrt(d)).  When disc(u) has no
+    known digits the roots cannot be separated and only their midpoint is
+    returned.  disc is disc(u) over Q_p for degree 2, None below.  A
+    rational D is read at rel digits, but its discriminant is formed
+    exactly.
+    """
+    if isinstance(D.domain, PadicDomain) and D.domain.p != p:
+        raise ValueError("divisor is %d-adic, support asked at %d"
+                         % (D.domain.p, p))
+    deg = D.degree()
+    if deg == 0:
+        return [], None
+    F = PadicDomain(p, rel)
+    uc = poly_lift(F, D.u)
+    vc = poly_lift(F, D.v) + [F.zero()] * (2 - len(D.v))
+
+    def point_over(x):
+        return CurvePoint(x, vc[0] + vc[1] * x, False)
+
+    if deg == 1:
+        return [point_over(-(uc[0] / uc[1]))], None
+    if isinstance(D.domain, RationalDomain):
+        disc = F.lift(Fraction(D.u[1]) ** 2
+                      - 4 * Fraction(D.u[2]) * Fraction(D.u[0]))
+    else:
+        disc = uc[1] * uc[1] - uc[2] * uc[0] * 4
+    if disc.is_zeroish():
+        return [point_over(-(uc[1] / (uc[2] * 2)))], disc
+    root = padic_sqrt(disc)
+    minus_b, inv2a = -uc[1], (uc[2] * 2).inverse()
+    if isinstance(root, PadicNumber):
+        return [point_over((minus_b + root) * inv2a),
+                point_over((minus_b - root) * inv2a)], disc
+    E = QuadExtDomain(root.ext, rel)
+    P = point_over((E.lift(minus_b) + root) * E.lift(inv2a))
+    return [P, CurvePoint(P.x.conjugate(), P.y.conjugate(), False)], disc
+
+
 def reduce_divisor(C: HyperellipticCurve, D: MumfordDivisor, p: int,
                    rel: int = DEFAULT_PRECISION) -> MumfordDivisor:
-    """Reduce a divisor class to J(F_p), pointwise: factor u over Q_p
-    (or its quadratic extension), reduce the two supporting points,
-    and re-assemble the F_p class.  Points with v(x) < 0 drop to
-    infinity.  D may be given over Q or over Q_p itself."""
+    """Reduce a divisor class to J(F_p), pointwise: reduce the support
+    points of divisor_support and re-assemble the F_p class.  Points with
+    v(x) < 0 drop to infinity.  D may be given over Q or over Q_p itself."""
     if not C.good_reduction(p):
         raise ValueError("curve has bad reduction at %d" % p)
     fdom = PrimeFieldDomain(p)
-    if isinstance(D.domain, PadicDomain):
-        if D.domain.p != p:
-            raise ValueError("divisor is %d-adic, reduction asked at %d"
-                             % (D.domain.p, p))
-        return _reduce_padic(C, fdom, D, p)
-    return _reduce_rational(C, fdom, D, p, rel)
-
-
-def _reduce_rational(C, fdom, D, p, rel):
-    deg = len(poly_trim(RationalDomain(), D.u)) - 1
-    if deg == 0:
-        return MumfordDivisor.identity(fdom)
-
-    def as_padic(q):
-        return PadicNumber.from_rational(Fraction(q), p, rel)
-
-    if deg == 1:
-        x1 = -Fraction(D.u[0]) / Fraction(D.u[1])
-        if vp(x1, p) < 0:
-            return MumfordDivisor.identity(fdom)
-        y1 = Fraction(D.v[0]) if D.v else Fraction(0)
-        return _fp_point_class(fdom, as_padic(x1).residue(),
-                               as_padic(y1).residue())
-
-    u2c, u1c, u0c = (Fraction(D.u[i]) for i in (2, 1, 0))
-    disc = u1c * u1c - 4 * u2c * u0c
-    vcoe = [Fraction(c) for c in D.v] + [Fraction(0)] * (2 - len(D.v))
-
-    if disc == 0:
-        x = -u1c / (2 * u2c)
-        if vp(x, p) < 0:
-            return MumfordDivisor.identity(fdom)
-        y = vcoe[0] + vcoe[1] * x
-        return _doubled_point_class(C, fdom, as_padic(x).residue(),
-                                    as_padic(y).residue())
-
-    root = padic_sqrt(as_padic(disc))
-    return _assemble_from_roots(C, fdom, root, as_padic(-u1c),
-                                as_padic(Fraction(1, 2) / u2c),
-                                [as_padic(c) for c in vcoe], p)
-
-
-def _reduce_padic(C, fdom, D, p):
-    uc = list(D.u)
-    deg = len(uc) - 1
-    if deg >= 1 and uc[-1].is_zeroish():
-        raise PrecisionLossError("leading coefficient of u is uncertified")
-    if deg == 0:
-        return MumfordDivisor.identity(fdom)
-    vcoe = list(D.v) + [PadicNumber.exact_zero(p)] * (2 - len(D.v))
-    if deg == 1:
-        x1 = -(uc[0] / uc[1])
-        if valuation_is_negative(x1):
-            return MumfordDivisor.identity(fdom)
-        return _fp_point_class(fdom, x1.residue(), vcoe[0].residue())
-    disc = uc[1] * uc[1] - uc[2] * uc[0] * 4
-    if disc.is_zeroish():
+    points, disc = divisor_support(D, p, rel)
+    if disc is not None and disc.is_zeroish():
         # doubled root, or a pair congruent to working precision; the
         # midpoint value decides every subcase (a pair whose y-residues
         # cancel gives residue 0 there, hence the canonical class)
-        x = -(uc[1] / (uc[2] * 2))
-        if valuation_is_negative(x):
-            return MumfordDivisor.identity(fdom)
-        y = vcoe[0] + vcoe[1] * x
-        return _doubled_point_class(C, fdom, x.residue(), y.residue())
-    root = padic_sqrt(disc)
-    return _assemble_from_roots(C, fdom, root, -uc[1],
-                                (uc[2] * 2).inverse(), vcoe, p)
+        points = points * 2
+    labels = [r for r in (reduce_point(C, P, p) for P in points)
+              if r != FP_INFINITY]
+    if not labels:
+        return MumfordDivisor.identity(fdom)
+    if len(labels) == 1:
+        return _fp_point_class(fdom, *labels[0])
+    a, b = labels
+    if a == b:
+        return _doubled_point_class(C, fdom, *a)
+    if a[0] == "ext" and a[3] != 0:
+        return _conjugate_pair_class(C, fdom, a)  # x-bar lies outside F_p
+    if a[0] != b[0]:
+        return _chord_class(fdom, [a[0], b[0]], [a[1], b[1]])
+    return MumfordDivisor.identity(fdom)  # an involution pair
 
 
-def _assemble_from_roots(C, fdom, root, minus_b, inv2a, vcoe, p):
-    """F_p class supported at the roots (minus_b +- root) * inv2a."""
-    if isinstance(root, PadicNumber):
-        xs = [(minus_b + root) * inv2a, (minus_b - root) * inv2a]
-        ys = [vcoe[0] + vcoe[1] * x for x in xs]
-        drop = [valuation_is_negative(x) for x in xs]
-        if all(drop):
-            return MumfordDivisor.identity(fdom)
-        if any(drop):
-            k = drop.index(False)
-            return _fp_point_class(fdom, xs[k].residue(), ys[k].residue())
-        xr = [x.residue() for x in xs]
-        yr = [y.residue() for y in ys]
-        if xr[0] != xr[1]:
-            return _chord_class(fdom, xr, yr)
-        if yr[0] != yr[1] or yr[0] == 0:
-            return MumfordDivisor.identity(fdom)  # involution pair or 2W
-        return _doubled_point_class(C, fdom, xr[0], yr[0])
-
-    # conjugate roots in a quadratic extension
-    ext = root.ext
-
-    def lift(z):
-        return QuadExtNumber.from_base(ext, z)
-
-    x1 = (lift(minus_b) + root) * lift(inv2a)
-    y1 = lift(vcoe[0]) + lift(vcoe[1]) * x1
-    if valuation_is_negative(x1):
-        return MumfordDivisor.identity(fdom)  # conjugates share valuation
-    xa, xb = x1.residue_pair()
-    ya, yb = y1.residue_pair()
-    if ext.e == 2 or xb == 0:
-        # both roots reduce into F_p with the same x-residue
-        if ext.e == 2 or yb == 0:
-            if ya == 0:
-                return MumfordDivisor.identity(fdom)
-            return _doubled_point_class(C, fdom, xa, ya)
-        return MumfordDivisor.identity(fdom)  # y-residues are an involution pair
-    # genuine F_{p^2} conjugate pair: trace/norm assembly
-    c = ext.d % p
+def _conjugate_pair_class(C, fdom, label):
+    """F_p class of a conjugate pair over F_{p^2}: trace/norm assembly."""
+    _, kind, xa, xb, ya, yb = label
+    p = fdom.p
+    c = QuadExtension(p, kind).d % p
     u_bar = [(xa * xa - c * xb * xb) % p, (-2 * xa) % p, 1]
     v1bar = yb * pow(xb, -1, p) % p
     v0bar = (ya - v1bar * xa) % p

@@ -552,6 +552,10 @@ class QuadExtNumber:
     def norm(self) -> PadicNumber:
         return self.a * self.a - self.b * self.b * self.ext.d
 
+    def with_abs_cap(self, n: int) -> "QuadExtNumber":
+        """Forget digits at and above p^n in both components."""
+        return QuadExtNumber(self.ext, self.a.with_abs_cap(n), self.b.with_abs_cap(n))
+
     def base_part_checked(self) -> PadicNumber:
         """Return a for an element certified to lie in Q_p (b zeroish)."""
         if not self.b.is_zeroish():
@@ -1065,10 +1069,7 @@ class PadicPowerSeries:
         truncation error."""
         if self.shift < 0:
             raise ValueError("evaluation of a Laurent series is unsupported")
-        if isinstance(t, QuadExtNumber):
-            delta = t.valuation_p()
-        else:
-            delta = t.valuation
+        delta = t.valuation_p()
         if delta == _INF:
             val = self.coeffs[0]
             return val * 0 if self.shift else val
@@ -1083,10 +1084,7 @@ class PadicPowerSeries:
         cap = self._eval_tail_cap(delta)
         if cap == _INF:
             return acc
-        capint = int(math.floor(cap))
-        if isinstance(acc, QuadExtNumber):
-            return QuadExtNumber(acc.ext, acc.a.with_abs_cap(capint), acc.b.with_abs_cap(capint))
-        return acc.with_abs_cap(capint)
+        return acc.with_abs_cap(int(math.floor(cap)))
 
     def _eval_tail_cap(self, delta: Fraction):
         base = self.tail_valuation_bound
@@ -1204,7 +1202,7 @@ def mahler_bound_holds(f: PadicPowerSeries, zero_valuations, r_val: int, x, k: i
     for v in zero_valuations:
         if v < r_val:
             raise ValueError("zero of valuation %s outside radius p^-%d" % (v, r_val))
-    xv = x.valuation_p() if isinstance(x, QuadExtNumber) else x.valuation
+    xv = x.valuation_p()
     if xv < r_val:
         raise ValueError("evaluation point outside radius")
     d = f.truncation_order
@@ -1221,12 +1219,9 @@ def mahler_bound_holds(f: PadicPowerSeries, zero_valuations, r_val: int, x, k: i
             acc = c if acc is None else acc * x + c
         val = acc
         if g.tail_valuation_bound != _INF:
-            cap = int(g.tail_valuation_bound)
-            val = (QuadExtNumber(val.ext, val.a.with_abs_cap(cap), val.b.with_abs_cap(cap))
-                   if isinstance(val, QuadExtNumber) else val.with_abs_cap(cap))
-    vv = val.valuation_p() if isinstance(val, QuadExtNumber) else val.valuation
+            val = val.with_abs_cap(int(g.tail_valuation_bound))
     need = (d - k) * r_val
-    return vv >= need
+    return val.valuation_p() >= need
 
 
 def with_precision_retry(fn, base_precision: int, escalations: int):

@@ -363,6 +363,74 @@ class TestExtensionSupport:
                 - a01.conjugate()).is_zeroish()
 
 
+class TestKernelSupportShapes:
+    """Each support shape of a kernel class: one point, two points or a
+    conjugate pair at infinity, and a doubled support in either kind of
+    disc, checked against tiny integrals and the group law."""
+
+    def _padic_class(self, C, P):
+        return embed_point(C, P, INF, domain=PadicDomain(7, 20))
+
+    def _points(self, C):
+        # P and Q lie in the disc at infinity, A in the disc of (0, 0)
+        pts = []
+        for x in (Fraction(1, 49), Fraction(2, 49), Fraction(49)):
+            x = PadicNumber.from_rational(x, 7, 30)
+            y = padic_sqrt(C.f_eval(x))
+            assert isinstance(y, PadicNumber)
+            pts.append(CurvePoint(x, y, False))
+        return pts
+
+    def test_degree_one_at_infinity_is_a_tiny_integral(self, C):
+        P, _, _ = self._points(C)
+        L = log_jacobian(C, self._padic_class(C, P), 7)
+        t1 = tiny_integral(C, Differential(1, 0, 7), INF, P, 7)
+        t2 = tiny_integral(C, Differential(0, 1, 7), INF, P, 7)
+        assert padic_agree(L.l1, t1) and padic_agree(L.l2, t2)
+
+    def test_two_points_at_infinity(self, C):
+        P, Q, _ = self._points(C)
+        DP, DQ = self._padic_class(C, P), self._padic_class(C, Q)
+        L = log_jacobian(C, cantor_add(C, DP, DQ), 7)
+        assert vec_agree(L, log_jacobian(C, DP, 7) + log_jacobian(C, DQ, 7))
+
+    def test_near_double_at_infinity(self, C):
+        P, _, _ = self._points(C)
+        D = self._padic_class(C, P)
+        L2 = log_jacobian(C, cantor_add(C, D, D), 7)
+        assert vec_agree(L2, log_jacobian(C, D, 7) * 2)
+
+    def test_near_double_in_a_weierstrass_disc(self, C):
+        _, _, A = self._points(C)
+        D = self._padic_class(C, A)
+        D2 = cantor_add(C, D, D)
+        assert reduce_divisor(C, D2, 7).is_identity()
+        l1, l2 = _kernel_log(C, D2, 7, 20)
+        t1 = tiny_integral(C, Differential(1, 0, 7), A.involution(), A, 7)
+        t2 = tiny_integral(C, Differential(0, 1, 7), A.involution(), A, 7)
+        assert padic_agree(l1, t1) and padic_agree(l2, t2)
+
+    def test_conjugate_pair_at_infinity(self, C):
+        # x = (4 + 2 sqrt(3))/49 over Q_7(sqrt(3)); f(x)/x^5 is 1 mod 7 and
+        # 4 + 2 sqrt(3) has square norm, so f(x) is a square there
+        from g2points.padic import _ext_sqrt
+        rel = 20
+        ext = QuadExtension(7, QuadExtension.UNRAMIFIED)
+        F = QuadExtDomain(ext, rel)
+        x1 = QuadExtNumber(ext, PadicNumber.from_rational(Fraction(4, 49), 7, rel),
+                           PadicNumber.from_rational(Fraction(2, 49), 7, rel))
+        y1 = _ext_sqrt(F, C.f_eval(x1) * 7 ** 10) * Fraction(1, 7 ** 5)
+        b = y1.b / x1.b
+        a = y1.a - b * x1.a
+        u = [x1.norm(), -x1.trace(), PadicNumber.from_rational(1, 7, rel)]
+        D = MumfordDivisor(PadicDomain(7, rel), u, [a, b])
+        D.validate(C)
+        assert reduce_divisor(C, D, 7).is_identity()
+        L = retry_log(C, D, 7)
+        assert vec_agree(retry_log(C, cantor_add(C, D, D), 7), L * 2)
+        assert vec_agree(retry_log(C, D.neg(), 7), L * -1)
+
+
 class TestAnnihilatingForm:
     def test_unit_vector_maps_to_negated_swap(self):
         one = PadicNumber.from_rational(1, 7)

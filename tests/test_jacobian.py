@@ -17,8 +17,9 @@ from g2points.jacobian import (FpJacobian, MumfordDivisor, cantor_add,
                                enumerate_Fp_jacobian, reduce_divisor,
                                scalar_mul, torsion_multiple_bound)
 from g2points.oracle import exhaustive_jacobian, naive_rational_points
-from g2points.polys import (PrimeFieldDomain, RationalDomain, poly_lift,
-                            poly_mod, poly_mul, poly_neg, poly_add, poly_trim)
+from g2points.polys import (PadicDomain, PrimeFieldDomain, RationalDomain,
+                            poly_lift, poly_mod, poly_mul, poly_neg, poly_add,
+                            poly_trim)
 
 FLYNN = [0, 60, -112, 65, -14, 1]
 CURVE2 = [1, 2, 0, 0, 0, 1]  # good reduction at 3, 5, 7, 11
@@ -290,6 +291,18 @@ class TestReduction:
                 assert pointwise == direct
                 compared += 1
         assert compared >= 5
+
+    def test_rational_and_padic_inputs_agree(self, C):
+        # a rational class and its image over Q_q reduce to the same class
+        base = rational_pool(C)
+        pool = base + [cantor_add(C, D, E) for D in base for E in base[:6]]
+        assert len(pool) == 112
+        for q in (7, 11, 13, 17, 23):
+            dom = PadicDomain(q, 20)
+            for D in pool:
+                Dq = MumfordDivisor(dom, poly_lift(dom, D.u),
+                                    poly_lift(dom, D.v))
+                assert reduce_divisor(C, Dq, q) == reduce_divisor(C, D, q)
 
     def test_bad_prime_rejected(self, C, gamma):
         with pytest.raises(ValueError):
