@@ -25,13 +25,11 @@ from .curve import (
     CurvePoint,
     Differential,
     HyperellipticCurve,
-    TransversalityError,
     disc_center,
     expand_differential,
     fp_curve_points,
     is_on_curve,
     reduce_point,
-    v_of_w,
 )
 from .jacobian import (
     FpJacobian,
@@ -95,7 +93,6 @@ __all__ = [
     "QuadExtNumber",
     "SieveContext",
     "SieveResult",
-    "TransversalityError",
     "annihilating_form",
     "cantor_add",
     "curve_preimage",
@@ -122,6 +119,5 @@ __all__ = [
     "strassmann_count",
     "tiny_integral",
     "transversality_certificate",
-    "v_of_w",
     "with_precision_retry",
 ]

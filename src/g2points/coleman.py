@@ -18,12 +18,12 @@ from .curve import (
     CurvePoint,
     Differential,
     HyperellipticCurve,
-    TransversalityError,
     _taylor_coeffs,
     disc_center,
-    expand_differential,
+    expand_on_frame,
+    lift_anchor,
+    local_frame,
     reduce_point,
-    v_of_w,
 )
 from .jacobian import (
     MumfordDivisor,
@@ -177,19 +177,42 @@ def _basis(p: int, rel: int):
 _DISC_LAMBDA_CACHE: dict = {}
 
 
-def _basis_lambdas(C: HyperellipticCurve, disc_key, p: int, T: int, rel: int):
-    """(center, (antiderivative of dx/2y, antiderivative of x dx/2y)) for a
-    residue disc, labeled as reduce_point labels it, cached per curve and
-    precision."""
-    ck = (C.f_coeffs, disc_key, p, T, rel)
+def _field_key(c):
+    """Hashable digits of a p-adic coordinate."""
+    if isinstance(c, QuadExtNumber):
+        return (c.ext.kind, _field_key(c.a), _field_key(c.b))
+    return (c.valuation, c.unit_part(), c.rel_precision)
+
+
+def _anchor_frame(C: HyperellipticCurve, anchor: CurvePoint, p: int, rel: int):
+    """(center, local frame) at an anchor point at truncation order
+    TRUNCATION_FACTOR * rel, the center being the anchor as the local
+    expansions lift it.  Cached per curve and precision by those lifted
+    coordinates, so a rational point that is its disc's center shares the
+    disc's frame."""
+    center = lift_anchor(anchor, p, rel)
+    key = FP_INFINITY if center.at_infinity else (_field_key(center.x),
+                                                  _field_key(center.y))
+    ck = (C.f_coeffs, p, rel, key)
     hit = _DISC_LAMBDA_CACHE.get(ck)
     if hit is None:
-        center = disc_center(C, disc_key, p, rel)
-        lams = tuple(expand_differential(C, w, center, p, T, rel).antiderivative()
-                     for w in _basis(p, rel))
-        hit = (center, lams)
+        hit = (center, local_frame(C, center, p, TRUNCATION_FACTOR * rel, rel))
         _DISC_LAMBDA_CACHE[ck] = hit
     return hit
+
+
+def _disc_frame(C: HyperellipticCurve, disc_key, p: int, rel: int):
+    """(center, local frame) at the canonical center of a residue disc,
+    labeled as reduce_point labels it."""
+    return _anchor_frame(C, disc_center(C, disc_key, p, rel), p, rel)
+
+
+def _basis_lambdas(C: HyperellipticCurve, disc_key, p: int, rel: int):
+    """(center, (antiderivative of dx/2y, antiderivative of x dx/2y)) for a
+    residue disc, formed on its cached frame."""
+    center, frame = _disc_frame(C, disc_key, p, rel)
+    return center, tuple(expand_on_frame(w, frame).antiderivative()
+                         for w in _basis(p, rel))
 
 
 def _basis_integrals(C: HyperellipticCurve, frm: CurvePoint, to: CurvePoint,
@@ -199,7 +222,7 @@ def _basis_integrals(C: HyperellipticCurve, frm: CurvePoint, to: CurvePoint,
     key = reduce_point(C, to, p)
     if key != reduce_point(C, frm, p):
         return None
-    center, lams = _basis_lambdas(C, key, p, TRUNCATION_FACTOR * rel, rel)
+    center, lams = _basis_lambdas(C, key, p, rel)
     t_to = _disc_param(to, center, p, rel)
     t_frm = _disc_param(frm, center, p, rel)
     return tuple(lam.evaluate(t_to) - lam.evaluate(t_frm) for lam in lams)
@@ -244,12 +267,11 @@ def _kernel_log(C: HyperellipticCurve, delta: MumfordDivisor, p: int, rel: int):
     if not points:
         zero = PadicNumber.exact_zero(p)
         return zero, zero
-    T = TRUNCATION_FACTOR * rel
     if disc is not None and disc.is_zeroish():
-        return _near_doubled_log(C, delta, points[0], disc, p, T, rel)
+        return _near_doubled_log(C, delta, points[0], disc, p, rel)
     drops = [valuation_is_negative(P.x) for P in points]
     if all(drops):
-        _, lams = _basis_lambdas(C, FP_INFINITY, p, T, rel)
+        _, lams = _basis_lambdas(C, FP_INFINITY, p, rel)
         ts = [_infinity_param(P, p, rel) for P in points]
         return tuple(_base_value(sum((lam.evaluate(t) for t in ts[1:]),
                                      lam.evaluate(ts[0])))
@@ -268,7 +290,7 @@ def _kernel_log(C: HyperellipticCurve, delta: MumfordDivisor, p: int, rel: int):
     return tuple(_base_value(val) for val in basis)
 
 
-def _near_doubled_log(C, delta, mid, disc, p, T, rel):
+def _near_doubled_log(C, delta, mid, disc, p, rel):
     """Kernel class whose two support points cannot be separated: integrate
     from the midpoint's involute and cap by the perturbation size.
 
@@ -282,7 +304,7 @@ def _near_doubled_log(C, delta, mid, disc, p, T, rel):
     else:
         k_eps = int(disc.valuation) // 2
     if valuation_is_negative(mid.x):
-        _, lams = _basis_lambdas(C, FP_INFINITY, p, T, rel)
+        _, lams = _basis_lambdas(C, FP_INFINITY, p, rel)
         t = _infinity_param(mid, p, rel)
         out = [lam.evaluate(t) * 2 for lam in lams]
         # dt/dx has positive valuation on the disc at infinity
@@ -299,7 +321,7 @@ def _near_doubled_log(C, delta, mid, disc, p, T, rel):
     if key[1] % p != 0 or fbar % p != 0:
         raise PrecisionLossError(
             "eroded kernel data: midpoint does not reduce to a branch point")
-    center, lams = _basis_lambdas(C, key, p, T, rel)
+    _, lams = _basis_lambdas(C, key, p, rel)
     cap = None
     if k_eps is not None and len(delta.v) == 2:
         # dy = v'(x) dx along the support, so |dt| <= |v1| |eps|; a
@@ -327,13 +349,14 @@ def annihilating_form(gamma_log: LogVector) -> AnnihilatingForm:
 
 def transversality_certificate(C: HyperellipticCurve, w, Q: CurvePoint, p: int,
                                rel: int = DEFAULT_PRECISION):
-    """(True, v(a0)) when w is certifiably nonvanishing at the center of Q's
-    residue disc, (False, None) when it vanishes at working precision."""
-    try:
-        v = v_of_w(C, _underlying(w), Q, p, rel)
-    except TransversalityError:
+    """(True, v(a0)) when the normalized w is certifiably nonvanishing at the
+    center of Q's residue disc, (False, None) when it vanishes at working
+    precision."""
+    _, frame = _disc_frame(C, reduce_point(C, Q, p), p, rel)
+    a0 = expand_on_frame(_underlying(w).normalized(), frame).coeff_of_degree(0)
+    if a0.is_zeroish():
         return False, None
-    return True, v
+    return True, int(a0.valuation)
 
 
 # -- Strassmann zero counts per disc ----------------------------------------
@@ -386,8 +409,7 @@ def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
     if not C.good_reduction(p):
         raise ValueError("zero counts need a prime of good reduction")
     wd = _underlying(w).normalized()
-    T = TRUNCATION_FACTOR * rel
-    center = disc_center(C, fp_point, p, rel)
+    center, frame = _disc_frame(C, fp_point, p, rel)
     if center.at_infinity or center.y.is_exact_zero():
         # [center - infinity] is trivial or 2-torsion: kappa = 0 exactly
         kappa = PadicNumber.exact_zero(p)
@@ -396,7 +418,7 @@ def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
                         domain=PadicDomain(p, rel))
         L = log_jacobian(C, D, p, rel=rel)
         kappa = wd.c1 * L.l1 + wd.c2 * L.l2
-    a = expand_differential(C, wd, center, p, T, rel)
+    a = expand_on_frame(wd, frame)
     a0 = a.coeff_of_degree(0)
     v_w = None if a0.is_zeroish() else int(a0.valuation)
     series = PadicPowerSeries(p, [kappa], _INF, 0) \
@@ -426,18 +448,16 @@ def point_anchored_series(C: HyperellipticCurve, w, Q: CurvePoint, p: int,
     """Antiderivative of w as a series in t/p^n, anchored at Q itself with
     constant term exactly 0 (so r = 0 is the zero at Q)."""
     wd = _underlying(w)
-    T = TRUNCATION_FACTOR * rel
     y0 = None if Q.at_infinity else _as_padic(Q.y, p, rel)
     if y0 is None or y0.is_exact_zero() or y0.valuation == 0:
         # Q anchors its own expansion: infinity (t = x^2/y), branch point
         # (t = y) or ordinary disc
-        return expand_differential(C, wd, Q, p, T, rel) \
-            .antiderivative().rescale_argument(n)
+        _, frame = _anchor_frame(C, Q, p, rel)
+        return expand_on_frame(wd, frame).antiderivative().rescale_argument(n)
     # Q sits above a Weierstrass point without being one: recenter the disc
     # series t = y at t0 = y(Q)
-    key = reduce_point(C, Q, p)
-    center = disc_center(C, key, p, rel)
-    lam = expand_differential(C, wd, center, p, T, rel).antiderivative()
+    _, frame = _disc_frame(C, reduce_point(C, Q, p), p, rel)
+    lam = expand_on_frame(wd, frame).antiderivative()
     return _recentered_series(lam, y0).rescale_argument(n)
 
 

@@ -36,10 +36,6 @@ _INF = math.inf
 FP_INFINITY = "infinity"
 
 
-class TransversalityError(ArithmeticError):
-    """The differential vanishes at the disc center at working precision."""
-
-
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond desk scale."""
     if n < 2:
@@ -122,19 +118,17 @@ class HyperellipticCurve:
             raise ValueError("f has a repeated root (singular curve)")
 
     def f_eval(self, x):
-        acc = 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
-        for c in reversed(self.f_coeffs):
-            acc = acc * x + c
-        return acc
+        # Horner seeded with the leading term, so that every coefficient is
+        # read at the precision of x
+        if isinstance(x, int):
+            x = Fraction(x)
+        acc = self.f_coeffs[5] * x
+        for c in reversed(self.f_coeffs[1:5]):
+            acc = (acc + c) * x
+        return acc + self.f_coeffs[0]
 
     def fprime_coeffs(self):
         return tuple(self.f_coeffs[i] * i for i in range(1, 6))
-
-    def fprime_eval(self, x):
-        acc = Fraction(0) if isinstance(x, (int, Fraction)) else 0 * x
-        for c in reversed(self.fprime_coeffs()):
-            acc = acc * x + c
-        return acc
 
     def good_reduction(self, p: int) -> bool:
         return p >= 3 and is_prime(p) and self.disc % p != 0
@@ -302,22 +296,24 @@ def disc_center(C: HyperellipticCurve, fp_point, p: int,
                            PadicNumber.from_int(xb, p, rel))
         ybar = (ya % p, yb % p)
         weierstrass = ybar == (0, 0)
+        F, residue = QuadExtDomain(ext, rel), QuadExtNumber.residue_pair
     else:
         xbar, ybar = fp_point
         x0 = PadicNumber.from_int(xbar, p, rel)
         ybar %= p
         weierstrass = ybar == 0
+        F, residue = PadicDomain(p, rel), PadicNumber.residue
     if weierstrass:
         f = PadicPoly(p, [PadicNumber.from_int(k, p, rel) for k in C.f_coeffs])
         return CurvePoint(hensel_root(f, x0, rel), PadicNumber.exact_zero(p), False)
+    # f read at rel digits: an exact x0 = 0 gives f_eval no precision to read
+    fx0 = _taylor_coeffs([F.lift(k) for k in C.f_coeffs], x0)[0]
     if isinstance(x0, QuadExtNumber):
-        y0 = _ext_sqrt(QuadExtDomain(x0.ext, rel), C.f_eval(x0))
-        residue = QuadExtNumber.residue_pair
+        y0 = _ext_sqrt(F, fx0)
     else:
-        y0 = padic_sqrt(C.f_eval(x0))
+        y0 = padic_sqrt(fx0)
         if not isinstance(y0, PadicNumber):
             raise ArithmeticError("f(x0) is a unit square by assumption")
-        residue = PadicNumber.residue
     if residue(y0) != ybar:
         y0 = -y0
     if residue(y0) != ybar:
@@ -379,8 +375,7 @@ def _affine_y_coeffs(F, fc, x0, y0, T):
     ys = [y0]
     for m in range(1, T + 1):
         s = F.dot(ys[1: m], ys[m - 1: 0: -1])
-        Fm = taylor[m] if m < len(taylor) else F.zero()
-        ys.append((Fm - s) / (y0 * 2))
+        ys.append((taylor[m] - s if m < len(taylor) else -s) / (y0 * 2))
     return ys
 
 
@@ -401,6 +396,23 @@ def _weierstrass_x_coeffs(F, fc, x0, T):
     return xs[: T + 1]
 
 
+def _disc_field(center: CurvePoint, p: int, rel: int):
+    """The polys domain of center's disc: Q_p, or Q_p(sqrt(c)) for a center
+    with extension coordinates."""
+    if isinstance(center.x, QuadExtNumber):
+        return QuadExtDomain(center.x.ext, rel)
+    return PadicDomain(p, rel)
+
+
+def lift_anchor(center: CurvePoint, p: int, rel: int = DEFAULT_PRECISION) -> CurvePoint:
+    """center with its coordinates in its disc's field at rel digits, as the
+    local expansions read it."""
+    if center.at_infinity:
+        return center
+    F = _disc_field(center, p, rel)
+    return CurvePoint(F.lift(center.x), F.lift(center.y), False)
+
+
 def local_expansion(C: HyperellipticCurve, center: CurvePoint, p: int, T: int,
                     rel: int = DEFAULT_PRECISION):
     """(x(t), y(t)) in the disc parameter t at the given center.
@@ -411,12 +423,12 @@ def local_expansion(C: HyperellipticCurve, center: CurvePoint, p: int, T: int,
     lie in the field of the center's x-coordinate: Q_p, or its unramified
     quadratic extension for a disc with no Q_p-rational center.
     """
-    F = (QuadExtDomain(center.x.ext, rel) if isinstance(center.x, QuadExtNumber)
-         else PadicDomain(p, rel))
+    F = _disc_field(center, p, rel)
     fc = [F.lift(k) for k in C.f_coeffs]
     if center.at_infinity:
         return _expansion_at_infinity(p, fc, T)
-    x0, y0 = F.lift(center.x), F.lift(center.y)
+    center = lift_anchor(center, p, rel)
+    x0, y0 = center.x, center.y
     ybar_zero = y0.is_zeroish() or y0.valuation >= 1
     if ybar_zero:
         if not y0.is_zeroish():
@@ -475,10 +487,7 @@ def _expansion_at_infinity(p, fc, T):
             t2g[i + 2] = gx[i]
         res = _lsub(F, xi, t2g, m)
         gpx = _lpolyval(F, gp, xi, m)
-        dF = _lzero(F, m)
-        dF[0] = one
-        for i in range(m - 2):
-            dF[i + 2] = dF[i + 2] - gpx[i]
+        dF = [one, F.zero()] + [-c for c in gpx[: m - 2]]
         step = _lmul(F, res, _linv(F, dF, m), m)
         xi = _lsub(F, xi, step, m)
     u = xi[2: T + 3]  # xi = t^2 * u(t), u(0) = 1
@@ -524,27 +533,41 @@ class Differential:
         return "Differential((%r) + (%r) x) dx/2y" % (self.c1, self.c2)
 
 
+def local_frame(C: HyperellipticCurve, center: CurvePoint, p: int, T: int,
+                rel: int = DEFAULT_PRECISION):
+    """The form-independent part of an expansion at center: (x(t), h) with
+    (c1 + c2 x) dx/2y = (c1 + c2 x(t)) h(t) dt for every regular form, h the
+    product of its factors taken left to right.
+
+    h is 1/(2y) on an affine disc (t = x - x0), x'(t)/(2t) at a branch
+    point (t = y), and x'(t), t^5 (t^5 y)^-1, 1/2 at infinity (t = x^2/y).
+    """
+    center = lift_anchor(center, p, rel)
+    xs, ys = local_expansion(C, center, p, T + 6, rel)
+    if center.at_infinity:
+        return xs, (xs.derivative(), ys.shifted(5).inverse().shifted(5),
+                    Fraction(1, 2))
+    if center.y.is_zeroish():
+        half_dxdt = [xs.coeffs[j + 2] * Fraction(j + 2, 2)
+                     for j in range(len(xs.coeffs) - 2)]
+        return xs, (PadicPowerSeries(p, half_dxdt, 0, 0),)
+    return xs, (PadicPowerSeries(p, [c * 2 for c in ys.coeffs], 0, 0).inverse(),)
+
+
+def expand_on_frame(w: Differential, frame) -> PadicPowerSeries:
+    """Coefficient series a0 + a1 t + ... of w on a local frame."""
+    xs, factors = frame
+    a = PadicPowerSeries(xs.prime, [w.c1], _INF, 0) + xs * w.c2
+    for h in factors:
+        a = a * h
+    return _laurent_to_series(a)
+
+
 def expand_differential(C: HyperellipticCurve, w: Differential, center: CurvePoint,
                         p: int, T: int, rel: int = DEFAULT_PRECISION) -> PadicPowerSeries:
     """Coefficient series a0 + a1 t + ... of w in the disc parameter at center,
     with truncation order at least T."""
-    xs, ys = local_expansion(C, center, p, T + 6, rel)
-    if center.at_infinity:
-        numer = PadicPowerSeries(p, [w.c1], _INF, 0) + xs * w.c2
-        dxdt = xs.derivative()
-        yunit_inv = ys.shifted(5).inverse()
-        a = numer * dxdt * yunit_inv.shifted(5) * Fraction(1, 2)
-        return _laurent_to_series(a)
-    if ys.shift == 0 and len(ys.coeffs) == 2 and ys.coeffs[0].is_exact_zero():
-        # Weierstrass disc, t = y: a = (c1 + c2 x) x'(t) / (2t)
-        half_dxdt = [xs.coeffs[j + 2] * Fraction(j + 2, 2)
-                     for j in range(len(xs.coeffs) - 2)]
-        hser = PadicPowerSeries(p, half_dxdt, 0, 0)
-        numer = PadicPowerSeries(p, [w.c1], _INF, 0) + xs * w.c2
-        return _laurent_to_series(numer * hser)
-    numer = PadicPowerSeries(p, [w.c1 + w.c2 * xs.coeffs[0], w.c2], _INF, 0)
-    inv2y = PadicPowerSeries(p, [c * 2 for c in ys.coeffs], 0, 0).inverse()
-    return _laurent_to_series(numer * inv2y)
+    return expand_on_frame(w, local_frame(C, center, p, T, rel))
 
 
 def _laurent_to_series(a: PadicPowerSeries) -> PadicPowerSeries:
@@ -559,16 +582,3 @@ def _laurent_to_series(a: PadicPowerSeries) -> PadicPowerSeries:
             raise ArithmeticError("differential has a pole in the disc")
     return PadicPowerSeries(a.prime, a.coeffs[-a.shift:],
                             a.tail_valuation_bound, 0, a.tail_log_penalty)
-
-
-def v_of_w(C: HyperellipticCurve, w: Differential, Q: CurvePoint, p: int,
-           rel: int = DEFAULT_PRECISION) -> int:
-    """v(a0) of the normalized w at the canonical center of Q's disc."""
-    center = disc_center(C, reduce_point(C, Q, p), p, rel)
-    a = expand_differential(C, w.normalized(), center, p, 8, rel)
-    a0 = a.coeff_of_degree(0)
-    if a0.is_zeroish():
-        raise TransversalityError(
-            "differential vanishes at the disc center at precision O(p^%s)"
-            % a0.valuation)
-    return int(a0.valuation)

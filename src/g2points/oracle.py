@@ -9,32 +9,10 @@ the optimized implementations; the two code paths share nothing.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from fractions import Fraction
 
 from .curve import CurvePoint, HyperellipticCurve
-
-
-class OracleReport:
-    """Record of one oracle run: name, exact input digest, ranges, output."""
-
-    __slots__ = ("name", "input_digest", "ranges", "value")
-
-    def __init__(self, name: str, inputs, ranges: dict, value):
-        self.name = name
-        blob = repr(inputs).encode()
-        self.input_digest = hashlib.sha256(blob).hexdigest()[:16]
-        self.ranges = dict(ranges)
-        self.value = value
-
-    def as_dict(self) -> dict:
-        return {"oracle": self.name, "input_digest": self.input_digest,
-                "ranges": self.ranges, "value": repr(self.value)}
-
-    def __repr__(self):
-        return "OracleReport(%s, digest=%s, %r -> %r)" % (
-            self.name, self.input_digest, self.ranges, self.value)
 
 
 def naive_rational_points(C: HyperellipticCurve, H: int):
@@ -67,14 +45,6 @@ def naive_rational_points(C: HyperellipticCurve, H: int):
                 found.append(CurvePoint.affine(x, -y))
     found.sort(key=lambda P: (0,) if P.at_infinity else (1, P.x, P.y))
     return found
-
-
-def naive_rational_points_report(C: HyperellipticCurve, H: int) -> OracleReport:
-    pts = naive_rational_points(C, H)
-    return OracleReport("naive_rational_points", (C.f_coeffs, H),
-                        {"numerator_bound": H, "denominator_bound": max(H, 1)},
-                        [(str(P.x), str(P.y)) if not P.at_infinity else "infinity"
-                         for P in pts])
 
 
 # -- Z_p root counting over exact coefficients ------------------------------
@@ -290,13 +260,6 @@ def exhaustive_jacobian(C: HyperellipticCurve, p: int):
         o = _mini_order(el, fcoeffs, p, order)
         exponent = exponent * o // math.gcd(exponent, o)
     return order, exponent
-
-
-def exhaustive_jacobian_report(C: HyperellipticCurve, p: int) -> OracleReport:
-    order, exponent = exhaustive_jacobian(C, p)
-    return OracleReport("exhaustive_jacobian", (C.f_coeffs, p),
-                        {"prime": p, "scan": "all Mumford pairs + point pairs"},
-                        {"order": order, "exponent": exponent})
 
 
 # a tiny standalone group law over F_p Mumford tuples (u, v), used only to

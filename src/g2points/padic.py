@@ -665,14 +665,16 @@ def valuation_is_negative(x) -> bool:
     when a part with no known digits leaves the sign open.
     """
     if isinstance(x, QuadExtNumber):
-        v = x.valuation_p()
-        undecided = x.a.is_zeroish() or x.b.is_zeroish()
+        # v(x) = min(v(a), v(b sqrt(d))), and v(sqrt(d)) = 1/2 when ramified
+        half = Fraction(1, 2) if x.ext.e == 2 else 0
+        parts = ((x.a, x.a.valuation), (x.b, x.b.valuation + half))
     else:
-        v = x.valuation
-        undecided = x.is_zeroish()
-    if v < 0 and undecided:
-        raise PrecisionLossError("sign of the valuation unresolved at working precision")
-    return v < 0
+        parts = ((x, x.valuation),)
+    if any(v < 0 and not c.is_zeroish() for c, v in parts):
+        return True
+    if all(v >= 0 for _, v in parts):
+        return False
+    raise PrecisionLossError("sign of the valuation unresolved at working precision")
 
 
 def padic_sqrt(a: PadicNumber, ext: QuadExtension | None = None):
@@ -962,8 +964,16 @@ class PadicPowerSeries:
             hi = max(self.shift + self.truncation_order,
                      other.shift + other.truncation_order)
         hi = int(hi)
-        coeffs = [self.coeff_of_degree(d) + other.coeff_of_degree(d)
-                  for d in range(lo, hi + 1)]
+        # outside one operand's range the other's coefficient is copied:
+        # adding an exact zero would return it unchanged
+        a, b = self.coeffs, other.coeffs
+        coeffs = []
+        for d in range(lo, hi + 1):
+            i, j = d - self.shift, d - other.shift
+            if 0 <= i < len(a):
+                coeffs.append(a[i] + b[j] if 0 <= j < len(b) else a[i])
+            else:
+                coeffs.append(b[j] if 0 <= j < len(b) else PadicNumber.exact_zero(p))
         tail = min(self.tail_valuation_bound, other.tail_valuation_bound)
         penalty = self.tail_log_penalty or other.tail_log_penalty
         # a log penalty only ever weakens the bound, so keeping the flag on the

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from g2points import coleman, curve
 from g2points.coleman import (DecompositionFailureError, LogVector,
                               _kernel_log, annihilating_form, disc_zero_count,
                               log_jacobian, point_anchored_series,
@@ -410,25 +411,37 @@ class TestKernelSupportShapes:
         t2 = tiny_integral(C, Differential(0, 1, 7), A.involution(), A, 7)
         assert padic_agree(l1, t1) and padic_agree(l2, t2)
 
-    def test_conjugate_pair_at_infinity(self, C):
-        # x = (4 + 2 sqrt(3))/49 over Q_7(sqrt(3)); f(x)/x^5 is 1 mod 7 and
-        # 4 + 2 sqrt(3) has square norm, so f(x) is a square there
+    def _conjugate_pair(self, C, xa, xb):
+        """The class of the pair x = xa +- xb sqrt(3) over Q_7(sqrt(3))."""
         from g2points.padic import _ext_sqrt
         rel = 20
         ext = QuadExtension(7, QuadExtension.UNRAMIFIED)
         F = QuadExtDomain(ext, rel)
-        x1 = QuadExtNumber(ext, PadicNumber.from_rational(Fraction(4, 49), 7, rel),
-                           PadicNumber.from_rational(Fraction(2, 49), 7, rel))
+        x1 = QuadExtNumber(ext, F.lift(xa).a, F.lift(xb).a)
         y1 = _ext_sqrt(F, C.f_eval(x1) * 7 ** 10) * Fraction(1, 7 ** 5)
         b = y1.b / x1.b
         a = y1.a - b * x1.a
         u = [x1.norm(), -x1.trace(), PadicNumber.from_rational(1, 7, rel)]
         D = MumfordDivisor(PadicDomain(7, rel), u, [a, b])
         D.validate(C)
+        return D
+
+    def test_conjugate_pair_at_infinity(self, C):
+        # x = (4 + 2 sqrt(3))/49 over Q_7(sqrt(3)); f(x)/x^5 is 1 mod 7 and
+        # 4 + 2 sqrt(3) has square norm, so f(x) is a square there
+        D = self._conjugate_pair(C, Fraction(4, 49), Fraction(2, 49))
         assert reduce_divisor(C, D, 7).is_identity()
         L = retry_log(C, D, 7)
         assert vec_agree(retry_log(C, cantor_add(C, D, D), 7), L * 2)
         assert vec_agree(retry_log(C, D.neg(), 7), L * -1)
+
+    def test_trace_zero_pair_at_infinity(self, C):
+        # x = +-2 sqrt(3)/49: the Q_7 part of x is an exact zero, so only
+        # the certified sqrt(3) part can put the pair in the disc at infinity
+        D = self._conjugate_pair(C, 0, Fraction(2, 49))
+        assert reduce_divisor(C, D, 7).is_identity()
+        L = log_jacobian(C, D, 7)
+        assert vec_agree(log_jacobian(C, D.neg(), 7), L * -1)
 
 
 class TestAnnihilatingForm:
@@ -491,6 +504,91 @@ class TestTransversality:
             _, v20 = transversality_certificate(C, form7, Q, 7, rel=20)
             _, v40 = transversality_certificate(C, form7, Q, 7, rel=40)
             assert v20 == v40
+
+    def test_examples(self, C):
+        w = Differential(1, 0, p=7)
+        assert transversality_certificate(C, w, aff(3, 6), 7) == (True, 0)
+        assert transversality_certificate(C, w, INF, 7) == (False, None)
+
+    def test_scaling_invariant(self, C):
+        w = Differential(7, 7 * 3, p=7)  # content p stripped by normalization
+        assert transversality_certificate(C, w, aff(3, 6), 7) == \
+            transversality_certificate(C, Differential(1, 3, p=7), aff(3, 6), 7)
+
+    @pytest.mark.parametrize("f_coeffs", [FLYNN, CURVE2])
+    @pytest.mark.parametrize("p", [7, 11])
+    def test_agrees_with_a_short_expansion(self, f_coeffs, p):
+        # v(a0) read off the shared frame at T = TRUNCATION_FACTOR * rel is
+        # the v(a0) of a direct expansion at T = 8
+        Cx = HyperellipticCurve(f_coeffs)
+        forms = [(1, 0), (0, 1), (3, 5), (7, 21)]
+        for fp_pt in fp_curve_points(Cx, p):
+            center = disc_center(Cx, fp_pt, p)
+            for c1, c2 in forms:
+                w = Differential(c1, c2, p=p)
+                a0 = expand_differential(Cx, w.normalized(), center, p, 8, 20
+                                         ).coeff_of_degree(0)
+                want = (False, None) if a0.is_zeroish() \
+                    else (True, int(a0.valuation))
+                assert transversality_certificate(Cx, w, center, p) == want, \
+                    (fp_pt, c1, c2)
+
+
+class TestSharedFrame:
+    """Every consumer at an anchor reads the one cached local frame."""
+
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        calls = []
+        real = curve.local_expansion
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(curve, "local_expansion", counted)
+        monkeypatch.setattr(coleman, "_DISC_LAMBDA_CACHE", {})
+        return calls
+
+    def test_two_forms_and_transversality_at_one_anchor(self, C, expansions):
+        w1, w2 = Differential(1, 0, 7), Differential(2, 3, 7)
+        point_anchored_series(C, w1, aff(3, 6), 7)
+        point_anchored_series(C, w2, aff(3, 6), 7)
+        assert transversality_certificate(C, w1, aff(3, 6), 7) == (True, 0)
+        assert len(expansions) == 1
+
+    def test_disc_count_and_point_share_a_branch_point_frame(self, C, expansions):
+        w1, w2 = Differential(1, 0, 7), Differential(2, 3, 7)
+        disc_zero_count(C, w1, (0, 0), 7)
+        point_anchored_series(C, w2, aff(0, 0), 7)
+        transversality_certificate(C, w2, aff(0, 0), 7)
+        assert len(expansions) == 1
+
+
+class TestRequestedPrecision:
+    """Disc centers and the generator's logarithm carry the requested digits."""
+
+    @pytest.mark.parametrize("rel", [30, 40, 60])
+    def test_affine_centers_and_log(self, C, gamma, rel):
+        for label in [(3, 6), (3, 1), ("ext", "unramified", 0, 1, 3, 2)]:
+            y = disc_center(C, label, 7, rel).y
+            parts = (y.a, y.b) if isinstance(y, QuadExtNumber) else (y,)
+            for c in parts:
+                assert c.valuation == 0 and c.rel_precision == rel, (label, c)
+        L = log_jacobian(C, gamma, 7, rel=rel)
+        for c in (L.l1, L.l2):
+            assert c.rel_precision >= rel - 1
+
+    @pytest.mark.parametrize("rel", [30, 40])
+    def test_center_at_exact_zero(self, rel):
+        # Flynn's model under x -> x + 3: the disc (0, 6) is affine and its
+        # center's x is the exact 0, which carries no precision of its own
+        Cs = HyperellipticCurve([36, 36, -13, -13, 1, 1])
+        y = disc_center(Cs, (0, 6), 7, rel).y
+        assert y.valuation == 0 and y.rel_precision == rel
+        L = log_jacobian(Cs, embed_point(Cs, aff(0, 6), INF), 7, rel=rel)
+        for c in (L.l1, L.l2):
+            assert c.rel_precision >= rel - 1
 
 
 class TestDiscZeroCounts:

@@ -514,12 +514,24 @@ class TestHelpers:
         assert not valuation_is_negative(QuadExtNumber(ext, z, z))
         assert not valuation_is_negative(
             QuadExtNumber(ext, PadicNumber.zeroish(7, 2), N(1)))
-        with pytest.raises(PrecisionLossError):
-            valuation_is_negative(
-                QuadExtNumber(ext, PadicNumber.zeroish(7, 3), N(Fraction(1, 7))))
+        # the certified sqrt(3) part decides the sign on its own
+        assert valuation_is_negative(
+            QuadExtNumber(ext, PadicNumber.zeroish(7, 3), N(Fraction(1, 7))))
         with pytest.raises(PrecisionLossError):
             valuation_is_negative(
                 QuadExtNumber(ext, PadicNumber.zeroish(7, -2), PadicNumber.zeroish(7, 4)))
+
+    def test_valuation_is_negative_in_a_ramified_extension(self):
+        # v(b sqrt(7)) = v(b) + 1/2 in Q_7(sqrt(7))
+        ext = QuadExtension(7, QuadExtension.RAMIFIED)
+        z = PadicNumber.exact_zero(7)
+        assert valuation_is_negative(QuadExtNumber(ext, z, N(Fraction(1, 7))))
+        assert not valuation_is_negative(QuadExtNumber(ext, N(1), N(1)))
+        assert not valuation_is_negative(
+            QuadExtNumber(ext, N(1), PadicNumber.zeroish(7, 0)))
+        with pytest.raises(PrecisionLossError):
+            valuation_is_negative(
+                QuadExtNumber(ext, N(1), PadicNumber.zeroish(7, -1)))
 
 
 # -- the integer sum-of-products kernel ---------------------------------------
