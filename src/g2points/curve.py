@@ -330,18 +330,21 @@ def _lzero(F, n):
     return [F.zero() for _ in range(n)]
 
 
-def _ladd(F, a, b, n):
-    """a + b to n coefficients, n at most the longer length.  Past the
-    shorter list the longer one's entries are copied: adding an exact zero
-    would return them unchanged."""
-    k = min(len(a), len(b), n)
-    out = [a[i] + b[i] for i in range(k)]
-    out.extend((a if len(a) > len(b) else b)[k:n])
+def _lsub(a, b, n, k=0):
+    """a - t^k b to n coefficients, n at most max(len(a), k + len(b)).
+    Where one side is an exact zero or past its list, the other entry is
+    copied (negated for b): adding an exact zero would return it unchanged."""
+    out = a[:k]
+    for i in range(k, n):
+        x = a[i] if i < len(a) else None
+        y = b[i - k] if i - k < len(b) else None
+        if y is None or y.is_exact_zero():
+            out.append(y if x is None else x)
+        elif x is None or x.is_exact_zero():
+            out.append(-y)
+        else:
+            out.append(x - y)
     return out
-
-
-def _lsub(F, a, b, n):
-    return _ladd(F, a, [-c for c in b], n)
 
 
 def _lmul(F, a, b, n):
@@ -382,17 +385,16 @@ def _affine_y_coeffs(F, fc, x0, y0, T):
 def _weierstrass_x_coeffs(F, fc, x0, T):
     """x(t) solving f(x(t)) = t^2 with x(0) = x0 a simple root of f;
     the series is even in t."""
-    t2 = [F.zero(), F.zero(), F.one()]
+    one = F.one()
     fpc = [fc[i] * i for i in range(1, 6)]
     xs = [x0]
     m = 1
     while m < T + 1:
         m = min(2 * m, T + 1)
-        fx = _lpolyval(F, fc, xs, m)
-        res = _lsub(F, fx, t2, m)
+        res = _lsub(_lpolyval(F, fc, xs, m), [one], m, 2)
         dfx = _lpolyval(F, fpc, xs, m)
         step = _lmul(F, res, _linv(F, dfx, m), m)
-        xs = _lsub(F, xs, step, m)
+        xs = _lsub(xs, step, m)
     return xs[: T + 1]
 
 
@@ -404,7 +406,7 @@ def _disc_field(center: CurvePoint, p: int, rel: int):
     return PadicDomain(p, rel)
 
 
-def lift_anchor(center: CurvePoint, p: int, rel: int = DEFAULT_PRECISION) -> CurvePoint:
+def lift_anchor(center: CurvePoint, p: int, rel: int) -> CurvePoint:
     """center with its coordinates in its disc's field at rel digits, as the
     local expansions read it."""
     if center.at_infinity:
@@ -414,7 +416,7 @@ def lift_anchor(center: CurvePoint, p: int, rel: int = DEFAULT_PRECISION) -> Cur
 
 
 def local_expansion(C: HyperellipticCurve, center: CurvePoint, p: int, T: int,
-                    rel: int = DEFAULT_PRECISION):
+                    rel: int):
     """(x(t), y(t)) in the disc parameter t at the given center.
 
     t = x - x0 off the Weierstrass locus, t = y at a Weierstrass center,
@@ -426,7 +428,7 @@ def local_expansion(C: HyperellipticCurve, center: CurvePoint, p: int, T: int,
     F = _disc_field(center, p, rel)
     fc = [F.lift(k) for k in C.f_coeffs]
     if center.at_infinity:
-        return _expansion_at_infinity(p, fc, T)
+        return _expansion_at_infinity(F, fc, T)
     center = lift_anchor(center, p, rel)
     x0, y0 = center.x, center.y
     ybar_zero = y0.is_zeroish() or y0.valuation >= 1
@@ -469,10 +471,9 @@ def _expansion_at_weierstrass(F, fc, x0, T):
     return x_series, y_series
 
 
-def _expansion_at_infinity(p, fc, T):
+def _expansion_at_infinity(F, fc, T):
     # xi = 1/x satisfies xi = t^2 g(xi), g(w) = 1 + c4 w + ... + c0 w^5
-    F = PadicDomain(p)
-    one = F.one()
+    p, one = F.p, F.one()
     g = [one, fc[4], fc[3], fc[2], fc[1], fc[0]]
     gp = [g[i] * i for i in range(1, 6)]
     n = T + 3
@@ -481,15 +482,11 @@ def _expansion_at_infinity(p, fc, T):
     m = 3
     while m < n:
         m = min(2 * m, n)
-        gx = _lpolyval(F, g, xi, m)
-        t2g = _lzero(F, m)
-        for i in range(m - 2):
-            t2g[i + 2] = gx[i]
-        res = _lsub(F, xi, t2g, m)
+        res = _lsub(xi, _lpolyval(F, g, xi, m), m, 2)
         gpx = _lpolyval(F, gp, xi, m)
         dF = [one, F.zero()] + [-c for c in gpx[: m - 2]]
         step = _lmul(F, res, _linv(F, dF, m), m)
-        xi = _lsub(F, xi, step, m)
+        xi = _lsub(xi, step, m)
     u = xi[2: T + 3]  # xi = t^2 * u(t), u(0) = 1
     uinv = _linv(F, u, T + 1)
     x_series = PadicPowerSeries(p, uinv, 0, -2)
@@ -534,7 +531,7 @@ class Differential:
 
 
 def local_frame(C: HyperellipticCurve, center: CurvePoint, p: int, T: int,
-                rel: int = DEFAULT_PRECISION):
+                rel: int):
     """The form-independent part of an expansion at center: (x(t), h) with
     (c1 + c2 x) dx/2y = (c1 + c2 x(t)) h(t) dt for every regular form, h the
     product of its factors taken left to right.

@@ -136,10 +136,14 @@ def scalar_mul(C: HyperellipticCurve, m: int,
     return acc
 
 
-def _domain_for_point(Q: CurvePoint, p=None, rel=DEFAULT_PRECISION):
+def _domain_for_point(Q: CurvePoint):
     if Q.at_infinity:
         return None
     if isinstance(Q.x, PadicNumber):
+        rel = max(Q.x.rel_precision, Q.y.rel_precision)
+        if not rel:
+            raise TypeError("a point with no known digits gives embed_point "
+                            "no precision; pass a domain")
         return PadicDomain(Q.x.prime, rel)
     return RationalDomain()
 
@@ -305,7 +309,7 @@ def _sqrts_mod(a, p):
 
 # -- reduction J(Q) -> J(F_p) ------------------------------------------------
 
-def divisor_support(D: MumfordDivisor, p: int, rel: int = DEFAULT_PRECISION):
+def divisor_support(D: MumfordDivisor, p: int, rel: int):
     """(points, disc): the support of a class of degree <= 2 over Q or Q_p.
 
     points is empty for the identity, one point for degree 1, and for

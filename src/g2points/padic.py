@@ -9,6 +9,11 @@ valuation +infinity.  All operations propagate precision pessimistically; a
 division whose divisor has no known digits raises :class:`PrecisionLossError`
 so the caller can retry with a doubled cap.
 
+One precision rule: an exact int or Fraction takes the precision of the
+p-adic value it meets (its absolute precision in a sum, its relative precision
+in a product), so no constant caps a result at a fixed default.  Adding a
+nonzero constant to an exact zero raises TypeError: lift it through a domain.
+
 Quadratic extensions Q_p(sqrt(d)) for d in {c, p, p*c} (c the smallest
 positive non-residue) are pairs a + b*sqrt(d) of base elements.  Valuations of
 extension elements are integers in the uniformizer, so the ramified cases
@@ -206,6 +211,8 @@ class PadicNumber:
         return self._rel == 0
 
     def indistinguishable_from(self, other) -> bool:
+        if self.is_exact_zero() and isinstance(other, (int, Fraction)):
+            return other == 0
         return (self - other).is_zeroish()
 
     def valuation_p(self):
@@ -251,7 +258,7 @@ class PadicNumber:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other, rel: int | None = None, absprec=None):
+    def _coerce(self, other, rel: int | None = None):
         if isinstance(other, PadicNumber):
             return other
         if isinstance(other, (int, Fraction)):
@@ -259,15 +266,15 @@ class PadicNumber:
             if q == 0:
                 return PadicNumber.exact_zero(self.prime)
             if rel is None:
-                if absprec is None or absprec == _INF:
-                    rel = max(self._rel, DEFAULT_PRECISION)
-                else:
-                    rel = max(int(absprec) - vp(q, self.prime), 1)
+                if self.is_exact_zero():
+                    raise TypeError("an exact zero gives %s no precision; "
+                                    "lift it through a domain" % q)
+                rel = int(self.abs_precision) - vp(q, self.prime)
             return PadicNumber.from_rational(q, self.prime, max(rel, 1))
         return None
 
     def __add__(self, other):
-        b = self._coerce(other, absprec=self.abs_precision)
+        b = self._coerce(other)
         if b is None:
             return NotImplemented
         a = self
@@ -297,13 +304,13 @@ class PadicNumber:
                                  self.prime ** self._rel - self._unit, self._rel)
 
     def __sub__(self, other):
-        b = self._coerce(other, absprec=self.abs_precision)
+        b = self._coerce(other)
         if b is None:
             return NotImplemented
         return self + (-b)
 
     def __rsub__(self, other):
-        b = self._coerce(other, absprec=self.abs_precision)
+        b = self._coerce(other)
         if b is None:
             return NotImplemented
         return b + (-self)
@@ -350,7 +357,7 @@ class PadicNumber:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = PadicNumber.from_int(1, self.prime, max(self._rel, DEFAULT_PRECISION))
+        result = PadicNumber.from_int(1, self.prime, max(self._rel, 1))
         base = self
         while n:
             if n & 1:
@@ -575,7 +582,7 @@ class QuadExtNumber:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other):
+    def _coerce(self, other, additive: bool = False):
         if isinstance(other, QuadExtNumber):
             if other.ext != self.ext:
                 raise ValueError("mixing distinct quadratic extensions")
@@ -583,13 +590,16 @@ class QuadExtNumber:
         if isinstance(other, PadicNumber):
             return QuadExtNumber.from_base(self.ext, other)
         if isinstance(other, (int, Fraction)):
-            rel = max(self.a.rel_precision, self.b.rel_precision, DEFAULT_PRECISION)
+            if additive and other != 0 and self.is_exact_zero():
+                raise TypeError("an exact zero gives %s no precision; "
+                                "lift it through a domain" % other)
+            rel = max(self.a.rel_precision, self.b.rel_precision, 1)
             return QuadExtNumber.from_base(
                 self.ext, PadicNumber.from_rational(other, self.prime, rel))
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._coerce(other, additive=True)
         if o is None:
             return NotImplemented
         return QuadExtNumber(self.ext, self.a + o.a, self.b + o.b)
@@ -600,13 +610,13 @@ class QuadExtNumber:
         return QuadExtNumber(self.ext, -self.a, -self.b)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._coerce(other, additive=True)
         if o is None:
             return NotImplemented
         return self + (-o)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._coerce(other, additive=True)
         if o is None:
             return NotImplemented
         return o + (-self)
@@ -644,8 +654,7 @@ class QuadExtNumber:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        rel = max(self.a.rel_precision, self.b.rel_precision, DEFAULT_PRECISION)
-        result = QuadExtNumber.from_base(self.ext, PadicNumber.from_int(1, self.prime, rel))
+        result = self._coerce(1)
         base = self
         while n:
             if n & 1:
@@ -991,16 +1000,15 @@ class PadicPowerSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, PadicNumber)):
-            c = other if isinstance(other, PadicNumber) else PadicNumber.from_rational(other, self.prime)
-            if c.is_exact_zero():
-                return PadicPowerSeries(self.prime, [c], _INF, 0)
-            if c.is_zeroish():
+            # each coefficient reads an exact constant at its own precision
+            v = other.valuation if isinstance(other, PadicNumber) else vp(other, self.prime)
+            if v == _INF:
+                return PadicPowerSeries(self.prime, [PadicNumber.exact_zero(self.prime)], _INF, 0)
+            if isinstance(other, PadicNumber) and other.is_zeroish():
                 raise PrecisionLossError("scaling a series by a value with no known digits")
-            tail = self.tail_valuation_bound
-            if tail != _INF:
-                tail += c.valuation
-            return PadicPowerSeries(self.prime, [x * c for x in self.coeffs],
-                                    tail, self.shift, self.tail_log_penalty)
+            return PadicPowerSeries(self.prime, [x * other for x in self.coeffs],
+                                    self.tail_valuation_bound + v, self.shift,
+                                    self.tail_log_penalty)
         if not isinstance(other, PadicPowerSeries):
             return NotImplemented
         if self.tail_log_penalty or other.tail_log_penalty:

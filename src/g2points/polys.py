@@ -19,7 +19,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .padic import (
-    DEFAULT_PRECISION,
     PadicNumber,
     PrecisionLossError,
     QuadExtension,
@@ -117,7 +116,7 @@ class PadicDomain:
 
     name = "padic"
 
-    def __init__(self, p: int, rel: int = DEFAULT_PRECISION):
+    def __init__(self, p: int, rel: int):
         self.p = p
         self.rel = rel
 
@@ -166,7 +165,7 @@ class QuadExtDomain:
 
     name = "quad-ext"
 
-    def __init__(self, ext: QuadExtension, rel: int = DEFAULT_PRECISION):
+    def __init__(self, ext: QuadExtension, rel: int):
         self.ext = ext
         self.p = ext.prime
         self.rel = rel

@@ -218,6 +218,15 @@ class TestGoldenFixtures:
         rendered = json.dumps(got, sort_keys=True, indent=2) + "\n"
         assert rendered == _fixture("flynn_budget0_report.json")
 
+    def test_precision_40_report(self, capsys):
+        rc = main(["run", str(FIXTURES / "flynn.json"), "--precision", "40",
+                   "--format", "machine"])
+        assert rc == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got.pop("telemetry")["precision"] == 40
+        rendered = json.dumps(got, sort_keys=True, indent=2) + "\n"
+        assert rendered == _fixture("flynn_prec40_report.json")
+
 
 class TestCertificateReplay:
     """The machine report alone must reproduce every zero count."""

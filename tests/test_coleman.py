@@ -24,8 +24,9 @@ from g2points.curve import (CurvePoint, Differential, HyperellipticCurve,
                             local_expansion, reduce_point)
 from g2points.jacobian import (MumfordDivisor, cantor_add, embed_point,
                                reduce_divisor, scalar_mul)
-from g2points.padic import (PadicNumber, PadicPoly, QuadExtension,
-                            QuadExtNumber, hensel_root, legendre_symbol,
+from g2points.padic import (TRUNCATION_FACTOR, PadicNumber, PadicPoly,
+                            PadicPowerSeries, QuadExtension, QuadExtNumber,
+                            hensel_root, legendre_symbol,
                             padic_agree, padic_sqrt, strassmann_count,
                             with_precision_retry)
 from g2points.polys import PadicDomain, QuadExtDomain, RationalDomain
@@ -106,7 +107,7 @@ class TestTinyIntegral:
     def test_path_additivity_on_random_triples(self, C):
         # p-adic points of the (3,6) disc built from the local series
         rng = random.Random(11)
-        xs, ys = local_expansion(C, disc_center(C, (3, 6), 7), 7, 40)
+        xs, ys = local_expansion(C, disc_center(C, (3, 6), 7), 7, 40, 20)
         w = Differential(1, 5, 7)
         for _ in range(5):
             pts = []
@@ -282,7 +283,7 @@ class TestExtensionSupport:
         f = PadicPoly(7, [PadicNumber.from_rational(k, 7, rel)
                           for k in C.f_coeffs])
         rho = hensel_root(f, PadicNumber.from_rational(0, 7, rel))
-        r = rho + 7
+        r = rho + PadicNumber.from_rational(7, 7, rel)
         w_unit = C.f_eval(r).pshift(-1)
         kind = (QuadExtension.RAMIFIED
                 if legendre_symbol(w_unit.residue(), 7) == 1
@@ -316,7 +317,7 @@ class TestExtensionSupport:
         # the same center written over Q_7(sqrt(3)) must give the Q_7
         # coefficients digit for digit, with exactly zero sqrt(3) parts
         ext = QuadExtension(7, QuadExtension.UNRAMIFIED)
-        F = QuadExtDomain(ext)
+        F = QuadExtDomain(ext, 20)
         center = disc_center(C, fp_point, 7)
         lifted = CurvePoint(QuadExtNumber.from_base(ext, center.x),
                             QuadExtNumber.from_base(ext, center.y), False)
@@ -341,7 +342,7 @@ class TestExtensionSupport:
     def test_tiny_integral_on_extension_disc(self, f_coeffs, label, w):
         Cx = HyperellipticCurve(f_coeffs)
         ext = QuadExtension(7, QuadExtension.UNRAMIFIED)
-        xs, ys = local_expansion(Cx, disc_center(Cx, label, 7), 7, 40)
+        xs, ys = local_expansion(Cx, disc_center(Cx, label, 7), 7, 40, 20)
         rng = random.Random(5)
         pts = []
         for _ in range(3):
@@ -565,8 +566,13 @@ class TestSharedFrame:
         assert len(expansions) == 1
 
 
+def min_digits(s):
+    return min(c.rel_precision for c in s.coeffs if not c.is_zeroish())
+
+
 class TestRequestedPrecision:
-    """Disc centers and the generator's logarithm carry the requested digits."""
+    """Disc centers, local frames, point certificates and the generator's
+    logarithm carry the requested digits."""
 
     @pytest.mark.parametrize("rel", [30, 40, 60])
     def test_affine_centers_and_log(self, C, gamma, rel):
@@ -589,6 +595,31 @@ class TestRequestedPrecision:
         L = log_jacobian(Cs, embed_point(Cs, aff(0, 6), INF), 7, rel=rel)
         for c in (L.l1, L.l2):
             assert c.rel_precision >= rel - 1
+
+    @pytest.mark.parametrize("rel", [30, 40, 60])
+    def test_frame_at_infinity(self, C, rel):
+        # the leading 1 of g(xi) and the 1/2 factor are exact constants,
+        # read at the precision of the series they meet
+        xs, hs = curve.local_frame(C, INF, 7, TRUNCATION_FACTOR * rel, rel)
+        a = curve.expand_on_frame(Differential(2, 3, 7, rel), (xs, hs))
+        for s in [xs, a] + [h for h in hs if isinstance(h, PadicPowerSeries)]:
+            assert min_digits(s) >= rel - 3
+
+    @pytest.mark.parametrize("rel", [30, 40, 60])
+    def test_point_certificate_at_infinity(self, C, rel):
+        s = point_anchored_series(C, Differential(2, 3, 7, rel), INF, 7, 1, rel)
+        assert min_digits(s) >= rel - 2
+
+    @pytest.mark.parametrize("rel", [30, 40, 60])
+    def test_weierstrass_centers(self, C, rel):
+        # an exact rational root and a Hensel-lifted one
+        for crv, label in ((C, (2, 0)), (HyperellipticCurve(CURVE2), (5, 0))):
+            center = disc_center(crv, label, 7, rel)
+            assert center.x.rel_precision == rel
+            frame = curve.local_frame(crv, center, 7, TRUNCATION_FACTOR * rel, rel)
+            a = curve.expand_on_frame(Differential(2, 3, 7, rel), frame)
+            for s in (frame[0], frame[1][0], a):
+                assert min_digits(s) >= rel - 4, label
 
 
 class TestDiscZeroCounts:
@@ -656,7 +687,7 @@ class TestAnchoredSeries:
     def test_anchored_value_matches_tiny_integral(self, C, form7):
         # evaluate the series anchored at (3,6) at the point x = 52 of the
         # same disc (parameter t = 49, so r = 7 at level 1)
-        xs, ys = local_expansion(C, disc_center(C, (3, 6), 7), 7, 40)
+        xs, ys = local_expansion(C, disc_center(C, (3, 6), 7), 7, 40, 20)
         t = PadicNumber.from_int(49, 7)
         P = CurvePoint(xs.evaluate(t), ys.evaluate(t), False)
         s = point_anchored_series(C, form7, aff(3, 6), 7, n=1)

@@ -155,7 +155,7 @@ class TestExpansions:
         ctr = disc_center(C, (3, 6), 7)
         assert (ctr.x - 3).is_zeroish()
         assert (ctr.y - 6).is_zeroish()
-        xs, ys = local_expansion(C, ctr, 7, 12)
+        xs, ys = local_expansion(C, ctr, 7, 12, 20)
         assert curve_eq_residual(C, xs, ys, 7, 10) == []
         assert (xs.coeff_of_degree(1) - 1).is_zeroish()
         # y'(0) = f'(3)/12
@@ -165,7 +165,7 @@ class TestExpansions:
     def test_weierstrass_expansion(self, C):
         ctr = disc_center(C, (0, 0), 7)
         assert ctr.y.is_exact_zero()
-        xs, ys = local_expansion(C, ctr, 7, 12)
+        xs, ys = local_expansion(C, ctr, 7, 12, 20)
         assert curve_eq_residual(C, xs, ys, 7, 10) == []
         # x(t) = r + t^2/f'(r) + O(t^4)
         fpr = C.fprime_coeffs()[0]  # f'(0)
@@ -174,7 +174,7 @@ class TestExpansions:
         assert xs.coeff_of_degree(3).is_zeroish()
 
     def test_infinity_expansion(self, C):
-        xs, ys = local_expansion(C, CurvePoint.infinity(), 7, 12)
+        xs, ys = local_expansion(C, CurvePoint.infinity(), 7, 12, 20)
         assert xs.shift == -2
         assert (xs.coeffs[0] - 1).is_zeroish()
         assert ys.shift == -5
@@ -183,7 +183,7 @@ class TestExpansions:
     def test_integrality_of_expansions(self, C):
         for fp_pt in [(3, 6), (0, 0), FP_INFINITY]:
             ctr = disc_center(C, fp_pt, 7)
-            xs, ys = local_expansion(C, ctr, 7, 16)
+            xs, ys = local_expansion(C, ctr, 7, 16, 20)
             for s in (xs, ys):
                 for c in s.coeffs:
                     assert c.is_zeroish() or c.valuation >= 0, (fp_pt, str(c))

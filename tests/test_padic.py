@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2points.curve import _linv, _lmul
+from g2points.curve import CurvePoint, HyperellipticCurve, _linv, _lmul
+from g2points.jacobian import embed_point
 from g2points.padic import (
     DEFAULT_PRECISION,
     InconclusiveTruncationError,
@@ -632,7 +633,7 @@ class TestDotKernel:
         want = [fields(c) for c in ref_mul(p, a, b, n)]
         prod = PadicPowerSeries(p, a) * PadicPowerSeries(p, b)
         assert [fields(c) for c in prod.coeffs] == want
-        F = PadicDomain(p)
+        F = PadicDomain(p, 20)
         assert [fields(c) for c in _lmul(F, a, b, n)] == want
         m = data.draw(st.integers(1, n))
         assert [fields(c) for c in _lmul(F, a, b, m)] == want[:m]
@@ -679,3 +680,82 @@ class TestTailCap:
         s = PadicPowerSeries(7, [1] * 5, tail_valuation_bound=0).antiderivative()
         with pytest.raises(InconclusiveTruncationError):
             s._eval_tail_cap(Fraction(1, 10 ** 6))
+
+
+def unram(a, b):
+    return QuadExtNumber(QuadExtension(7, QuadExtension.UNRAMIFIED), a, b)
+
+
+ZEROS = [pytest.param(PadicNumber.exact_zero(7), id="qp"),
+         pytest.param(unram(PadicNumber.exact_zero(7), PadicNumber.exact_zero(7)),
+                      id="ext")]
+
+
+class TestOnePrecisionRule:
+    """An exact constant takes the precision of the p-adic value it meets."""
+
+    @pytest.mark.parametrize("ext", [False, True])
+    @pytest.mark.parametrize("rel", [8, 40])
+    def test_series_times_fraction_keeps_digits(self, ext, rel):
+        coeffs = [N(k, 7, rel) for k in (3, Fraction(1, 5), 14, -2)]
+        if ext:
+            coeffs = [unram(c, N(1, 7, rel)) for c in coeffs]
+        s = PadicPowerSeries(7, coeffs, tail_valuation_bound=2)
+        half = s * Fraction(1, 2)
+        for c, h in zip(coeffs, half.coeffs):
+            for x, y in ((c, h),) if not ext else ((c.a, h.a), (c.b, h.b)):
+                assert y.rel_precision == x.rel_precision == rel
+        assert half.tail_valuation_bound == 2
+        assert (s * Fraction(7, 2)).tail_valuation_bound == 3
+        assert (s * Fraction(2, 49)).tail_valuation_bound == 0
+
+    @pytest.mark.parametrize("zero", ZEROS)
+    @pytest.mark.parametrize("op", [lambda z: z + 1, lambda z: 1 + z,
+                                    lambda z: z - Fraction(1, 2),
+                                    lambda z: 3 - z],
+                             ids=["z+1", "1+z", "z-1/2", "3-z"])
+    def test_exact_zero_plus_constant_raises(self, zero, op):
+        with pytest.raises(TypeError, match="lift it through a domain"):
+            op(zero)
+
+    @pytest.mark.parametrize("zero", ZEROS)
+    def test_exact_zero_plus_zero_stays_exact(self, zero):
+        assert (zero + 0).is_exact_zero() and (zero - Fraction(0)).is_exact_zero()
+
+    @pytest.mark.parametrize("zero", ZEROS)
+    @pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(7, 3), 5])
+    def test_exact_zero_times_constant_is_exact_zero(self, zero, q):
+        assert (zero * q).is_exact_zero()
+        assert (q * zero).is_exact_zero()
+        assert (zero / q).is_exact_zero()
+
+    def test_exact_zero_compares_exactly(self):
+        z = PadicNumber.exact_zero(7)
+        assert z == 0 and z == Fraction(0)
+        assert not z == 1 and z != Fraction(1, 7)
+
+    @pytest.mark.parametrize("rel", [3, 20, 40])
+    def test_power_zero_carries_base_rel(self, rel):
+        x = N(Fraction(3, 7), 7, rel)
+        one = x ** 0
+        assert (one.valuation, one.unit_part(), one.rel_precision) == (0, 1, rel)
+        z = unram(N(2, 7, rel), N(5, 7, rel - 1)) ** 0
+        assert z.a.rel_precision == rel and z.b.is_exact_zero()
+        assert (x ** 3).rel_precision == rel
+
+    @pytest.mark.parametrize("rel", [8, 40])
+    def test_embed_point_keeps_point_digits(self, rel):
+        C = HyperellipticCurve([0, 60, -112, 65, -14, 1])
+        Q = CurvePoint(N(3, 7, rel), N(6, 7, rel), False)
+        D = embed_point(C, Q, CurvePoint.infinity())
+        assert D.domain.rel == rel
+        assert [c.rel_precision for c in D.u + D.v] == [rel] * 3
+
+    def test_embed_point_without_digits_needs_a_domain(self):
+        C = HyperellipticCurve([0, 60, -112, 65, -14, 1])
+        z = PadicNumber.exact_zero(7)
+        with pytest.raises(TypeError, match="pass a domain"):
+            embed_point(C, CurvePoint(z, z, False), CurvePoint.infinity())
+        D = embed_point(C, CurvePoint(z, z, False), CurvePoint.infinity(),
+                        domain=PadicDomain(7, 20))
+        assert D.u[1].rel_precision == 20
