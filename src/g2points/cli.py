@@ -14,8 +14,8 @@ import sys
 import time
 from fractions import Fraction
 
-from .curve import FP_INFINITY, HyperellipticCurve
-from .jacobian import MumfordDivisor, _prime_factors
+from .curve import FP_INFINITY, HyperellipticCurve, is_prime
+from .jacobian import MumfordDivisor
 from .padic import DEFAULT_PRECISION, PadicNumber, PadicPowerSeries
 from .polys import RationalDomain
 from .sieve import HYPOTHESES, SieveContext, run as run_sieve
@@ -95,7 +95,7 @@ def _prime_at_least_3(value, field: str) -> int:
     q = _strict_int(value, field, minimum=2)
     if q == 2:
         raise ConfigError(field, "p = 2 is not supported; use an odd prime")
-    if _prime_factors(q) != [q]:
+    if not is_prime(q):
         raise ConfigError(field, "%d is not prime" % q)
     return q
 

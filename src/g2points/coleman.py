@@ -28,8 +28,9 @@ from .curve import (
 from .jacobian import (
     MumfordDivisor,
     divisor_support,
+    element_order,
     embed_point,
-    enumerate_Fp_jacobian,
+    jacobian_order,
     reduce_divisor,
     scalar_mul,
 )
@@ -234,19 +235,12 @@ def _base_value(val):
 
 
 def log_jacobian(C: HyperellipticCurve, D: MumfordDivisor, p: int,
-                 m_hint: int | None = None,
                  rel: int = DEFAULT_PRECISION) -> LogVector:
     """Logarithm of the class of D: (1/m) * tiny integrals along m*D, where
     m is the order of the reduction of D in J(F_p)."""
     if not C.good_reduction(p):
         raise ValueError("the logarithm needs a prime of good reduction")
-    dbar = reduce_divisor(C, D, p, rel)
-    if m_hint is None:
-        m = enumerate_Fp_jacobian(C, p).element_order(dbar)
-    else:
-        m = int(m_hint)
-        if m < 1 or not scalar_mul(C, m, dbar).is_identity():
-            raise ValueError("m_hint does not kill the reduced class")
+    m = element_order(C, reduce_divisor(C, D, p, rel), jacobian_order(C, p))
     # a rational D keeps the exact ladder: no capped-precision pivots, and
     # a torsion class dies to the exact identity, not an uncertifiable zero
     l1, l2 = _kernel_log(C, scalar_mul(C, m, D), p, rel)

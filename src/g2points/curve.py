@@ -364,11 +364,13 @@ def _linv(F, a, n):
 
 
 def _lpolyval(F, poly_coeffs, s, n):
-    """poly(s(t)) truncated to n coefficients."""
-    acc = _lzero(F, n)
-    for c in reversed(poly_coeffs):
+    """poly(s(t)) truncated to n coefficients.  Horner starts from the
+    leading coefficient, and a constant meeting an exact-zero acc[0] is
+    copied: the add would return it unchanged."""
+    acc = [poly_coeffs[-1]]
+    for c in reversed(poly_coeffs[:-1]):
         acc = _lmul(F, acc, s, n)
-        acc[0] = acc[0] + c
+        acc[0] = c if acc[0].is_exact_zero() else acc[0] + c
     return acc
 
 

@@ -182,37 +182,18 @@ def curve_preimage(C: HyperellipticCurve, D: MumfordDivisor, P0: CurvePoint):
     return None
 
 
-# -- F_p enumeration ---------------------------------------------------------
+# -- the groups J(F_q) ------------------------------------------------------
 
 class FpJacobian:
     """The full group J(F_p): element list, order, exponent."""
 
-    __slots__ = ("curve", "prime", "elements", "order", "exponent", "_index")
+    __slots__ = ("prime", "elements", "order", "exponent")
 
-    def __init__(self, curve, prime, elements, order, exponent):
-        self.curve = curve
+    def __init__(self, prime, elements, order, exponent):
         self.prime = prime
         self.elements = elements
         self.order = order
         self.exponent = exponent
-        self._index = {el.key(): i for i, el in enumerate(elements)}
-
-    def index_of(self, D: MumfordDivisor) -> int:
-        return self._index[D.key()]
-
-    def __contains__(self, D: MumfordDivisor) -> bool:
-        return D.key() in self._index
-
-    def element_order(self, D: MumfordDivisor) -> int:
-        """Order of D, via the factored group order."""
-        ident = MumfordDivisor.identity(D.domain)
-        o = self.order
-        for q in _prime_factors(self.order):
-            while o % q == 0 and scalar_mul(self.curve, o // q, D) == ident:
-                o //= q
-        if not scalar_mul(self.curve, o, D) == ident:
-            raise ArithmeticError("order routine failed Lagrange check")
-        return o
 
 
 def _prime_factors(n: int):
@@ -229,12 +210,32 @@ def _prime_factors(n: int):
     return out
 
 
+def element_order(C: HyperellipticCurve, D: MumfordDivisor, n: int) -> int:
+    """Order of D, given a multiple n of it: one descent over n's primes."""
+    o = n
+    for q in _prime_factors(n):
+        while o % q == 0 and scalar_mul(C, o // q, D).is_identity():
+            o //= q
+    if not scalar_mul(C, o, D).is_identity():
+        raise ValueError("%d is not a multiple of the element's order" % n)
+    return o
+
+
+def jacobian_order(C: HyperellipticCurve, q: int) -> int:
+    """|J(F_q)| from the zeta identity, built from |C(F_q)| and
+    |C(F_{q^2})|."""
+    if not C.good_reduction(q):
+        raise ValueError("curve has bad reduction at %d" % q)
+    s1 = q + 1 - count_Fp_points(C, q)
+    s2 = (s1 * s1 - (q * q + 1 - count_Fp2_points(C, q))) // 2
+    return 1 - s1 + s2 - q * s1 + q * q
+
+
 _enumeration_cache: dict = {}
 
 
 def enumerate_Fp_jacobian(C: HyperellipticCurve, p: int) -> FpJacobian:
-    """All Mumford pairs over F_p, cross-checked against the zeta identity
-    built from |C(F_p)| and |C(F_{p^2})|."""
+    """All Mumford pairs over F_p, cross-checked against jacobian_order."""
     ck = (tuple(C.f_coeffs), p)
     if ck in _enumeration_cache:
         return _enumeration_cache[ck]
@@ -270,28 +271,18 @@ def enumerate_Fp_jacobian(C: HyperellipticCurve, p: int) -> FpJacobian:
                     els.append(MumfordDivisor(dom, u, poly_trim(dom, [v0, v1])))
 
     order = len(els)
-    n1 = count_Fp_points(C, p)
-    n2 = count_Fp2_points(C, p)
-    s1 = p + 1 - n1
-    s2 = (s1 * s1 - (p * p + 1 - n2)) // 2
-    zeta_order = 1 - s1 + s2 - p * s1 + p * p
+    zeta_order = jacobian_order(C, p)
     if order != zeta_order:
         raise ArithmeticError(
             "enumeration found %d elements but zeta identity gives %d"
             % (order, zeta_order))
 
-    ident = els[0]
     exponent = 1
-    factors = _prime_factors(order)
     for el in els:
-        if scalar_mul(C, exponent, el) == ident:
-            continue
-        o = order
-        for q in factors:
-            while o % q == 0 and scalar_mul(C, o // q, el) == ident:
-                o //= q
-        exponent = exponent * o // math.gcd(exponent, o)
-    J = FpJacobian(C, p, els, order, exponent)
+        if not scalar_mul(C, exponent, el).is_identity():
+            o = element_order(C, el, order)
+            exponent = exponent * o // math.gcd(exponent, o)
+    J = FpJacobian(p, els, order, exponent)
     _enumeration_cache[ck] = J
     return J
 
@@ -428,7 +419,4 @@ def torsion_multiple_bound(C: HyperellipticCurve, primes) -> int:
     primes = list(primes)
     if not primes:
         raise ValueError("need at least one good odd prime")
-    g = 0
-    for q in primes:
-        g = math.gcd(g, enumerate_Fp_jacobian(C, q).order)
-    return g
+    return math.gcd(*(jacobian_order(C, q) for q in primes))

@@ -20,8 +20,8 @@ from .coleman import (annihilating_form, disc_zero_count, log_jacobian,
                       transversality_certificate)
 from .curve import (CurvePoint, HyperellipticCurve, fp_curve_points,
                     is_on_curve, reduce_point)
-from .jacobian import (MumfordDivisor, _prime_factors, cantor_add,
-                       curve_preimage, enumerate_Fp_jacobian, reduce_divisor,
+from .jacobian import (MumfordDivisor, cantor_add, curve_preimage,
+                       element_order, enumerate_Fp_jacobian, reduce_divisor,
                        scalar_mul, torsion_multiple_bound)
 from .padic import (DEFAULT_PRECISION, InconclusiveTruncationError,
                     PrecisionLossError, strassmann_count, vp,
@@ -69,9 +69,8 @@ class SieveContext:
             D.validate(curve)
             if order < 1 or not scalar_mul(curve, order, D).is_identity():
                 raise ValueError("torsion element misses its claimed order")
-            for f in _prime_factors(order):
-                if scalar_mul(curve, order // f, D).is_identity():
-                    raise ValueError("claimed torsion order is not minimal")
+            if element_order(curve, D, order) != order:
+                raise ValueError("claimed torsion order is not minimal")
             tor.append((D, order))
         self.torsion = tuple(tor)
         bnd = torsion_multiple_bound(curve, (prime,) + self.aux_primes)
@@ -113,53 +112,52 @@ class PointRecord:
 
 
 class ImageData:
-    """J(F_q) together with the curve image and reduced generator data."""
+    """J(F_q) together with the curve image and reduced generator data.
+    F_q classes are held by their MumfordDivisor.key()."""
 
     __slots__ = ("prime", "jacobian", "curve_image", "gamma_order",
-                 "_class_index")
+                 "_class_key")
 
-    def __init__(self, prime, jacobian, curve_image, gamma_order,
-                 class_index):
+    def __init__(self, prime, jacobian, curve_image, gamma_order, class_key):
         self.prime = prime
         self.jacobian = jacobian
         self.curve_image = curve_image
         self.gamma_order = gamma_order
-        self._class_index = class_index
+        self._class_key = class_key
 
-    def class_index(self, s: int, label) -> int:
-        return self._class_index[(s % self.gamma_order, label)]
+    def class_key(self, s: int, label):
+        return self._class_key[(s % self.gamma_order, label)]
 
     def survives(self, s: int, label) -> bool:
-        return self.class_index(s, label) in self.curve_image
+        return self.class_key(s, label) in self.curve_image
 
 
 def build_images(ctx: SieveContext, q: int) -> ImageData:
-    """Enumerate J(F_q), the image of C(F_q) in it, and the indices of
-    every class s*gamma + t against the reduced generator's order."""
+    """The image of C(F_q) in J(F_q) and the class of every s*gamma + t,
+    s taken mod the reduced generator's order."""
     C = ctx.curve
     jac = enumerate_Fp_jacobian(C, q)
     fdom = PrimeFieldDomain(q)
     image = set()
     for c in fp_curve_points(C, q):
         if c == "infinity":
-            image.add(jac.index_of(MumfordDivisor.identity(fdom)))
+            image.add(MumfordDivisor.identity(fdom).key())
         else:
             x, y = c
-            image.add(jac.index_of(
-                MumfordDivisor(fdom, [(-x) % q, 1], [y % q])))
+            image.add(MumfordDivisor(fdom, [(-x) % q, 1], [y % q]).key())
     gbar = reduce_divisor(C, ctx.gamma, q)
-    m = jac.element_order(gbar)
+    m = element_order(C, gbar, jac.order)
     tbars = [reduce_divisor(C, T, q) for T, _ in ctx.torsion]
-    class_index = {}
+    class_key = {}
     for label in ctx.torsion_labels():
         e = MumfordDivisor.identity(fdom)
         for tbar, t in zip(tbars, label):
             if t:
                 e = cantor_add(C, e, scalar_mul(C, t, tbar))
         for s in range(m):
-            class_index[(s, label)] = jac.index_of(e)
+            class_key[(s, label)] = e.key()
             e = cantor_add(C, e, gbar)
-    return ImageData(q, jac, frozenset(image), m, class_index)
+    return ImageData(q, jac, frozenset(image), m, class_key)
 
 
 class SieveState:
@@ -348,10 +346,10 @@ def _excise_found_classes(ctx, state, n):
     for rec in state.found:
         if not (rec.criterion or rec.zero_count == 1):
             continue
-        target = img.class_index(rec.s, rec.label)
+        target = img.class_key(rec.s, rec.label)
         kept = set()
         for s in state.survivors[rec.label]:
-            if (img.class_index(s, rec.label) == target
+            if (img.class_key(s, rec.label) == target
                     and vp(s - rec.s, ctx.prime) + vg >= n):
                 excised += 1
             else:

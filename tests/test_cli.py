@@ -118,6 +118,12 @@ class TestParseConfig:
             parse_config(_variant(aux_primes=[11, 9]))
         assert info.value.field == "aux_primes[1]"
 
+    def test_large_aux_prime_checked_without_trial_division(self):
+        q = 2 ** 61 - 1
+        assert parse_config(_variant(aux_primes=[q])).aux_primes == (q,)
+        with pytest.raises(ConfigError, match="%d is not prime" % (q + 2)):
+            parse_config(_variant(aux_primes=[q + 2]))
+
     def test_generator_off_jacobian(self):
         with pytest.raises(ConfigError, match="generator"):
             parse_config(_variant(

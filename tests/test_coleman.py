@@ -46,9 +46,8 @@ KNOWN = [INF, aff(0, 0), aff(1, 0), aff(2, 0), aff(5, 0), aff(6, 0),
          aff(3, 6), aff(3, -6), aff(10, 120), aff(10, -120)]
 
 
-def retry_log(C, D, p, m_hint=None):
-    return with_precision_retry(
-        lambda r: log_jacobian(C, D, p, m_hint=m_hint, rel=r), 20, 3)
+def retry_log(C, D, p):
+    return with_precision_retry(lambda r: log_jacobian(C, D, p, rel=r), 20, 3)
 
 
 def vec_agree(A, B):
@@ -195,14 +194,6 @@ class TestLogJacobian:
                 D = cantor_add(C, D, T)
             L = retry_log(C, D, 7)
             assert vec_agree(L, L7 * (a + b))
-
-    def test_m_hint_consistency(self, C, gamma, L7):
-        assert vec_agree(log_jacobian(C, gamma, 7, m_hint=6), L7)
-        assert vec_agree(retry_log(C, gamma, 7, m_hint=12), L7)
-
-    def test_m_hint_rejected_when_wrong(self, C, gamma):
-        with pytest.raises(ValueError):
-            log_jacobian(C, gamma, 7, m_hint=5)
 
     def test_padic_domain_input(self, C, gamma, L7):
         dom = PadicDomain(7, 20)

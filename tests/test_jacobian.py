@@ -12,10 +12,11 @@ from fractions import Fraction
 import pytest
 
 from g2points.curve import CurvePoint, HyperellipticCurve
-from g2points.jacobian import (FpJacobian, MumfordDivisor, cantor_add,
-                               curve_preimage, embed_point,
-                               enumerate_Fp_jacobian, reduce_divisor,
-                               scalar_mul, torsion_multiple_bound)
+from g2points.jacobian import (MumfordDivisor, cantor_add, curve_preimage,
+                               element_order, embed_point,
+                               enumerate_Fp_jacobian, jacobian_order,
+                               reduce_divisor, scalar_mul,
+                               torsion_multiple_bound)
 from g2points.oracle import exhaustive_jacobian, naive_rational_points
 from g2points.polys import (PadicDomain, PrimeFieldDomain, RationalDomain,
                             poly_lift, poly_mod, poly_mul, poly_neg, poly_add,
@@ -219,19 +220,39 @@ class TestEnumeration:
         rng = random.Random(11)
         for _ in range(25):
             el = rng.choice(J.elements)
-            assert J.order % J.element_order(el) == 0
+            assert J.order % element_order(C, el, J.order) == 0
+
+    @pytest.mark.parametrize("f_coeffs, p", [(FLYNN, 7), (CURVE2, 3)])
+    def test_element_order_is_least_killing_multiple(self, f_coeffs, p):
+        # against the smallest k >= 1 with k.D = 0, by repeated addition
+        D = HyperellipticCurve(f_coeffs)
+        J = enumerate_Fp_jacobian(D, p)
+        for el in J.elements:
+            k, acc = 1, el
+            while not acc.is_identity():
+                k, acc = k + 1, cantor_add(D, acc, el)
+            assert element_order(D, el, J.order) == k
+
+    def test_element_order_rejects_a_non_multiple(self, C, gamma):
+        gbar = reduce_divisor(C, gamma, 7)
+        with pytest.raises(ValueError, match="not a multiple"):
+            element_order(C, gbar, 4)
 
     def test_bad_prime_rejected(self, C):
         with pytest.raises(ValueError):
             enumerate_Fp_jacobian(C, 5)
+        with pytest.raises(ValueError):
+            jacobian_order(C, 5)
 
     def test_matches_pair_counting_oracle(self, C):
         for p in (7, 11):
             J = enumerate_Fp_jacobian(C, p)
             assert (J.order, J.exponent) == exhaustive_jacobian(C, p)
+            assert jacobian_order(C, p) == J.order
         D = HyperellipticCurve(CURVE2)
         J3 = enumerate_Fp_jacobian(D, 3)
         assert (J3.order, J3.exponent) == exhaustive_jacobian(D, 3)
+        assert jacobian_order(D, 3) == J3.order
 
 
 class TestReduction:
@@ -253,7 +274,7 @@ class TestReduction:
 
     def test_reduced_generator_order(self, C, gamma):
         J = enumerate_Fp_jacobian(C, 7)
-        assert J.element_order(reduce_divisor(C, gamma, 7)) == 6
+        assert element_order(C, reduce_divisor(C, gamma, 7), J.order) == 6
 
     def test_homomorphism_random_pairs(self, C):
         pool = rational_pool(C)
@@ -309,9 +330,9 @@ class TestReduction:
             reduce_divisor(C, gamma, 5)
 
     def test_reduction_lands_in_group(self, C):
-        J7 = enumerate_Fp_jacobian(C, 7)
+        keys = {el.key() for el in enumerate_Fp_jacobian(C, 7).elements}
         for D in rational_pool(C):
-            assert reduce_divisor(C, D, 7) in J7
+            assert reduce_divisor(C, D, 7).key() in keys
 
 
 class TestTorsionBound:
