@@ -12,8 +12,9 @@ import math
 from fractions import Fraction
 
 from .curve import (FP_INFINITY, CurvePoint, HyperellipticCurve, count_Fp_points,
-                    count_Fp2_points, reduce_point)
-from .padic import DEFAULT_PRECISION, PadicNumber, QuadExtension, padic_sqrt
+                    count_Fp2_points, fp_curve_points, reduce_point)
+from .padic import (DEFAULT_PRECISION, PadicNumber, QuadExtension, padic_sqrt,
+                    sqrt_mod_p)
 from .polys import (PadicDomain, PrimeFieldDomain, QuadExtDomain,
                     RationalDomain, poly_add, poly_degree_certified,
                     poly_divexact, poly_eq, poly_lift, poly_mod, poly_monic,
@@ -246,13 +247,7 @@ def enumerate_Fp_jacobian(C: HyperellipticCurve, p: int) -> FpJacobian:
     dom = PrimeFieldDomain(p)
     f = poly_lift(dom, C.f_coeffs)
     els = [MumfordDivisor.identity(dom)]
-
-    for u0 in range(p):
-        fx = 0
-        for c in reversed(f):
-            fx = (fx * (-u0) + c) % p
-        for y in _sqrts_mod(fx, p):
-            els.append(MumfordDivisor(dom, [u0, 1], [y] if y else []))
+    els += [_fp_point_class(dom, x, y) for x, y in fp_curve_points(C, p)[1:]]
 
     for u1 in range(p):
         for u0 in range(p):
@@ -262,9 +257,11 @@ def enumerate_Fp_jacobian(C: HyperellipticCurve, p: int) -> FpJacobian:
             r1 = r[1] if len(r) > 1 else 0
             # v = v1 x + v0 with v^2 = f mod u:
             #   2 v1 v0 - v1^2 u1 = r1 and v0^2 - v1^2 u0 = r0
-            if r1 == 0:
-                for v0 in _sqrts_mod(r0, p):
-                    els.append(MumfordDivisor(dom, u, [v0] if v0 else []))
+            v0 = sqrt_mod_p(r0, p) if r1 == 0 else None
+            if v0 is not None:
+                els.append(MumfordDivisor(dom, u, [v0] if v0 else []))
+                if v0:
+                    els.append(MumfordDivisor(dom, u, [p - v0]))
             for v1 in range(1, p):
                 v0 = (r1 + v1 * v1 % p * u1) * pow(2 * v1, -1, p) % p
                 if (v0 * v0 - v1 * v1 % p * u0) % p == r0:
@@ -285,17 +282,6 @@ def enumerate_Fp_jacobian(C: HyperellipticCurve, p: int) -> FpJacobian:
     J = FpJacobian(p, els, order, exponent)
     _enumeration_cache[ck] = J
     return J
-
-
-def _sqrts_mod(a, p):
-    from .padic import legendre_symbol, sqrt_mod_p
-    a %= p
-    if a == 0:
-        return [0]
-    if legendre_symbol(a, p) != 1:
-        return []
-    y = sqrt_mod_p(a, p)
-    return [y, p - y]
 
 
 # -- reduction J(Q) -> J(F_p) ------------------------------------------------
@@ -346,8 +332,9 @@ def divisor_support(D: MumfordDivisor, p: int, rel: int):
 def reduce_divisor(C: HyperellipticCurve, D: MumfordDivisor, p: int,
                    rel: int = DEFAULT_PRECISION) -> MumfordDivisor:
     """Reduce a divisor class to J(F_p), pointwise: reduce the support
-    points of divisor_support and re-assemble the F_p class.  Points with
-    v(x) < 0 drop to infinity.  D may be given over Q or over Q_p itself."""
+    points of divisor_support and sum their F_p point classes with
+    cantor_add.  Points with v(x) < 0 drop to infinity.  D may be given
+    over Q or over Q_p itself."""
     if not C.good_reduction(p):
         raise ValueError("curve has bad reduction at %d" % p)
     fdom = PrimeFieldDomain(p)
@@ -361,16 +348,16 @@ def reduce_divisor(C: HyperellipticCurve, D: MumfordDivisor, p: int,
               if r != FP_INFINITY]
     if not labels:
         return MumfordDivisor.identity(fdom)
-    if len(labels) == 1:
-        return _fp_point_class(fdom, *labels[0])
-    a, b = labels
-    if a == b:
-        return _doubled_point_class(C, fdom, *a)
-    if a[0] == "ext" and a[3] != 0:
-        return _conjugate_pair_class(C, fdom, a)  # x-bar lies outside F_p
-    if a[0] != b[0]:
-        return _chord_class(fdom, [a[0], b[0]], [a[1], b[1]])
-    return MumfordDivisor.identity(fdom)  # an involution pair
+    if labels[0][0] == "ext":
+        # a conjugate pair over F_{p^2}; when x-bar lies in F_p it is an
+        # involution pair {P, -P}
+        if labels[0][3] != 0:
+            return _conjugate_pair_class(C, fdom, labels[0])
+        return MumfordDivisor.identity(fdom)
+    out = _fp_point_class(fdom, *labels[0])
+    for xr, yr in labels[1:]:
+        out = cantor_add(C, out, _fp_point_class(fdom, xr, yr))
+    return out
 
 
 def _conjugate_pair_class(C, fdom, label):
@@ -388,29 +375,6 @@ def _conjugate_pair_class(C, fdom, label):
 
 def _fp_point_class(fdom, xr, yr):
     return MumfordDivisor(fdom, [(-xr) % fdom.p, 1], [yr] if yr else [])
-
-
-def _chord_class(fdom, xr, yr):
-    p = fdom.p
-    slope = (yr[0] - yr[1]) * pow(xr[0] - xr[1], -1, p) % p
-    v0 = (yr[0] - slope * xr[0]) % p
-    u = [xr[0] * xr[1] % p, (-(xr[0] + xr[1])) % p, 1]
-    return MumfordDivisor(fdom, u, poly_trim(fdom, [v0, slope]))
-
-
-def _doubled_point_class(C, fdom, xr, yr):
-    p = fdom.p
-    if yr == 0:
-        return MumfordDivisor.identity(fdom)  # doubled Weierstrass point
-    fprime = 0
-    for c in reversed(C.fprime_coeffs()):
-        fprime = (fprime * xr + c) % p
-    slope = fprime * pow(2 * yr, -1, p) % p
-    u = [xr * xr % p, (-2 * xr) % p, 1]
-    v0 = (yr - slope * xr) % p
-    out = MumfordDivisor(fdom, u, poly_trim(fdom, [v0, slope]))
-    out.validate(C)
-    return out
 
 
 def torsion_multiple_bound(C: HyperellipticCurve, primes) -> int:

@@ -242,12 +242,8 @@ def poly_degree_certified(dom, a):
 
 
 def poly_add(dom, a, b):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else dom.zero()
-        y = b[i] if i < len(b) else dom.zero()
-        out.append(dom.add(x, y))
+    n = min(len(a), len(b))
+    out = [dom.add(x, y) for x, y in zip(a, b)] + a[n:] + b[n:]
     return poly_trim(dom, out)
 
 
@@ -262,13 +258,16 @@ def poly_neg(dom, a):
 def poly_mul(dom, a, b):
     if not a or not b:
         return []
-    out = [dom.zero() for _ in range(len(a) + len(b) - 1)]
+    # each coefficient starts from its first product: a sum that starts
+    # from zero costs one wasted add per coefficient over Q_p
+    out = [None] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if dom.is_zero(x):
             continue
         for j, y in enumerate(b):
-            out[i + j] = dom.add(out[i + j], dom.mul(x, y))
-    return poly_trim(dom, out)
+            t = dom.mul(x, y)
+            out[i + j] = t if out[i + j] is None else dom.add(out[i + j], t)
+    return poly_trim(dom, [dom.zero() if c is None else c for c in out])
 
 
 def poly_scale(dom, c, a):

@@ -44,7 +44,8 @@ class SieveContext:
 
     The generator is certified non-torsion (a torsion multiple bound
     from the configured primes must not kill it); every torsion element
-    must be on the Jacobian with exactly its claimed order.  Primes of
+    must be on the Jacobian with exactly its claimed order, which must
+    divide that bound.  Primes of
     bad reduction are silently dropped from the auxiliary list.
     """
 
@@ -64,16 +65,24 @@ class SieveContext:
         self.prime = prime
         self.aux_primes = tuple(q for q in sorted(set(aux_primes))
                                 if q != prime and curve.good_reduction(q))
+        bnd = torsion_multiple_bound(curve, (prime,) + self.aux_primes)
         tor = []
         for D, order in torsion:
             D.validate(curve)
-            if order < 1 or not scalar_mul(curve, order, D).is_identity():
-                raise ValueError("torsion element misses its claimed order")
-            if element_order(curve, D, order) != order:
+            # a rational torsion order divides bnd; checking that first
+            # keeps a huge claimed order from being factored
+            if order < 1 or bnd % order:
+                raise ValueError("claimed torsion order %d does not divide "
+                                 "the torsion bound %d" % (order, bnd))
+            try:
+                o = element_order(curve, D, order)
+            except ValueError:
+                raise ValueError("torsion element misses its claimed "
+                                 "order") from None
+            if o != order:
                 raise ValueError("claimed torsion order is not minimal")
             tor.append((D, order))
         self.torsion = tuple(tor)
-        bnd = torsion_multiple_bound(curve, (prime,) + self.aux_primes)
         if scalar_mul(curve, bnd, gamma).is_identity():
             raise ValueError("generator is torsion: killed by the bound %d"
                              % bnd)
@@ -112,29 +121,26 @@ class PointRecord:
 
 
 class ImageData:
-    """J(F_q) together with the curve image and reduced generator data.
-    F_q classes are held by their MumfordDivisor.key()."""
+    """What the sieve reads from J(F_q): its order and exponent, the size
+    of the curve image, the order m of the reduced generator, and per
+    torsion label t the residues s < m with s*gamma + t on the image."""
 
-    __slots__ = ("prime", "jacobian", "curve_image", "gamma_order",
-                 "_class_key")
+    __slots__ = ("prime", "order", "exponent", "image_size", "gamma_order",
+                 "residues")
 
-    def __init__(self, prime, jacobian, curve_image, gamma_order, class_key):
+    def __init__(self, prime, order, exponent, image_size, gamma_order,
+                 residues):
         self.prime = prime
-        self.jacobian = jacobian
-        self.curve_image = curve_image
+        self.order = order
+        self.exponent = exponent
+        self.image_size = image_size
         self.gamma_order = gamma_order
-        self._class_key = class_key
-
-    def class_key(self, s: int, label):
-        return self._class_key[(s % self.gamma_order, label)]
-
-    def survives(self, s: int, label) -> bool:
-        return self.class_key(s, label) in self.curve_image
+        self.residues = residues
 
 
 def build_images(ctx: SieveContext, q: int) -> ImageData:
-    """The image of C(F_q) in J(F_q) and the class of every s*gamma + t,
-    s taken mod the reduced generator's order."""
+    """The image of C(F_q) in J(F_q), and per torsion label the residues
+    s mod the reduced generator's order that land on it."""
     C = ctx.curve
     jac = enumerate_Fp_jacobian(C, q)
     fdom = PrimeFieldDomain(q)
@@ -148,16 +154,19 @@ def build_images(ctx: SieveContext, q: int) -> ImageData:
     gbar = reduce_divisor(C, ctx.gamma, q)
     m = element_order(C, gbar, jac.order)
     tbars = [reduce_divisor(C, T, q) for T, _ in ctx.torsion]
-    class_key = {}
+    residues = {}
     for label in ctx.torsion_labels():
         e = MumfordDivisor.identity(fdom)
         for tbar, t in zip(tbars, label):
             if t:
                 e = cantor_add(C, e, scalar_mul(C, t, tbar))
+        hits = set()
         for s in range(m):
-            class_key[(s, label)] = e.key()
+            if e.key() in image:
+                hits.add(s)
             e = cantor_add(C, e, gbar)
-    return ImageData(q, jac, frozenset(image), m, class_key)
+        residues[label] = frozenset(hits)
+    return ImageData(q, jac.order, jac.exponent, len(image), m, residues)
 
 
 class SieveState:
@@ -215,17 +224,19 @@ def initial_state(ctx: SieveContext) -> SieveState:
     for q in (ctx.prime,) + ctx.aux_primes:
         img = images[q]
         state.trace.append({"step": "images", "prime": q,
-                            "order": img.jacobian.order,
-                            "exponent": img.jacobian.exponent,
-                            "curve_image_size": len(img.curve_image)})
+                            "order": img.order,
+                            "exponent": img.exponent,
+                            "curve_image_size": img.image_size})
     return state
 
 
 def sieve_pass(ctx: SieveContext, state: SieveState, q: int) -> SieveState:
     """Keep exactly the classes whose image at q lands on the curve."""
     img = state.images[q]
+    m = img.gamma_order
     for label, sset in state.survivors.items():
-        state.survivors[label] = {s for s in sset if img.survives(s, label)}
+        res = img.residues[label]
+        state.survivors[label] = {s for s in sset if s % m in res}
     state.trace.append({"step": "sieve_pass", "prime": q,
                         "survivors": state.survivor_count()})
     return state
@@ -337,8 +348,9 @@ def _excise_found_classes(ctx, state, n):
     # rational point: its members differ from [Q - inf] by an element of
     # the level-n kernel, and Q's certificate says that sub-disc holds a
     # single zero.  N is already a multiple of exp(J(Q_p)/J^n), so the
-    # test is representative-independent.
-    img = state.images[ctx.prime]
+    # test is representative-independent.  Two classes of one label match
+    # at p exactly when their s agree mod the reduced generator's order.
+    m = state.images[ctx.prime].gamma_order
     vg = _log_floor(state.gamma_log)
     if vg is None:
         return 0
@@ -346,11 +358,9 @@ def _excise_found_classes(ctx, state, n):
     for rec in state.found:
         if not (rec.criterion or rec.zero_count == 1):
             continue
-        target = img.class_key(rec.s, rec.label)
         kept = set()
         for s in state.survivors[rec.label]:
-            if (img.class_key(s, rec.label) == target
-                    and vp(s - rec.s, ctx.prime) + vg >= n):
+            if (s - rec.s) % m == 0 and vp(s - rec.s, ctx.prime) + vg >= n:
                 excised += 1
             else:
                 kept.add(s)
@@ -389,7 +399,7 @@ def deepen(ctx: SieveContext, state: SieveState) -> SieveState:
         state.disc_certs[disc] = cert
         if cert is None or not cert.resolved:
             unresolved.append(disc)
-    newN = math.lcm(state.N, state.images[p].jacobian.exponent * p ** (n - 1))
+    newN = math.lcm(state.N, state.images[p].exponent * p ** (n - 1))
     if newN != state.N:
         step = state.N
         for label, sset in state.survivors.items():

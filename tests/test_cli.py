@@ -177,6 +177,16 @@ class TestRunJob:
         assert any("not minimal" in d for d in rep.diagnostics)
         assert "diagnostic:" in emit_report(rep, "human")
 
+    def test_huge_torsion_order_is_an_error_status(self):
+        # the (0, 0) entry claims 2 * (2^61 - 1), which the torsion bound 16
+        # does not divide; it is refused without being factored
+        job = json.loads(_fixture("flynn.json"))
+        job["torsion"][0]["order"] = 2 * (2 ** 61 - 1)
+        rep = run_job(parse_config(json.dumps(job)))
+        assert rep.status == "error"
+        assert any("does not divide the torsion bound" in d
+                   for d in rep.diagnostics)
+
     def test_unexpected_exception_is_an_error_status(self, flynn_config,
                                                      monkeypatch):
         import g2points.cli as cli

@@ -6,6 +6,7 @@ path must reproduce them, and the zeta identity is checked inside
 enumerate_Fp_jacobian itself.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,7 +18,8 @@ from g2points.jacobian import (MumfordDivisor, cantor_add, curve_preimage,
                                enumerate_Fp_jacobian, jacobian_order,
                                reduce_divisor, scalar_mul,
                                torsion_multiple_bound)
-from g2points.oracle import exhaustive_jacobian, naive_rational_points
+from g2points.oracle import (_mini_add, exhaustive_jacobian,
+                             naive_rational_points)
 from g2points.polys import (PadicDomain, PrimeFieldDomain, RationalDomain,
                             poly_lift, poly_mod, poly_mul, poly_neg, poly_add,
                             poly_trim)
@@ -324,6 +326,25 @@ class TestReduction:
                 Dq = MumfordDivisor(dom, poly_lift(dom, D.u),
                                     poly_lift(dom, D.v))
                 assert reduce_divisor(C, Dq, q) == reduce_divisor(C, D, q)
+
+    def test_point_pairs_match_the_oracle_group_law(self, C):
+        # [P + Q - 2 inf] for every pair of rational points, reduced, against
+        # the oracle's sum of the reduced [P - inf] and [Q - inf]; mod 7
+        # this meets chords, tangents, involution pairs and doubled
+        # Weierstrass points
+        pts = naive_rational_points(C, 12)
+        assert len(pts) == 10
+        classes = [embed_point(C, P, CurvePoint.infinity()) for P in pts]
+        for p in (7, 11, 13):
+            f = [c % p for c in FLYNN]
+            single = [reduce_divisor(C, D, p) for D in classes]
+            for i, j in itertools.combinations_with_replacement(
+                    range(len(pts)), 2):
+                got = reduce_divisor(C, cantor_add(C, classes[i],
+                                                   classes[j]), p)
+                want = _mini_add((single[i].u, single[i].v),
+                                 (single[j].u, single[j].v), f, p)
+                assert (got.u, got.v) == want, (pts[i], pts[j], p)
 
     def test_bad_prime_rejected(self, C, gamma):
         with pytest.raises(ValueError):

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 from g2points.coleman import single_point_criterion
-from g2points.curve import CurvePoint, HyperellipticCurve
-from g2points.jacobian import MumfordDivisor
+from g2points.curve import CurvePoint, HyperellipticCurve, fp_curve_points
+from g2points.jacobian import (MumfordDivisor, cantor_add, reduce_divisor,
+                               scalar_mul)
 from g2points import sieve
 from g2points.padic import PrecisionLossError, strassmann_count
-from g2points.polys import RationalDomain
+from g2points.polys import PrimeFieldDomain, RationalDomain
 from g2points.sieve import (HYPOTHESES, SieveContext, SieveState,
                             _certify_transversality, _with_budget,
                             build_images, deepen, initial_state, run,
@@ -94,6 +95,17 @@ class TestContext:
         with pytest.raises(ValueError, match="not minimal"):
             SieveContext(curve, _gamma(), torsion=(T0,), prime=7)
 
+    def test_order_off_the_torsion_bound_rejected(self, curve):
+        # 2 * (2^61 - 1) is 14 mod the bound 16, so it is refused before
+        # it is ever factored
+        dom = RationalDomain()
+        T0 = (MumfordDivisor(dom, [Fraction(0), Fraction(1)], []),
+              2 * (2 ** 61 - 1))
+        with pytest.raises(ValueError,
+                           match="does not divide the torsion bound"):
+            SieveContext(curve, _gamma(), torsion=(T0,), prime=7,
+                         aux_primes=AUX)
+
     def test_bad_reduction_prime_rejected(self, curve):
         with pytest.raises(ValueError, match="good reduction"):
             SieveContext(curve, _gamma(), prime=5)
@@ -116,19 +128,41 @@ class TestImages:
     def test_group_data_and_image_sizes(self, ctx, sieved):
         for q, (order, exp, image, gorder) in self.EXPECTED.items():
             img = sieved.images[q]
-            assert img.jacobian.order == order
-            assert img.jacobian.exponent == exp
-            assert len(img.curve_image) == image
+            assert img.order == order
+            assert img.exponent == exp
+            assert img.image_size == image
             assert img.gamma_order == gorder
 
     def test_identity_class_holds_infinity(self, sieved):
         for q in (7,) + AUX:
-            assert sieved.images[q].survives(0, (0, 0, 0, 0))
+            assert 0 in sieved.images[q].residues[(0, 0, 0, 0)]
 
     def test_rebuild_matches(self, ctx, sieved):
         img = build_images(ctx, 7)
         assert img.gamma_order == sieved.images[7].gamma_order
-        assert img.curve_image == sieved.images[7].curve_image
+        assert img.residues == sieved.images[7].residues
+
+    def test_residues_are_the_curve_image(self, ctx, curve, sieved):
+        # each class s*gamma + t formed on its own by scalar_mul, tested
+        # against the points of C(F_q) read off the Mumford pair
+        for q in (7,) + AUX:
+            img = sieved.images[q]
+            points = set(fp_curve_points(curve, q)[1:])
+            gbar = reduce_divisor(curve, ctx.gamma, q)
+            tbars = [reduce_divisor(curve, T, q) for T, _ in ctx.torsion]
+            for label in ctx.torsion_labels():
+                t = MumfordDivisor.identity(PrimeFieldDomain(q))
+                for tbar, k in zip(tbars, label):
+                    t = cantor_add(curve, t, scalar_mul(curve, k, tbar))
+                expected = set()
+                for s in range(img.gamma_order):
+                    E = cantor_add(curve, scalar_mul(curve, s, gbar), t)
+                    if E.is_identity() or (
+                            E.degree() == 1
+                            and ((-E.u[0]) % q, E.v[0] if E.v else 0)
+                            in points):
+                        expected.add(s)
+                assert img.residues[label] == expected, (q, label)
 
 
 class TestPasses:
