@@ -9,7 +9,6 @@ leaves ambiguous.
 """
 
 from .coleman import (
-    AnnihilatingForm,
     DecompositionFailureError,
     DiscCertificate,
     LogVector,
@@ -73,7 +72,6 @@ from .sieve import run as run_sieve
 __all__ = [
     "DEFAULT_PRECISION",
     "HYPOTHESES",
-    "AnnihilatingForm",
     "CurvePoint",
     "DecompositionFailureError",
     "Differential",

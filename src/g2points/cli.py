@@ -39,11 +39,10 @@ class JobConfig:
 
     __slots__ = ("curve", "chabauty_prime", "aux_primes", "generator",
                  "torsion", "search_bound", "precision", "iterations",
-                 "precision_escalations", "rank_one", "simple_jacobian")
+                 "precision_escalations")
 
     def __init__(self, curve, chabauty_prime, aux_primes, generator, torsion,
-                 search_bound, precision, iterations, precision_escalations,
-                 rank_one, simple_jacobian):
+                 search_bound, precision, iterations, precision_escalations):
         self.curve = curve
         self.chabauty_prime = chabauty_prime
         self.aux_primes = aux_primes
@@ -53,8 +52,6 @@ class JobConfig:
         self.precision = precision
         self.iterations = iterations
         self.precision_escalations = precision_escalations
-        self.rank_one = rank_one
-        self.simple_jacobian = simple_jacobian
 
 
 # -- config parsing -----------------------------------------------------------
@@ -198,7 +195,6 @@ def parse_config(text: str) -> JobConfig:
     unknown = set(hyp) - {"rank_one", "simple_jacobian"}
     if unknown:
         raise ConfigError("hypotheses", "unknown key %r" % sorted(unknown)[0])
-    flags = {}
     for key in ("rank_one", "simple_jacobian"):
         val = hyp.get(key, True)
         if not isinstance(val, bool):
@@ -208,14 +204,11 @@ def parse_config(text: str) -> JobConfig:
                 "hypotheses." + key,
                 "the method applies only under this hypothesis; "
                 "declare it true to assert it")
-        flags[key] = val
 
     return JobConfig(curve=curve, chabauty_prime=p, aux_primes=aux_primes,
                      generator=generator, torsion=tuple(torsion),
                      search_bound=bound, precision=precision,
-                     iterations=iterations, precision_escalations=escalations,
-                     rank_one=flags["rank_one"],
-                     simple_jacobian=flags["simple_jacobian"])
+                     iterations=iterations, precision_escalations=escalations)
 
 
 # -- orchestration ------------------------------------------------------------
@@ -321,8 +314,8 @@ def _machine_dict(rep: RunReport) -> dict:
                      "discriminant": cfg.curve.disc},
            "chabauty_prime": cfg.chabauty_prime,
            "aux_primes": list(rep.aux_primes),
-           "hypotheses": {"rank_one": cfg.rank_one,
-                          "simple_jacobian": cfg.simple_jacobian,
+           # parse_config accepts a job only when both are declared true
+           "hypotheses": {"rank_one": True, "simple_jacobian": True,
                           "statements": list(HYPOTHESES),
                           "note": _HYPOTHESIS_NOTE},
            "diagnostics": list(rep.diagnostics),

@@ -53,7 +53,7 @@ class DecompositionFailureError(ArithmeticError):
     """The kernel element does not match any supported support configuration."""
 
 
-# -- logarithm vectors and annihilating forms ------------------------------
+# -- logarithm vectors ------------------------------------------------------
 
 class LogVector:
     """(integral of dx/2y, integral of x dx/2y) along a Jacobian class."""
@@ -63,10 +63,6 @@ class LogVector:
     def __init__(self, l1: PadicNumber, l2: PadicNumber):
         self.l1 = l1
         self.l2 = l2
-
-    @property
-    def prime(self) -> int:
-        return self.l1.prime
 
     def __add__(self, other):
         if not isinstance(other, LogVector):
@@ -87,35 +83,6 @@ class LogVector:
 
     def __repr__(self):
         return "LogVector(%r, %r)" % (self.l1, self.l2)
-
-
-class AnnihilatingForm:
-    """A regular 1-form paired to zero against a fixed logarithm vector."""
-
-    __slots__ = ("differential", "annihilates")
-
-    def __init__(self, differential: Differential, annihilates: LogVector):
-        self.differential = differential
-        self.annihilates = annihilates
-
-    @property
-    def c1(self) -> PadicNumber:
-        return self.differential.c1
-
-    @property
-    def c2(self) -> PadicNumber:
-        return self.differential.c2
-
-    def apply(self, L: LogVector) -> PadicNumber:
-        """Pairing c1 * l1 + c2 * l2."""
-        return self.c1 * L.l1 + self.c2 * L.l2
-
-    def __repr__(self):
-        return "AnnihilatingForm(%r)" % (self.differential,)
-
-
-def _underlying(w) -> Differential:
-    return w.differential if isinstance(w, AnnihilatingForm) else w
 
 
 # -- residue-disc bookkeeping ----------------------------------------------
@@ -159,11 +126,10 @@ def tiny_integral(C: HyperellipticCurve, w, frm: CurvePoint, to: CurvePoint,
     """
     if not C.good_reduction(p):
         raise ValueError("tiny integrals need a prime of good reduction")
-    wd = _underlying(w)
     basis = _basis_integrals(C, frm, to, p, rel)
     if basis is None:
         raise ValueError("endpoints lie in different residue discs")
-    val = wd.c1 * basis[0] + wd.c2 * basis[1]
+    val = w.c1 * basis[0] + w.c2 * basis[1]
     if isinstance(val, QuadExtNumber) and val.b.is_zeroish():
         return val.a
     return val
@@ -332,13 +298,13 @@ def _near_doubled_log(C, delta, mid, disc, p, rel):
 
 # -- annihilating form and transversality -----------------------------------
 
-def annihilating_form(gamma_log: LogVector) -> AnnihilatingForm:
-    """The 1-form (up to scaling) killing the line spanned by gamma_log."""
+def annihilating_form(gamma_log: LogVector) -> Differential:
+    """The normalized 1-form (up to scaling) killing the line spanned by
+    gamma_log."""
     if gamma_log.l1.is_zeroish() and gamma_log.l2.is_zeroish():
         raise ValueError(
             "torsion-generator: the logarithm vector vanishes at precision")
-    w = Differential(gamma_log.l2, -gamma_log.l1).normalized()
-    return AnnihilatingForm(w, gamma_log)
+    return Differential(gamma_log.l2, -gamma_log.l1).normalized()
 
 
 def transversality_certificate(C: HyperellipticCurve, w, Q: CurvePoint, p: int,
@@ -347,7 +313,7 @@ def transversality_certificate(C: HyperellipticCurve, w, Q: CurvePoint, p: int,
     center of Q's residue disc, (False, None) when it vanishes at working
     precision."""
     _, frame = _disc_frame(C, reduce_point(C, Q, p), p, rel)
-    a0 = expand_on_frame(_underlying(w).normalized(), frame).coeff_of_degree(0)
+    a0 = expand_on_frame(w.normalized(), frame).coeff_of_degree(0)
     if a0.is_zeroish():
         return False, None
     return True, int(a0.valuation)
@@ -402,7 +368,7 @@ def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
     """
     if not C.good_reduction(p):
         raise ValueError("zero counts need a prime of good reduction")
-    wd = _underlying(w).normalized()
+    w = w.normalized()
     center, frame = _disc_frame(C, fp_point, p, rel)
     if center.at_infinity or center.y.is_exact_zero():
         # [center - infinity] is trivial or 2-torsion: kappa = 0 exactly
@@ -411,8 +377,8 @@ def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
         D = embed_point(C, center, CurvePoint.infinity(),
                         domain=PadicDomain(p, rel))
         L = log_jacobian(C, D, p, rel=rel)
-        kappa = wd.c1 * L.l1 + wd.c2 * L.l2
-    a = expand_on_frame(wd, frame)
+        kappa = w.apply(L)
+    a = expand_on_frame(w, frame)
     a0 = a.coeff_of_degree(0)
     v_w = None if a0.is_zeroish() else int(a0.valuation)
     series = PadicPowerSeries(p, [kappa], _INF, 0) \
@@ -441,17 +407,16 @@ def point_anchored_series(C: HyperellipticCurve, w, Q: CurvePoint, p: int,
                           n: int = 1, rel: int = DEFAULT_PRECISION) -> PadicPowerSeries:
     """Antiderivative of w as a series in t/p^n, anchored at Q itself with
     constant term exactly 0 (so r = 0 is the zero at Q)."""
-    wd = _underlying(w)
     y0 = None if Q.at_infinity else _as_padic(Q.y, p, rel)
     if y0 is None or y0.is_exact_zero() or y0.valuation == 0:
         # Q anchors its own expansion: infinity (t = x^2/y), branch point
         # (t = y) or ordinary disc
         _, frame = _anchor_frame(C, Q, p, rel)
-        return expand_on_frame(wd, frame).antiderivative().rescale_argument(n)
+        return expand_on_frame(w, frame).antiderivative().rescale_argument(n)
     # Q sits above a Weierstrass point without being one: recenter the disc
     # series t = y at t0 = y(Q)
     _, frame = _disc_frame(C, reduce_point(C, Q, p), p, rel)
-    lam = expand_on_frame(wd, frame).antiderivative()
+    lam = expand_on_frame(w, frame).antiderivative()
     return _recentered_series(lam, y0).rescale_argument(n)
 
 

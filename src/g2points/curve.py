@@ -513,9 +513,9 @@ class Differential:
         if self.c1.is_zeroish() and self.c2.is_zeroish():
             raise ValueError("differential must be nonzero at precision")
 
-    @property
-    def prime(self) -> int:
-        return self.c1.prime
+    def apply(self, L):
+        """The pairing c1 * l1 + c2 * l2 with a logarithm vector."""
+        return self.c1 * L.l1 + self.c2 * L.l2
 
     def normalized(self) -> "Differential":
         """Scale so min(v(c1), v(c2)) = 0; then all a_i are integral."""

@@ -188,10 +188,9 @@ def curve_preimage(C: HyperellipticCurve, D: MumfordDivisor, P0: CurvePoint):
 class FpJacobian:
     """The full group J(F_p): element list, order, exponent."""
 
-    __slots__ = ("prime", "elements", "order", "exponent")
+    __slots__ = ("elements", "order", "exponent")
 
-    def __init__(self, prime, elements, order, exponent):
-        self.prime = prime
+    def __init__(self, elements, order, exponent):
         self.elements = elements
         self.order = order
         self.exponent = exponent
@@ -240,14 +239,13 @@ def enumerate_Fp_jacobian(C: HyperellipticCurve, p: int) -> FpJacobian:
     ck = (tuple(C.f_coeffs), p)
     if ck in _enumeration_cache:
         return _enumeration_cache[ck]
-    if not C.good_reduction(p):
-        raise ValueError("curve has bad reduction at %d" % p)
     if p > 50:
         raise ValueError("enumeration is desk-scale only (p <= 50)")
+    # jacobian_order also refuses a prime of bad reduction
+    zeta_order = jacobian_order(C, p)
     dom = PrimeFieldDomain(p)
     f = poly_lift(dom, C.f_coeffs)
-    els = [MumfordDivisor.identity(dom)]
-    els += [_fp_point_class(dom, x, y) for x, y in fp_curve_points(C, p)[1:]]
+    els = [fp_point_class(dom, c) for c in fp_curve_points(C, p)]
 
     for u1 in range(p):
         for u0 in range(p):
@@ -268,7 +266,6 @@ def enumerate_Fp_jacobian(C: HyperellipticCurve, p: int) -> FpJacobian:
                     els.append(MumfordDivisor(dom, u, poly_trim(dom, [v0, v1])))
 
     order = len(els)
-    zeta_order = jacobian_order(C, p)
     if order != zeta_order:
         raise ArithmeticError(
             "enumeration found %d elements but zeta identity gives %d"
@@ -279,7 +276,7 @@ def enumerate_Fp_jacobian(C: HyperellipticCurve, p: int) -> FpJacobian:
         if not scalar_mul(C, exponent, el).is_identity():
             o = element_order(C, el, order)
             exponent = exponent * o // math.gcd(exponent, o)
-    J = FpJacobian(p, els, order, exponent)
+    J = FpJacobian(els, order, exponent)
     _enumeration_cache[ck] = J
     return J
 
@@ -354,9 +351,9 @@ def reduce_divisor(C: HyperellipticCurve, D: MumfordDivisor, p: int,
         if labels[0][3] != 0:
             return _conjugate_pair_class(C, fdom, labels[0])
         return MumfordDivisor.identity(fdom)
-    out = _fp_point_class(fdom, *labels[0])
-    for xr, yr in labels[1:]:
-        out = cantor_add(C, out, _fp_point_class(fdom, xr, yr))
+    out = fp_point_class(fdom, labels[0])
+    for label in labels[1:]:
+        out = cantor_add(C, out, fp_point_class(fdom, label))
     return out
 
 
@@ -373,8 +370,13 @@ def _conjugate_pair_class(C, fdom, label):
     return out
 
 
-def _fp_point_class(fdom, xr, yr):
-    return MumfordDivisor(fdom, [(-xr) % fdom.p, 1], [yr] if yr else [])
+def fp_point_class(fdom, point) -> MumfordDivisor:
+    """The class [P - infinity] over F_q of an entry P of fp_curve_points,
+    FP_INFINITY giving the identity."""
+    if point == FP_INFINITY:
+        return MumfordDivisor.identity(fdom)
+    x, y = point
+    return MumfordDivisor(fdom, [(-x) % fdom.p, 1], [y])
 
 
 def torsion_multiple_bound(C: HyperellipticCurve, primes) -> int:

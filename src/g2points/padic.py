@@ -229,12 +229,6 @@ class PadicNumber:
             raise ValueError("residue of a non-integral element")
         return self._unit % self.prime if self._val == 0 else 0
 
-    def lift(self) -> Fraction:
-        """The canonical rational representative p^val * unit (0 for zeroish)."""
-        if self.is_zeroish():
-            return Fraction(0)
-        return Fraction(self._unit) * Fraction(self.prime) ** self._val
-
     def unit_part(self) -> int:
         return self._unit
 
@@ -777,12 +771,6 @@ class PadicPoly:
         self.coeffs = [c if isinstance(c, PadicNumber)
                        else PadicNumber.from_rational(c, prime)
                        for c in coeffs] or [PadicNumber.exact_zero(prime)]
-
-    def degree(self) -> int:
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            if not self.coeffs[i].is_zeroish():
-                return i
-        return -1
 
     def __call__(self, x):
         acc = PadicNumber.exact_zero(self.prime)

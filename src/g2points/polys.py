@@ -28,19 +28,9 @@ from .padic import (
 )
 
 
-class RationalDomain:
-    """Exact arithmetic in Q."""
-
-    name = "rational"
-
-    def lift(self, x):
-        return Fraction(x)
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
+class _ElementOps:
+    """Ring operations of a domain whose elements carry their own
+    operators: Fraction, PadicNumber and QuadExtNumber."""
 
     def add(self, a, b):
         return a + b
@@ -57,6 +47,19 @@ class RationalDomain:
     def div(self, a, b):
         return a / b
 
+
+class RationalDomain(_ElementOps):
+    """Exact arithmetic in Q."""
+
+    def lift(self, x):
+        return Fraction(x)
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
     def is_zero(self, a):
         return a == 0
 
@@ -69,8 +72,6 @@ class RationalDomain:
 
 class PrimeFieldDomain:
     """F_p with elements stored as ints in [0, p)."""
-
-    name = "prime-field"
 
     def __init__(self, p: int):
         self.p = p
@@ -111,10 +112,8 @@ class PrimeFieldDomain:
         return a == b
 
 
-class PadicDomain:
+class PadicDomain(_ElementOps):
     """Q_p at a fixed working precision."""
-
-    name = "padic"
 
     def __init__(self, p: int, rel: int):
         self.p = p
@@ -131,21 +130,6 @@ class PadicDomain:
     def one(self):
         return PadicNumber.from_int(1, self.p, self.rel)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
-
     def dot(self, xs, ys):
         return padic_dot(self.p, xs, ys)
 
@@ -160,10 +144,8 @@ class PadicDomain:
         return (a - b).is_zeroish()
 
 
-class QuadExtDomain:
+class QuadExtDomain(_ElementOps):
     """Quadratic extension of Q_p at a fixed working precision."""
-
-    name = "quad-ext"
 
     def __init__(self, ext: QuadExtension, rel: int):
         self.ext = ext
@@ -184,21 +166,6 @@ class QuadExtDomain:
 
     def one(self):
         return self.lift(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def div(self, a, b):
-        return a / b
 
     def dot(self, xs, ys):
         # extension elements are pairs, so the integer kernel does not apply

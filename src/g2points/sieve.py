@@ -21,8 +21,8 @@ from .coleman import (annihilating_form, disc_zero_count, log_jacobian,
 from .curve import (CurvePoint, HyperellipticCurve, fp_curve_points,
                     is_on_curve, reduce_point)
 from .jacobian import (MumfordDivisor, cantor_add, curve_preimage,
-                       element_order, enumerate_Fp_jacobian, reduce_divisor,
-                       scalar_mul, torsion_multiple_bound)
+                       element_order, enumerate_Fp_jacobian, fp_point_class,
+                       reduce_divisor, scalar_mul, torsion_multiple_bound)
 from .padic import (DEFAULT_PRECISION, InconclusiveTruncationError,
                     PrecisionLossError, strassmann_count, vp,
                     with_precision_retry)
@@ -49,9 +49,8 @@ class SieveContext:
     bad reduction are silently dropped from the auxiliary list.
     """
 
-    __slots__ = ("curve", "base_point", "gamma", "torsion", "prime",
-                 "aux_primes", "N", "bound", "rel", "max_iterations",
-                 "max_escalations")
+    __slots__ = ("curve", "gamma", "torsion", "prime", "aux_primes", "N",
+                 "bound", "rel", "max_iterations", "max_escalations")
 
     def __init__(self, curve: HyperellipticCurve, gamma: MumfordDivisor,
                  torsion=(), prime: int = 7, aux_primes=(), bound: int = 20,
@@ -61,7 +60,6 @@ class SieveContext:
             raise ValueError("need an odd prime of good reduction")
         gamma.validate(curve)
         self.curve = curve
-        self.base_point = CurvePoint.infinity()
         self.prime = prime
         self.aux_primes = tuple(q for q in sorted(set(aux_primes))
                                 if q != prime and curve.good_reduction(q))
@@ -125,17 +123,24 @@ class ImageData:
     of the curve image, the order m of the reduced generator, and per
     torsion label t the residues s < m with s*gamma + t on the image."""
 
-    __slots__ = ("prime", "order", "exponent", "image_size", "gamma_order",
-                 "residues")
+    __slots__ = ("order", "exponent", "image_size", "gamma_order", "residues")
 
-    def __init__(self, prime, order, exponent, image_size, gamma_order,
-                 residues):
-        self.prime = prime
+    def __init__(self, order, exponent, image_size, gamma_order, residues):
         self.order = order
         self.exponent = exponent
         self.image_size = image_size
         self.gamma_order = gamma_order
         self.residues = residues
+
+
+def _torsion_sum(C, divisors, label, domain) -> MumfordDivisor:
+    """The class sum of t * T over the torsion divisors T and the entries t
+    of a torsion label, over domain."""
+    D = MumfordDivisor.identity(domain)
+    for T, t in zip(divisors, label):
+        if t:
+            D = cantor_add(C, D, scalar_mul(C, t, T))
+    return D
 
 
 def build_images(ctx: SieveContext, q: int) -> ImageData:
@@ -144,29 +149,20 @@ def build_images(ctx: SieveContext, q: int) -> ImageData:
     C = ctx.curve
     jac = enumerate_Fp_jacobian(C, q)
     fdom = PrimeFieldDomain(q)
-    image = set()
-    for c in fp_curve_points(C, q):
-        if c == "infinity":
-            image.add(MumfordDivisor.identity(fdom).key())
-        else:
-            x, y = c
-            image.add(MumfordDivisor(fdom, [(-x) % q, 1], [y % q]).key())
+    image = {fp_point_class(fdom, c).key() for c in fp_curve_points(C, q)}
     gbar = reduce_divisor(C, ctx.gamma, q)
     m = element_order(C, gbar, jac.order)
     tbars = [reduce_divisor(C, T, q) for T, _ in ctx.torsion]
     residues = {}
     for label in ctx.torsion_labels():
-        e = MumfordDivisor.identity(fdom)
-        for tbar, t in zip(tbars, label):
-            if t:
-                e = cantor_add(C, e, scalar_mul(C, t, tbar))
+        e = _torsion_sum(C, tbars, label, fdom)
         hits = set()
         for s in range(m):
             if e.key() in image:
                 hits.add(s)
             e = cantor_add(C, e, gbar)
         residues[label] = frozenset(hits)
-    return ImageData(q, jac.order, jac.exponent, len(image), m, residues)
+    return ImageData(jac.order, jac.exponent, len(image), m, residues)
 
 
 class SieveState:
@@ -213,13 +209,9 @@ def initial_state(ctx: SieveContext) -> SieveState:
         images[q] = build_images(ctx, q)
     labels = ctx.torsion_labels()
     survivors = {label: set(range(ctx.N)) for label in labels}
-    sums = {}
-    for label in labels:
-        D = MumfordDivisor.identity(RationalDomain())
-        for (T, _), t in zip(ctx.torsion, label):
-            if t:
-                D = cantor_add(C, D, scalar_mul(C, t, T))
-        sums[label] = D
+    torsion = [T for T, _ in ctx.torsion]
+    sums = {label: _torsion_sum(C, torsion, label, RationalDomain())
+            for label in labels}
     state = SieveState(ctx.N, survivors, images, sums)
     for q in (ctx.prime,) + ctx.aux_primes:
         img = images[q]
@@ -254,7 +246,7 @@ def search_points(ctx: SieveContext, state: SieveState) -> SieveState:
             if (s % state.N) not in state.survivors[label]:
                 continue
             E = cantor_add(C, D, state.torsion_sums[label])
-            Q = curve_preimage(C, E, ctx.base_point)
+            Q = curve_preimage(C, E, CurvePoint.infinity())
             if Q is None:
                 continue
             key = "infinity" if Q.at_infinity else (Q.x, Q.y)

@@ -52,7 +52,6 @@ class TestParseConfig:
         assert all(order == 2 for _, order in cfg.torsion)
         assert cfg.search_bound == 20 and cfg.precision == 20
         assert cfg.iterations == 10 and cfg.precision_escalations == 2
-        assert cfg.rank_one and cfg.simple_jacobian
 
     def test_defaults(self):
         cfg = parse_config(json.dumps(MINIMAL))

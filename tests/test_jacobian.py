@@ -12,11 +12,11 @@ from fractions import Fraction
 
 import pytest
 
-from g2points.curve import CurvePoint, HyperellipticCurve
+from g2points.curve import CurvePoint, HyperellipticCurve, fp_curve_points
 from g2points.jacobian import (MumfordDivisor, cantor_add, curve_preimage,
                                element_order, embed_point,
-                               enumerate_Fp_jacobian, jacobian_order,
-                               reduce_divisor, scalar_mul,
+                               enumerate_Fp_jacobian, fp_point_class,
+                               jacobian_order, reduce_divisor, scalar_mul,
                                torsion_multiple_bound)
 from g2points.oracle import (_mini_add, exhaustive_jacobian,
                              naive_rational_points)
@@ -241,10 +241,23 @@ class TestEnumeration:
             element_order(C, gbar, 4)
 
     def test_bad_prime_rejected(self, C):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bad reduction at 5"):
             enumerate_Fp_jacobian(C, 5)
         with pytest.raises(ValueError):
             jacobian_order(C, 5)
+
+    @pytest.mark.parametrize("q", [7, 11, 13, 17, 23])
+    def test_point_classes_are_the_small_degree_elements(self, C, q):
+        # [P - infinity] for every P in C(F_q), infinity giving the
+        # identity: exactly the listed classes of degree <= 1
+        fdom = PrimeFieldDomain(q)
+        classes = [fp_point_class(fdom, P) for P in fp_curve_points(C, q)]
+        for D in classes:
+            D.validate(C)
+        keys = {D.key() for D in classes}
+        assert len(keys) == len(classes)
+        J = enumerate_Fp_jacobian(C, q)
+        assert keys == {el.key() for el in J.elements if el.degree() <= 1}
 
     def test_matches_pair_counting_oracle(self, C):
         for p in (7, 11):
