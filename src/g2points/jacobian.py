@@ -196,29 +196,22 @@ class FpJacobian:
         self.exponent = exponent
 
 
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def cyclic_walk(C: HyperellipticCurve, D: MumfordDivisor, n: int):
+    """The keys of 0, D, ..., (m-1).D over an exact domain, m = ord(D),
+    by cantor_add alone; n is a multiple of m and caps the walk."""
+    keys = [MumfordDivisor.identity(D.domain).key()]
+    E = D
+    while not E.is_identity() and len(keys) < n:
+        keys.append(E.key())
+        E = cantor_add(C, E, D)
+    if not E.is_identity() or n % len(keys):
+        raise ValueError("%d is not a multiple of the element's order" % n)
+    return keys
 
 
 def element_order(C: HyperellipticCurve, D: MumfordDivisor, n: int) -> int:
-    """Order of D, given a multiple n of it: one descent over n's primes."""
-    o = n
-    for q in _prime_factors(n):
-        while o % q == 0 and scalar_mul(C, o // q, D).is_identity():
-            o //= q
-    if not scalar_mul(C, o, D).is_identity():
-        raise ValueError("%d is not a multiple of the element's order" % n)
-    return o
+    """Order of D, given a multiple n of it: the length of its walk."""
+    return len(cyclic_walk(C, D, n))
 
 
 def jacobian_order(C: HyperellipticCurve, q: int) -> int:
@@ -235,7 +228,8 @@ _enumeration_cache: dict = {}
 
 
 def enumerate_Fp_jacobian(C: HyperellipticCurve, p: int) -> FpJacobian:
-    """All Mumford pairs over F_p, cross-checked against jacobian_order."""
+    """All Mumford pairs over F_p, cross-checked against jacobian_order;
+    the exponent is the lcm of the lengths of their cyclic walks."""
     ck = (tuple(C.f_coeffs), p)
     if ck in _enumeration_cache:
         return _enumeration_cache[ck]
@@ -271,11 +265,14 @@ def enumerate_Fp_jacobian(C: HyperellipticCurve, p: int) -> FpJacobian:
             "enumeration found %d elements but zeta identity gives %d"
             % (order, zeta_order))
 
-    exponent = 1
+    # every element lies on the walk of one that no earlier walk visited,
+    # so its order divides that walk's length
+    exponent, visited = 1, set()
     for el in els:
-        if not scalar_mul(C, exponent, el).is_identity():
-            o = element_order(C, el, order)
-            exponent = exponent * o // math.gcd(exponent, o)
+        if el.key() not in visited:
+            walk = cyclic_walk(C, el, order)
+            visited.update(walk)
+            exponent = math.lcm(exponent, len(walk))
     J = FpJacobian(els, order, exponent)
     _enumeration_cache[ck] = J
     return J

@@ -21,8 +21,9 @@ from .coleman import (annihilating_form, disc_zero_count, log_jacobian,
 from .curve import (CurvePoint, HyperellipticCurve, fp_curve_points,
                     is_on_curve, reduce_point)
 from .jacobian import (MumfordDivisor, cantor_add, curve_preimage,
-                       element_order, enumerate_Fp_jacobian, fp_point_class,
-                       reduce_divisor, scalar_mul, torsion_multiple_bound)
+                       cyclic_walk, element_order, enumerate_Fp_jacobian,
+                       fp_point_class, reduce_divisor, scalar_mul,
+                       torsion_multiple_bound)
 from .padic import (DEFAULT_PRECISION, InconclusiveTruncationError,
                     PrecisionLossError, strassmann_count, vp,
                     with_precision_retry)
@@ -68,7 +69,7 @@ class SieveContext:
         for D, order in torsion:
             D.validate(curve)
             # a rational torsion order divides bnd; checking that first
-            # keeps a huge claimed order from being factored
+            # keeps the walk below from running to a huge claimed order
             if order < 1 or bnd % order:
                 raise ValueError("claimed torsion order %d does not divide "
                                  "the torsion bound %d" % (order, bnd))
@@ -149,20 +150,18 @@ def build_images(ctx: SieveContext, q: int) -> ImageData:
     C = ctx.curve
     jac = enumerate_Fp_jacobian(C, q)
     fdom = PrimeFieldDomain(q)
-    image = {fp_point_class(fdom, c).key() for c in fp_curve_points(C, q)}
-    gbar = reduce_divisor(C, ctx.gamma, q)
-    m = element_order(C, gbar, jac.order)
+    image = [fp_point_class(fdom, c) for c in fp_curve_points(C, q)]
+    # one walk of <gamma-bar>: s*gamma + t = P exactly when P - t is the
+    # s-th step
+    walk = cyclic_walk(C, reduce_divisor(C, ctx.gamma, q), jac.order)
+    index = {key: s for s, key in enumerate(walk)}
     tbars = [reduce_divisor(C, T, q) for T, _ in ctx.torsion]
     residues = {}
     for label in ctx.torsion_labels():
-        e = _torsion_sum(C, tbars, label, fdom)
-        hits = set()
-        for s in range(m):
-            if e.key() in image:
-                hits.add(s)
-            e = cantor_add(C, e, gbar)
-        residues[label] = frozenset(hits)
-    return ImageData(jac.order, jac.exponent, len(image), m, residues)
+        neg_t = _torsion_sum(C, tbars, label, fdom).neg()
+        keys = (cantor_add(C, P, neg_t).key() for P in image)
+        residues[label] = frozenset(index[k] for k in keys if k in index)
+    return ImageData(jac.order, jac.exponent, len(image), len(walk), residues)
 
 
 class SieveState:

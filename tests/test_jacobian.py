@@ -213,9 +213,21 @@ class TestEnumeration:
             assert scalar_mul(C, J.order, el).is_identity()
 
     def test_exponent_kills_everything(self, C):
-        J = enumerate_Fp_jacobian(C, 7)
-        for el in J.elements:
-            assert scalar_mul(C, J.exponent, el).is_identity()
+        # by scalar_mul, independent of the walks that found the exponent:
+        # it kills every element, and no prime can be taken out of it
+        D = HyperellipticCurve(CURVE2)
+        for curve, q in ([(C, q) for q in (7, 11, 13, 17, 23)]
+                         + [(D, q) for q in (3, 5, 7)]):
+            J = enumerate_Fp_jacobian(curve, q)
+            for el in J.elements:
+                assert scalar_mul(curve, J.exponent, el).is_identity()
+            for ell in range(2, J.exponent + 1):
+                if J.exponent % ell or any(ell % d == 0
+                                           for d in range(2, ell)):
+                    continue
+                assert any(not scalar_mul(curve, J.exponent // ell,
+                                          el).is_identity()
+                           for el in J.elements), (q, ell)
 
     def test_sampled_element_orders_divide(self, C):
         J = enumerate_Fp_jacobian(C, 11)
@@ -237,8 +249,12 @@ class TestEnumeration:
 
     def test_element_order_rejects_a_non_multiple(self, C, gamma):
         gbar = reduce_divisor(C, gamma, 7)
-        with pytest.raises(ValueError, match="not a multiple"):
-            element_order(C, gbar, 4)
+        # gbar has order 6: 4 stops the walk at its cap, 9 lets it close
+        # at 6, which does not divide 9
+        for n in (4, 9):
+            with pytest.raises(ValueError, match="not a multiple"):
+                element_order(C, gbar, n)
+        assert element_order(C, gbar, 48) == 6
 
     def test_bad_prime_rejected(self, C):
         with pytest.raises(ValueError, match="bad reduction at 5"):

@@ -2,14 +2,18 @@
 
 Each job below describes the Flynn curve in a way the program cannot tell
 from a fresh input.  A correct certificate must come out `complete` with
-the same ten rational points, mapped back to the original model.
+the same ten rational points, mapped back to the original model.  Each
+machine report is also pinned byte for byte: the sha256 of the report
+without its telemetry block, rendered as the CI golden-report step
+renders it, and the escalation count, which lives in that block.
 """
 
+import hashlib
 import json
 import os
 from fractions import Fraction
 
-from g2points.cli import parse_config, run_job
+from g2points.cli import emit_report, parse_config, run_job
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "flynn.json")
 with open(FIXTURE, encoding="utf-8") as fh:
@@ -40,9 +44,14 @@ def _translated_divisor(div, k, negate=False):
                 v_coeffs=[-c for c in v] if negate else v)
 
 
-def _points(job, shift=0):
+def _points(job, digest, escalations, shift=0):
     rep = run_job(parse_config(json.dumps(job)))
     assert rep.status == "complete", rep.closing
+    report = json.loads(emit_report(rep, "machine"))
+    report.pop("telemetry")
+    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert rep.result.escalations == escalations
     out = set()
     for rec in rep.result.points:
         P = rec.point
@@ -51,19 +60,42 @@ def _points(job, shift=0):
     return out
 
 
+def _translated_job(k):
+    # X = x - k: the model y^2 = f(X + k) with generator -gamma; a point
+    # (X, y) of the new model is (X + k, y) on the original one
+    return dict(FLYNN_JOB,
+                f_coeffs=_translate(FLYNN_JOB["f_coeffs"], k),
+                generator=_translated_divisor(FLYNN_JOB["generator"], k,
+                                              negate=True),
+                torsion=[_translated_divisor(t, k)
+                         for t in FLYNN_JOB["torsion"]])
+
+
 def test_other_chabauty_prime():
     job = dict(FLYNN_JOB, chabauty_prime=11, aux_primes=[7, 13, 17, 23])
-    assert _points(job) == FLYNN_POINTS
+    assert _points(job, "81fc88d138df2d79faccd65f3417c3f3f4592125a4ac6de6"
+                        "affa47e9b0581419", 0) == FLYNN_POINTS
 
 
 def test_translated_model_and_negated_generator():
-    # X = x - 1: the model y^2 = f(X + 1) with generator -gamma; a point
-    # (X, y) of the new model is (X + 1, y) on the original one
-    job = dict(FLYNN_JOB,
-               f_coeffs=_translate(FLYNN_JOB["f_coeffs"], 1),
-               generator=_translated_divisor(FLYNN_JOB["generator"], 1,
-                                             negate=True),
-               torsion=[_translated_divisor(t, 1)
-                        for t in FLYNN_JOB["torsion"]])
+    job = _translated_job(1)
     assert job["f_coeffs"] == [0, -20, 9, 19, -9, 1]
-    assert _points(job, shift=1) == FLYNN_POINTS
+    assert _points(job, "b1ead11ed03a0979819c592d3c14343ef25d65c3d257ef7a"
+                        "9a4bbd904375c736", 0, shift=1) == FLYNN_POINTS
+
+
+def test_model_translated_the_other_way():
+    job = _translated_job(-1)
+    assert _points(job, "7feffdb90c27ed4671684b4d74d696e03b6f3a1141e684aa"
+                        "3bceca0f8af9a1c2", 0, shift=-1) == FLYNN_POINTS
+
+
+def test_low_working_precision():
+    # precision 4 needs both escalations of the budget; precision 8 none
+    for precision, digest, escalations in (
+            (8, "f4653b27357c2ac0625511a4fa8acb1a"
+                "87481c10810620858106b1866449d03c", 0),
+            (4, "68e1b0ae3cd21ffae98ed2bbef7f1c4f"
+                "8da4961ba3ce0e8abb9ec1085124b032", 2)):
+        job = dict(FLYNN_JOB, precision=precision)
+        assert _points(job, digest, escalations) == FLYNN_POINTS

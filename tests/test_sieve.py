@@ -97,7 +97,7 @@ class TestContext:
 
     def test_order_off_the_torsion_bound_rejected(self, curve):
         # 2 * (2^61 - 1) is 14 mod the bound 16, so it is refused before
-        # it is ever factored
+        # any walk of up to that many steps
         dom = RationalDomain()
         T0 = (MumfordDivisor(dom, [Fraction(0), Fraction(1)], []),
               2 * (2 ** 61 - 1))
@@ -142,11 +142,13 @@ class TestImages:
         assert img.gamma_order == sieved.images[7].gamma_order
         assert img.residues == sieved.images[7].residues
 
-    def test_residues_are_the_curve_image(self, ctx, curve, sieved):
+    @staticmethod
+    def _check_residues(ctx):
         # each class s*gamma + t formed on its own by scalar_mul, tested
         # against the points of C(F_q) read off the Mumford pair
-        for q in (7,) + AUX:
-            img = sieved.images[q]
+        curve = ctx.curve
+        for q in (ctx.prime,) + ctx.aux_primes:
+            img = build_images(ctx, q)
             points = set(fp_curve_points(curve, q)[1:])
             gbar = reduce_divisor(curve, ctx.gamma, q)
             tbars = [reduce_divisor(curve, T, q) for T, _ in ctx.torsion]
@@ -163,6 +165,26 @@ class TestImages:
                             in points):
                         expected.add(s)
                 assert img.residues[label] == expected, (q, label)
+
+    def test_residues_are_the_curve_image(self, ctx):
+        self._check_residues(ctx)
+
+    def test_residues_see_the_sign_of_the_torsion_label(self):
+        # every Flynn torsion class has order 2, so t = -t there; on
+        # y^2 = x^5 + 4 the class (x, 2) has order 5, and t and -t give
+        # different residue sets at every aux prime
+        dom = RationalDomain()
+        curve = HyperellipticCurve([4, 0, 0, 0, 0, 1])
+        T = MumfordDivisor(dom, [Fraction(0), Fraction(1)], [Fraction(2)])
+        gamma = MumfordDivisor(dom, [Fraction(-2), Fraction(1)],
+                               [Fraction(6)])
+        ctx5 = SieveContext(curve, gamma, torsion=((T, 5),), prime=3,
+                            aux_primes=(7, 11, 13))
+        assert ctx5.N == 51850
+        for q in ctx5.aux_primes:
+            res = build_images(ctx5, q).residues
+            assert any(res[(t,)] != res[(-t % 5,)] for t in range(1, 5))
+        self._check_residues(ctx5)
 
 
 class TestPasses:
