@@ -3,7 +3,11 @@
 A divisor class is held as a pair (u, v): u monic of degree <= 2, v of
 degree < deg u, with u | v^2 - f.  The identity is (1, 0).  The group law
 is Cantor composition and reduction, generic over the coefficient domains
-in polys (exact rationals, F_p, capped-precision Q_p).
+in polys (exact rationals, F_p, capped-precision Q_p).  Over F_p, where
+the sieve spends its group operations, cantor_add first tries the same
+law on plain ints (_fq_add: one inverse from a resultant, one reduction
+step); only shared roots and doubling with Res(u, v) = 0 fall back to the
+generic composition.
 """
 
 from __future__ import annotations
@@ -80,8 +84,18 @@ class MumfordDivisor:
 
 def cantor_add(C: HyperellipticCurve, a: MumfordDivisor,
                b: MumfordDivisor) -> MumfordDivisor:
-    """Group law: composition then reduction to degree <= 2."""
+    """Group law: composition then reduction to degree <= 2.
+
+    Over F_q the generic shapes take _fq_add on plain ints: an identity
+    operand, P + (-P), coprime u1, u2, and doubling with Res(u, v) != 0.
+    Shared roots and doubling with Res(u, v) = 0 take the generic Cantor
+    composition below, as every class over Q, Q_p and Q_p(sqrt(c)) does.
+    """
     dom = a.domain
+    if isinstance(dom, PrimeFieldDomain):
+        out = _fq_add(C, dom, a, b)
+        if out is not None:
+            return out
     f = poly_lift(dom, C.f_coeffs)
     u1, v1, u2, v2 = a.u, a.v, b.u, b.v
 
@@ -110,6 +124,116 @@ def cantor_add(C: HyperellipticCurve, a: MumfordDivisor,
         v3 = poly_mod(dom, poly_neg(dom, v3), u3)
     u3 = poly_monic(dom, u3)
     return MumfordDivisor(dom, u3, poly_mod(dom, v3, u3))
+
+
+# -- the group law over F_q on plain ints (Cantor 1987, Lange 2005) ----------
+
+def _fq_add(C, dom, a, b):
+    """a + b over F_p on plain ints in [0, p) with at most two inversions,
+    or None for a shape left to the generic composition.
+
+    The composed class is (U, l) with U = u1.u2 and l = v1 + u1.s: for
+    coprime u's, s = (v2 - v1).u1^-1 mod u2 gives l = v_i mod u_i; when
+    doubling, s = ((f - v^2)/u).(2v)^-1 mod u makes u^2 divide l^2 - f.
+    As f is a monic quintic and deg l < deg U <= 4, one reduction step
+    u3 = monic((f - l^2)/U), v3 = -l mod u3 reaches degree <= 2.
+    """
+    if len(a.u) == 1:
+        return b
+    if len(b.u) == 1:
+        return a
+    p, f = dom.p, C.f_coeffs
+    if len(a.u) > len(b.u):
+        a, b = b, a
+    u1, u2 = a.u, b.u
+    # v padded to deg u coefficients
+    v1 = a.v + [0] * (len(u1) - 1 - len(a.v))
+    v2 = b.v + [0] * (len(u2) - 1 - len(b.v))
+    if u1 == u2:
+        if not any((x + y) % p for x, y in zip(v1, v2)):
+            return MumfordDivisor.identity(dom)
+        if v1 != v2:
+            # v1 = v2 at one root of u and v1 = -v2 at the other
+            return None
+        s = _fq_tangent(f, u1, v1, p)
+    elif len(u2) == 2:
+        r = (u1[0] - u2[0]) % p
+        s = [(v2[0] - v1[0]) * pow(r, -1, p) % p] if r else None
+    elif len(u1) == 2:
+        s = _fq_div_mod_u(v2[0] - v1[0], v2[1], u1[0], 1, u2, p)
+    else:
+        s = _fq_div_mod_u(v2[0] - v1[0], v2[1] - v1[1], u1[0] - u2[0],
+                          u1[1] - u2[1], u2, p)
+    if s is None:
+        return None
+    a0, c0 = u1[0], u2[0]
+    if len(u2) == 2:
+        # two points: U = u1.u2 has degree 2
+        return MumfordDivisor(dom, [a0 * c0 % p, (a0 + c0) % p, 1],
+                              [(v1[0] + a0 * s[0]) % p, s[0]])
+    # deg u2 = 2; u1 padded to x^2 + a1 x + a0, a2 = 0 when deg u1 = 1
+    a1, a2 = (u1[1], 1) if len(u1) == 3 else (1, 0)
+    b0, b1 = v1[0], v1[1] if len(v1) == 2 else 0
+    c1, (s0, s1) = u2[1], s
+    l0, l1 = b0 + a0 * s0, b1 + a0 * s1 + a1 * s0
+    l2, l3 = a1 * s1 + a2 * s0, a2 * s1
+    U1, U2, U3 = a0 * c1 + a1 * c0, a0 + a1 * c1 + a2 * c0, a1 + a2 * c1
+    # the quotient (f - l^2)/U = q2 x^2 + q1 x + q0 reads the top three
+    # coefficients of f - l^2 (f monic, so its x^5 coefficient is 1)
+    if a2:
+        q2 = -l3 * l3 % p
+        q1 = (1 - 2 * l2 * l3 - q2 * U3) % p
+        q0 = (f[4] - l2 * l2 - 2 * l1 * l3 - q2 * U2 - q1 * U3) % p
+    else:
+        q2 = 1
+        q1 = (f[4] - l2 * l2 - U2) % p
+        q0 = (f[3] - 2 * l1 * l2 - U1 - q1 * U2) % p
+    if not q2:
+        # l3 = 0 and q1 = 1: u3 = x + q0, v3 = -l(-q0)
+        return MumfordDivisor(dom, [q0, 1],
+                              [-((l2 * -q0 + l1) * -q0 + l0) % p])
+    if q2 != 1:
+        q2 = pow(q2, -1, p)
+        q0, q1 = q0 * q2 % p, q1 * q2 % p
+    # -l mod x^2 + q1 x + q0, with x^3 = (q1^2 - q0) x + q1 q0 there
+    return MumfordDivisor(dom, [q0, q1, 1],
+                          [-(l0 - l2 * q0 + l3 * q1 * q0) % p,
+                           -(l1 - l2 * q1 + l3 * (q1 * q1 - q0)) % p])
+
+
+def _fq_div_mod_u(w0, w1, z0, z1, u, p):
+    """(w1 x + w0)/(z1 x + z0) mod a monic quadratic u, from the
+    resultant; None when z1 x + z0 vanishes at a root of u."""
+    c0, c1 = u[0], u[1]
+    # (z1 x + z0)(z0 - c1 z1 - z1 x) = Res(u, z1 x + z0) mod u
+    r = (z0 * z0 - c1 * z0 * z1 + c0 * z1 * z1) % p
+    if not r:
+        return None
+    r = pow(r, -1, p)
+    i0, i1 = (z0 - c1 * z1) * r, -z1 * r
+    t = w1 * i1
+    return [(w0 * i0 - t * c0) % p, (w1 * i0 + w0 * i1 - t * c1) % p]
+
+
+def _fq_tangent(f, u, v, p):
+    """s = ((f - v^2)/u).(2v)^-1 mod u, v != 0; None when v vanishes at a
+    root of u."""
+    if len(u) == 2:
+        # (f - v^2)/u at the root of u is f' there
+        x0, d = -u[0], 0
+        for i in range(5, 0, -1):
+            d = d * x0 + i * f[i]
+        return [d * pow(2 * v[0], -1, p) % p]
+    c0, c1 = u[0], u[1]
+    # k = (f - v^2)/u from the top; v^2 reaches it only at x^2
+    k3 = f[5]
+    k2 = f[4] - c1 * k3
+    k1 = f[3] - c1 * k2 - c0 * k3
+    k0 = f[2] - v[1] * v[1] - c1 * k1 - c0 * k2
+    # k mod u, with x^2 = -c1 x - c0 and x^3 = (c1^2 - c0) x + c1 c0
+    return _fq_div_mod_u(k0 - c0 * k2 + c1 * c0 * k3,
+                         k1 - c1 * k2 + (c1 * c1 - c0) * k3,
+                         2 * v[0], 2 * v[1], u, p)
 
 
 def scalar_mul(C: HyperellipticCurve, m: int,

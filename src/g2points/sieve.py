@@ -134,14 +134,22 @@ class ImageData:
         self.residues = residues
 
 
-def _torsion_sum(C, divisors, label, domain) -> MumfordDivisor:
-    """The class sum of t * T over the torsion divisors T and the entries t
-    of a torsion label, over domain."""
-    D = MumfordDivisor.identity(domain)
-    for T, t in zip(divisors, label):
-        if t:
-            D = cantor_add(C, D, scalar_mul(C, t, T))
-    return D
+def _torsion_sums(C, divisors, labels, domain):
+    """Per torsion label, the class sum of t * T over the torsion divisors
+    T and the label's entries t, over domain.  Labels come in product
+    order, so a label's sum is the sum of the label with its last nonzero
+    entry decremented, which comes earlier, plus that entry's divisor."""
+    sums = {}
+    for label in labels:
+        nonzero = [i for i, t in enumerate(label) if t]
+        if not nonzero:
+            sums[label] = MumfordDivisor.identity(domain)
+            continue
+        i = nonzero[-1]
+        prev = label[:i] + (label[i] - 1,) + label[i + 1:]
+        sums[label] = (cantor_add(C, sums[prev], divisors[i]) if any(prev)
+                       else divisors[i])
+    return sums
 
 
 def build_images(ctx: SieveContext, q: int) -> ImageData:
@@ -157,8 +165,9 @@ def build_images(ctx: SieveContext, q: int) -> ImageData:
     index = {key: s for s, key in enumerate(walk)}
     tbars = [reduce_divisor(C, T, q) for T, _ in ctx.torsion]
     residues = {}
-    for label in ctx.torsion_labels():
-        neg_t = _torsion_sum(C, tbars, label, fdom).neg()
+    sums = _torsion_sums(C, tbars, ctx.torsion_labels(), fdom)
+    for label, t in sums.items():
+        neg_t = t.neg()
         keys = (cantor_add(C, P, neg_t).key() for P in image)
         residues[label] = frozenset(index[k] for k in keys if k in index)
     return ImageData(jac.order, jac.exponent, len(image), len(walk), residues)
@@ -208,9 +217,8 @@ def initial_state(ctx: SieveContext) -> SieveState:
         images[q] = build_images(ctx, q)
     labels = ctx.torsion_labels()
     survivors = {label: set(range(ctx.N)) for label in labels}
-    torsion = [T for T, _ in ctx.torsion]
-    sums = {label: _torsion_sum(C, torsion, label, RationalDomain())
-            for label in labels}
+    sums = _torsion_sums(C, [T for T, _ in ctx.torsion], labels,
+                         RationalDomain())
     state = SieveState(ctx.N, survivors, images, sums)
     for q in (ctx.prime,) + ctx.aux_primes:
         img = images[q]

@@ -11,21 +11,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from g2points import jacobian
 from g2points.curve import CurvePoint, HyperellipticCurve, fp_curve_points
 from g2points.jacobian import (MumfordDivisor, cantor_add, curve_preimage,
                                element_order, embed_point,
                                enumerate_Fp_jacobian, fp_point_class,
                                jacobian_order, reduce_divisor, scalar_mul,
                                torsion_multiple_bound)
-from g2points.oracle import (_mini_add, exhaustive_jacobian,
+from g2points.oracle import (_mini_add, _mini_enumerate, exhaustive_jacobian,
                              naive_rational_points)
 from g2points.polys import (PadicDomain, PrimeFieldDomain, RationalDomain,
                             poly_lift, poly_mod, poly_mul, poly_neg, poly_add,
-                            poly_trim)
+                            poly_trim, poly_xgcd)
 
 FLYNN = [0, 60, -112, 65, -14, 1]
 CURVE2 = [1, 2, 0, 0, 0, 1]  # good reduction at 3, 5, 7, 11
+X5_PLUS_4 = [4, 0, 0, 0, 0, 1]  # good reduction at 3, 7
 
 QDOM = RationalDomain()
 
@@ -141,6 +145,85 @@ class TestGroupLaw:
         J = enumerate_Fp_jacobian(C, 7)
         for a in J.elements:
             assert cantor_add(C, a, a.neg()).is_identity()
+
+
+def _fq_shape(a, b, p):
+    """The case of the F_q group law that the pair a, b meets."""
+    da, db = a.degree(), b.degree()
+    if not da or not db:
+        return "identity operand"
+    dom, same = PrimeFieldDomain(p), a.key() == b.key()
+    if same and da == 1 and not a.v:
+        return "doubling a Weierstrass point"
+    if a.u == b.u and not poly_add(dom, a.v, b.v):
+        return "P + (-P)"
+    if same:
+        if da == 1:
+            return "1+1 doubling"
+        shared = len(poly_xgcd(dom, a.u, a.v)[0]) > 1
+        return "2+2 doubling, Res(u, v) %s 0" % ("=" if shared else "!=")
+    if len(poly_xgcd(dom, a.u, b.u)[0]) > 1:
+        return "shared root"
+    return {(1, 1): "1+1", (1, 2): "1+2", (2, 1): "2+1",
+            (2, 2): "coprime 2+2"}[da, db]
+
+
+FQ_SHAPES = {"identity operand", "P + (-P)", "doubling a Weierstrass point",
+             "1+1", "1+1 doubling", "1+2", "2+1", "coprime 2+2",
+             "shared root", "2+2 doubling, Res(u, v) != 0",
+             "2+2 doubling, Res(u, v) = 0"}
+# the shapes the F_q fast path leaves to the generic composition
+FQ_FALLBACK_SHAPES = {"shared root", "2+2 doubling, Res(u, v) = 0"}
+
+
+def _oracle_elements(f_coeffs, q):
+    """J(F_q) listed by the oracle, independently of cantor_add."""
+    dom = PrimeFieldDomain(q)
+    return [MumfordDivisor(dom, u, v)
+            for u, v in _mini_enumerate(HyperellipticCurve(f_coeffs), q)]
+
+
+def _check_fq_pair(C, a, b, p):
+    """cantor_add over F_p against the oracle's Cantor law; the fast
+    path, when it takes the pair, must agree and give a valid class.
+    Returns whether it took the pair."""
+    want = _mini_add((a.u, a.v), (b.u, b.v), [c % p for c in C.f_coeffs], p)
+    fast = jacobian._fq_add(C, a.domain, a, b)
+    got = cantor_add(C, a, b) if fast is None else fast
+    assert (got.u, got.v) == want, (a, b)
+    if fast is not None:
+        fast.validate(C)
+    return fast is not None
+
+
+class TestFqGroupLaw:
+    def test_every_pair_matches_the_oracle(self):
+        taken = {True: set(), False: set()}
+        for f_coeffs, q in ((FLYNN, 7), (FLYNN, 11), (CURVE2, 3), (CURVE2, 5),
+                            (CURVE2, 7), (X5_PLUS_4, 3), (X5_PLUS_4, 7)):
+            D = HyperellipticCurve(f_coeffs)
+            els = _oracle_elements(f_coeffs, q)
+            for a in els:
+                for b in els:
+                    fast = _check_fq_pair(D, a, b, q)
+                    taken[fast].add(_fq_shape(a, b, q))
+        # the fast path takes every shape but the degenerate ones, and
+        # only those reach the generic composition
+        assert taken[True] == FQ_SHAPES - FQ_FALLBACK_SHAPES
+        assert taken[False] == FQ_FALLBACK_SHAPES
+
+    @pytest.fixture(scope="class")
+    def flynn_groups(self):
+        return {q: _oracle_elements(FLYNN, q) for q in (13, 17, 23, 47)}
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_pairs_match_the_oracle(self, flynn_groups, data):
+        q = data.draw(st.sampled_from(sorted(flynn_groups)))
+        els = flynn_groups[q]
+        a = data.draw(st.sampled_from(els))
+        b = a if data.draw(st.booleans()) else data.draw(st.sampled_from(els))
+        _check_fq_pair(HyperellipticCurve(FLYNN), a, b, q)
 
 
 class TestEmbedAndPreimage:
