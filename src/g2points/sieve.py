@@ -25,7 +25,7 @@ from .jacobian import (MumfordDivisor, cantor_add, curve_preimage,
                        fp_point_class, reduce_divisor, scalar_mul,
                        torsion_multiple_bound)
 from .padic import (DEFAULT_PRECISION, InconclusiveTruncationError,
-                    PrecisionLossError, strassmann_count, vp,
+                    PrecisionLossError, strassmann_count,
                     with_precision_retry)
 from .polys import PrimeFieldDomain, RationalDomain
 
@@ -174,15 +174,17 @@ def build_images(ctx: SieveContext, q: int) -> ImageData:
 
 
 class SieveState:
-    """Mutable bookkeeping of one run."""
+    """Mutable bookkeeping of one run.  `survivors[label]` holds residues
+    s mod M, a divisor of N; each stands for the classes s + k*M mod N."""
 
-    __slots__ = ("N", "survivors", "found", "found_keys", "disc_certs",
+    __slots__ = ("N", "M", "survivors", "found", "found_keys", "disc_certs",
                  "level", "iterations", "escalations", "images",
                  "torsion_sums", "gamma_log", "form", "trace", "notes")
 
-    def __init__(self, N, survivors, images, torsion_sums):
+    def __init__(self, N, labels, images, torsion_sums):
         self.N = N
-        self.survivors = survivors
+        self.M = 1
+        self.survivors = {label: {0} for label in labels}
         self.found = []
         self.found_keys = set()
         self.disc_certs = {}
@@ -196,34 +198,45 @@ class SieveState:
         self.trace = []
         self.notes = []
 
+    def refine(self, m, keep) -> int:
+        """Lift the residues to mod lcm(M, m), keep the s with
+        keep(label, s), and return how many classes mod N were dropped."""
+        M = math.lcm(self.M, m)
+        if self.N % M:
+            raise ArithmeticError("modulus %d does not divide N = %d"
+                                  % (M, self.N))
+        before = self.survivor_count()
+        for label, res in self.survivors.items():
+            self.survivors[label] = {s for r in res
+                                     for s in range(r, M, self.M)
+                                     if keep(label, s)}
+        self.M = M
+        return before - self.survivor_count()
+
     def survivor_count(self) -> int:
-        return sum(len(s) for s in self.survivors.values())
+        return self.N // self.M * sum(map(len, self.survivors.values()))
 
     def survivor_sample(self, limit: int = 20):
-        out = []
-        for label in sorted(self.survivors):
-            for s in sorted(self.survivors[label]):
-                out.append((s, label))
-                if len(out) >= limit:
-                    return out
-        return out
+        # classes mod N in (label, s) order; an empty label is skipped,
+        # not walked N/M times
+        sv, M = self.survivors, self.M
+        classes = ((k + r, label) for label in sorted(sv) if sv[label]
+                   for k in range(0, self.N, M) for r in sorted(sv[label]))
+        return list(itertools.islice(classes, limit))
 
 
 def initial_state(ctx: SieveContext) -> SieveState:
-    """Step-1 state: full class set mod N and image data at every prime."""
+    """Step-1 state: image data at every prime, and every class mod N
+    held as the one residue 0 mod M = 1.  Each pass and each excision
+    lifts M only to the modulus its own test reads."""
     C = ctx.curve
-    images = {}
-    for q in (ctx.prime,) + ctx.aux_primes:
-        images[q] = build_images(ctx, q)
+    images = {q: build_images(ctx, q) for q in (ctx.prime,) + ctx.aux_primes}
     labels = ctx.torsion_labels()
-    survivors = {label: set(range(ctx.N)) for label in labels}
     sums = _torsion_sums(C, [T for T, _ in ctx.torsion], labels,
                          RationalDomain())
-    state = SieveState(ctx.N, survivors, images, sums)
-    for q in (ctx.prime,) + ctx.aux_primes:
-        img = images[q]
-        state.trace.append({"step": "images", "prime": q,
-                            "order": img.order,
+    state = SieveState(ctx.N, labels, images, sums)
+    for q, img in images.items():
+        state.trace.append({"step": "images", "prime": q, "order": img.order,
                             "exponent": img.exponent,
                             "curve_image_size": img.image_size})
     return state
@@ -233,9 +246,7 @@ def sieve_pass(ctx: SieveContext, state: SieveState, q: int) -> SieveState:
     """Keep exactly the classes whose image at q lands on the curve."""
     img = state.images[q]
     m = img.gamma_order
-    for label, sset in state.survivors.items():
-        res = img.residues[label]
-        state.survivors[label] = {s for s in sset if s % m in res}
+    state.refine(m, lambda label, s: s % m in img.residues[label])
     state.trace.append({"step": "sieve_pass", "prime": q,
                         "survivors": state.survivor_count()})
     return state
@@ -250,7 +261,7 @@ def search_points(ctx: SieveContext, state: SieveState) -> SieveState:
     found_before = len(state.found)
     for s in range(-ctx.bound, ctx.bound + 1):
         for label in labels:
-            if (s % state.N) not in state.survivors[label]:
+            if (s % state.M) not in state.survivors[label]:
                 continue
             E = cantor_add(C, D, state.torsion_sums[label])
             Q = curve_preimage(C, E, CurvePoint.infinity())
@@ -346,24 +357,20 @@ def _excise_found_classes(ctx, state, n):
     # a class matching a found point Q at level n contains no other
     # rational point: its members differ from [Q - inf] by an element of
     # the level-n kernel, and Q's certificate says that sub-disc holds a
-    # single zero.  N is already a multiple of exp(J(Q_p)/J^n), so the
-    # test is representative-independent.  Two classes of one label match
-    # at p exactly when their s agree mod the reduced generator's order.
+    # single zero.  Two classes of one label match at p when their s agree
+    # mod the reduced generator's order m_p, and differ by a kernel element
+    # when v(s - rec.s) + v(log gamma) >= n: the test reads s only mod
+    # lcm(m_p, p^max(n - v(log gamma), 0)), which refine checks divides N.
     m = state.images[ctx.prime].gamma_order
     vg = _log_floor(state.gamma_log)
     if vg is None:
         return 0
+    mod = math.lcm(m, ctx.prime ** max(n - vg, 0))
     excised = 0
     for rec in state.found:
-        if not (rec.criterion or rec.zero_count == 1):
-            continue
-        kept = set()
-        for s in state.survivors[rec.label]:
-            if (s - rec.s) % m == 0 and vp(s - rec.s, ctx.prime) + vg >= n:
-                excised += 1
-            else:
-                kept.add(s)
-        state.survivors[rec.label] = kept
+        if rec.criterion or rec.zero_count == 1:
+            excised += state.refine(mod, lambda label, s: (
+                label != rec.label or (s - rec.s) % mod != 0))
     return excised
 
 
@@ -398,19 +405,12 @@ def deepen(ctx: SieveContext, state: SieveState) -> SieveState:
         state.disc_certs[disc] = cert
         if cert is None or not cert.resolved:
             unresolved.append(disc)
-    newN = math.lcm(state.N, state.images[p].exponent * p ** (n - 1))
-    if newN != state.N:
-        step = state.N
-        for label, sset in state.survivors.items():
-            state.survivors[label] = {s + k * step for s in sset
-                                      for k in range(newN // step)}
-        state.N = newN
+    state.N = math.lcm(state.N, state.images[p].exponent * p ** (n - 1))
     excised = _excise_found_classes(ctx, state, n)
     if not unresolved:
         # every residue disc carries exactly its known points, so the
         # found set already is all of C(Q): clear the remaining classes
-        for label in state.survivors:
-            state.survivors[label] = set()
+        state.refine(1, lambda label, s: False)
         state.notes.append("all %d residue discs resolved at level 1"
                            % len(state.disc_certs))
     state.trace.append({"step": "deepen", "n": n, "N": state.N,

@@ -5,7 +5,9 @@ from a fresh input.  A correct certificate must come out `complete` with
 the same ten rational points, mapped back to the original model.  Each
 machine report is also pinned byte for byte: the sha256 of the report
 without its telemetry block, rendered as the CI golden-report step
-renders it, and the escalation count, which lives in that block.
+renders it, and the escalation count, which lives in that block.  Two
+Chabauty primes whose data leave classes end `inconclusive`; their
+reports are pinned the same way.
 """
 
 import hashlib
@@ -44,13 +46,20 @@ def _translated_divisor(div, k, negate=False):
                 v_coeffs=[-c for c in v] if negate else v)
 
 
-def _points(job, digest, escalations, shift=0):
+def _run(job):
+    """The run of a job, its machine report without telemetry, and that
+    report's sha256."""
     rep = run_job(parse_config(json.dumps(job)))
-    assert rep.status == "complete", rep.closing
     report = json.loads(emit_report(rep, "machine"))
     report.pop("telemetry")
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    return rep, report, hashlib.sha256(text.encode()).hexdigest()
+
+
+def _points(job, digest, escalations, shift=0):
+    rep, _, got = _run(job)
+    assert rep.status == "complete", rep.closing
+    assert got == digest
     assert rep.result.escalations == escalations
     out = set()
     for rec in rep.result.points:
@@ -75,6 +84,37 @@ def test_other_chabauty_prime():
     job = dict(FLYNN_JOB, chabauty_prime=11, aux_primes=[7, 13, 17, 23])
     assert _points(job, "81fc88d138df2d79faccd65f3417c3f3f4592125a4ac6de6"
                         "affa47e9b0581419", 0) == FLYNN_POINTS
+
+
+def test_inconclusive_chabauty_primes():
+    # the only pinned jobs whose surviving classes outlive a deepen that
+    # raises the modulus, so their count and sample are read at the new N
+    for p, aux, left, digest in (
+            (19, [7, 11, 13, 17, 23], 10,
+             "7ff6a76c8e98382119dc985aae361147"
+             "1f965bf3597c1bddad1b4a09cd5c6449"),
+            (23, [7, 11, 13, 17], 528,
+             "68f3692db643dbb649109312195e4412"
+             "87047a0787f8d9a4fc28800a6fe47b1a")):
+        job = dict(FLYNN_JOB, chabauty_prime=p, aux_primes=aux)
+        rep, report, got = _run(job)
+        assert rep.status == "inconclusive", p
+        assert report["surviving_classes"]["count"] == left
+        assert got == digest, p
+        assert rep.result.escalations == 0
+
+
+def test_every_good_aux_prime_up_to_47():
+    # the context drops p = 7 and the primes of bad reduction; N is
+    # 152245152018960, so the class set is only ever held at the period
+    # of the passes and excisions that read it
+    aux = [q for q in range(3, 48) if all(q % d for d in range(2, q))]
+    rep, report, _ = _run(dict(FLYNN_JOB, aux_primes=aux))
+    assert rep.status == "complete", rep.closing
+    assert report["modulus"] == 152245152018960
+    assert {"infinity" if rec.point.at_infinity
+            else (rec.point.x, rec.point.y)
+            for rec in rep.result.points} == FLYNN_POINTS
 
 
 def test_translated_model_and_negated_generator():

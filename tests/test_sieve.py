@@ -211,7 +211,46 @@ class TestPasses:
     def test_known_decompositions_survive(self, ctx, sieved):
         # the sieve must never excise a class holding a rational point
         for s, label in DECOMPOSITIONS.values():
-            assert (s % ctx.N) in sieved.survivors[label]
+            assert (s % sieved.M) in sieved.survivors[label]
+
+
+class TestClassSet:
+    """Survivors held as residues mod M | N read as the full sets mod N."""
+
+    def test_passes_match_the_full_class_set(self, ctx):
+        # the reference keeps every class mod N and filters it by each
+        # pass's residues, as a sieve without a period would
+        state = initial_state(ctx)
+        N = ctx.N
+        ref = {label: set(range(N)) for label in ctx.torsion_labels()}
+        for q in (7,) + AUX:
+            sieve_pass(ctx, state, q)
+            img = state.images[q]
+            m = img.gamma_order
+            for label, sset in ref.items():
+                ref[label] = {s for s in sset if s % m in img.residues[label]}
+            assert N % state.M == 0
+            assert state.survivor_count() == sum(map(len, ref.values()))
+            sample = [(s, label) for label in sorted(ref)
+                      for s in sorted(ref[label])][:20]
+            assert state.survivor_sample() == sample
+            for label, sset in ref.items():
+                res = state.survivors[label]
+                assert {s for s in range(N) if s % state.M in res} == sset
+
+    def test_refine_counts_classes_mod_N(self, ctx):
+        state = SieveState(ctx.N, ctx.torsion_labels(), {}, {})
+        assert state.survivor_count() == 16 * ctx.N
+        dropped = state.refine(6, lambda label, s: s % 3 == 0)
+        assert (state.M, dropped) == (6, 16 * ctx.N * 2 // 3)
+        assert state.survivors[(0, 0, 0, 0)] == {0, 3}
+
+    def test_refine_off_the_modulus_raises(self, ctx):
+        state = SieveState(ctx.N, ctx.torsion_labels(), {}, {})
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            state.refine(4, lambda label, s: True)
+        assert state.M == 1
+        assert state.survivor_count() == 16 * ctx.N
 
 
 class TestSearch:
