@@ -50,7 +50,6 @@ from .padic import (
     InconclusiveTruncationError,
     NotHenselLiftableError,
     PadicNumber,
-    PadicPoly,
     PadicPowerSeries,
     PrecisionLossError,
     QuadExtension,
@@ -83,7 +82,6 @@ __all__ = [
     "MumfordDivisor",
     "NotHenselLiftableError",
     "PadicNumber",
-    "PadicPoly",
     "PadicPowerSeries",
     "PointRecord",
     "PrecisionLossError",

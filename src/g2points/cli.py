@@ -242,7 +242,8 @@ def run_job(cfg: JobConfig) -> RunReport:
                            max_escalations=cfg.precision_escalations)
         result = run_sieve(ctx)
     except Exception as e:
-        return RunReport(cfg, None, "error", "aborted: %s" % e,
+        return RunReport(cfg, None, "error",
+                         "aborted: %s" % (str(e) or type(e).__name__),
                          ["%s: %s" % (type(e).__name__, e)],
                          time.monotonic() - t0, cfg.aux_primes)
     return RunReport(cfg, result, result.status, result.closing, [],

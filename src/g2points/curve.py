@@ -14,15 +14,18 @@ from fractions import Fraction
 from .padic import (
     DEFAULT_PRECISION,
     PadicNumber,
-    PadicPoly,
     PadicPowerSeries,
     PrecisionLossError,
     QuadExtension,
     QuadExtNumber,
     _ext_sqrt,
+    _horner,
+    _series_dot,
     hensel_root,
     legendre_symbol,
     padic_sqrt,
+    series_inv,
+    series_mul,
     smallest_nonresidue,
     sqrt_mod_p,
     valuation_is_negative,
@@ -304,10 +307,10 @@ def disc_center(C: HyperellipticCurve, fp_point, p: int,
         weierstrass = ybar == 0
         F, residue = PadicDomain(p, rel), PadicNumber.residue
     if weierstrass:
-        f = PadicPoly(p, [PadicNumber.from_int(k, p, rel) for k in C.f_coeffs])
+        f = [PadicNumber.from_int(k, p, rel) for k in C.f_coeffs]
         return CurvePoint(hensel_root(f, x0, rel), PadicNumber.exact_zero(p), False)
     # f read at rel digits: an exact x0 = 0 gives f_eval no precision to read
-    fx0 = _taylor_coeffs([F.lift(k) for k in C.f_coeffs], x0)[0]
+    fx0 = _horner([F.lift(k) for k in C.f_coeffs], x0)
     if isinstance(x0, QuadExtNumber):
         y0 = _ext_sqrt(F, fx0)
     else:
@@ -322,9 +325,9 @@ def disc_center(C: HyperellipticCurve, fp_point, p: int,
 
 
 # -- local series helpers (plain coefficient lists, truncated products) ----
-# generic over the coefficient field through a polys domain (PadicDomain or
-# QuadExtDomain), so the same recursions serve Q_p and its quadratic
-# extensions
+# products and inverses are padic.series_mul / series_inv; a polys domain
+# (PadicDomain or QuadExtDomain) only lifts the constants, so the same
+# recursions serve Q_p and its quadratic extensions
 
 def _lzero(F, n):
     return [F.zero() for _ in range(n)]
@@ -347,29 +350,13 @@ def _lsub(a, b, n, k=0):
     return out
 
 
-def _lmul(F, a, b, n):
-    out = []
-    for k in range(n):
-        i0 = max(0, k - len(b) + 1)
-        out.append(F.dot(a[i0: k + 1], b[k - i0:: -1]))
-    return out
-
-
-def _linv(F, a, n):
-    inv0 = a[0].inverse()
-    out = [inv0]
-    for d in range(1, n):
-        out.append(-inv0 * F.dot(a[1: d + 1], out[d - 1:: -1]))
-    return out
-
-
-def _lpolyval(F, poly_coeffs, s, n):
+def _lpolyval(p, poly_coeffs, s, n):
     """poly(s(t)) truncated to n coefficients.  Horner starts from the
     leading coefficient, and a constant meeting an exact-zero acc[0] is
     copied: the add would return it unchanged."""
     acc = [poly_coeffs[-1]]
     for c in reversed(poly_coeffs[:-1]):
-        acc = _lmul(F, acc, s, n)
+        acc = series_mul(p, acc, s, n)
         acc[0] = c if acc[0].is_exact_zero() else acc[0] + c
     return acc
 
@@ -377,9 +364,10 @@ def _lpolyval(F, poly_coeffs, s, n):
 def _affine_y_coeffs(F, fc, x0, y0, T):
     """y(t) on y^2 = f(x0 + t) to T coefficients, y(0) = y0 a unit."""
     taylor = _taylor_coeffs(fc, x0)
+    dot = _series_dot(F.p, taylor + [y0])
     ys = [y0]
     for m in range(1, T + 1):
-        s = F.dot(ys[1: m], ys[m - 1: 0: -1])
+        s = dot(ys[1: m], ys[m - 1: 0: -1])
         ys.append((taylor[m] - s if m < len(taylor) else -s) / (y0 * 2))
     return ys
 
@@ -387,15 +375,15 @@ def _affine_y_coeffs(F, fc, x0, y0, T):
 def _weierstrass_x_coeffs(F, fc, x0, T):
     """x(t) solving f(x(t)) = t^2 with x(0) = x0 a simple root of f;
     the series is even in t."""
-    one = F.one()
+    p, one = F.p, F.one()
     fpc = [fc[i] * i for i in range(1, 6)]
     xs = [x0]
     m = 1
     while m < T + 1:
         m = min(2 * m, T + 1)
-        res = _lsub(_lpolyval(F, fc, xs, m), [one], m, 2)
-        dfx = _lpolyval(F, fpc, xs, m)
-        step = _lmul(F, res, _linv(F, dfx, m), m)
+        res = _lsub(_lpolyval(p, fc, xs, m), [one], m, 2)
+        dfx = _lpolyval(p, fpc, xs, m)
+        step = series_mul(p, res, series_inv(p, dfx, m), m)
         xs = _lsub(xs, step, m)
     return xs[: T + 1]
 
@@ -484,15 +472,15 @@ def _expansion_at_infinity(F, fc, T):
     m = 3
     while m < n:
         m = min(2 * m, n)
-        res = _lsub(xi, _lpolyval(F, g, xi, m), m, 2)
-        gpx = _lpolyval(F, gp, xi, m)
+        res = _lsub(xi, _lpolyval(p, g, xi, m), m, 2)
+        gpx = _lpolyval(p, gp, xi, m)
         dF = [one, F.zero()] + [-c for c in gpx[: m - 2]]
-        step = _lmul(F, res, _linv(F, dF, m), m)
+        step = series_mul(p, res, series_inv(p, dF, m), m)
         xi = _lsub(xi, step, m)
     u = xi[2: T + 3]  # xi = t^2 * u(t), u(0) = 1
-    uinv = _linv(F, u, T + 1)
+    uinv = series_inv(p, u, T + 1)
     x_series = PadicPowerSeries(p, uinv, 0, -2)
-    y_series = PadicPowerSeries(p, _lmul(F, uinv, uinv, T + 1), 0, -5)
+    y_series = PadicPowerSeries(p, series_mul(p, uinv, uinv, T + 1), 0, -5)
     return x_series, y_series
 
 

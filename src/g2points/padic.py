@@ -449,14 +449,15 @@ def object_dot(zero, xs, ys):
     """sum(x*y for x, y in zip(xs, ys)) as the object fold from ``zero``.
 
     The sum of products for coefficients that padic_dot cannot take, such
-    as QuadExtNumber pairs.  Exact-zero products are skipped: adding one
-    would return the accumulator unchanged.
+    as QuadExtNumber pairs.  Exact-zero products are skipped, and the
+    first product starts the sum: adding an exact zero would return the
+    other operand's digits unchanged.
     """
-    acc = zero
+    acc = None
     for x, y in zip(xs, ys):
         if not (x.is_exact_zero() or y.is_exact_zero()):
-            acc = acc + x * y
-    return acc
+            acc = x * y if acc is None else acc + x * y
+    return zero if acc is None else acc
 
 
 class QuadExtension:
@@ -761,31 +762,6 @@ def _lift_sqrt(unit: int, r0: int, p: int, rel: int) -> int:
     return r
 
 
-class PadicPoly:
-    """Dense polynomial over Q_p; index i holds the coefficient of x^i."""
-
-    __slots__ = ("prime", "coeffs")
-
-    def __init__(self, prime: int, coeffs):
-        self.prime = prime
-        self.coeffs = [c if isinstance(c, PadicNumber)
-                       else PadicNumber.from_rational(c, prime)
-                       for c in coeffs] or [PadicNumber.exact_zero(prime)]
-
-    def __call__(self, x):
-        acc = PadicNumber.exact_zero(self.prime)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "PadicPoly":
-        return PadicPoly(self.prime,
-                         [self.coeffs[i] * i for i in range(1, len(self.coeffs))])
-
-    def newton_polygon(self) -> "NewtonPolygon":
-        return NewtonPolygon.of_poly(self)
-
-
 class NewtonPolygon:
     """Lower convex hull of (i, v(c_i)); slopes are non-decreasing.
 
@@ -802,9 +778,10 @@ class NewtonPolygon:
         self.zero_roots = zero_roots
 
     @classmethod
-    def of_poly(cls, f: PadicPoly) -> "NewtonPolygon":
+    def of_poly(cls, coeffs) -> "NewtonPolygon":
+        """The polygon of sum coeffs[i] x^i, a list of PadicNumbers."""
         pts, floors = [], []
-        for i, c in enumerate(f.coeffs):
+        for i, c in enumerate(coeffs):
             if c.is_zeroish():
                 if not c.is_exact_zero():
                     floors.append((i, c.valuation))
@@ -857,16 +834,17 @@ def _hull_value_at(hull, i):
     return None
 
 
-def hensel_root(f: PadicPoly, x0: PadicNumber, target_rel: int | None = None) -> PadicNumber:
-    """The unique root of f near x0, under v(f(x0)) > 2 v(f'(x0)).
+def hensel_root(f, x0: PadicNumber, target_rel: int | None = None) -> PadicNumber:
+    """The unique root near x0 of f = sum f[i] x^i, a list of p-adic
+    coefficients, under v(f(x0)) > 2 v(f'(x0)).
 
     Newton iteration with quadratic convergence.  Raises
     NotHenselLiftableError when the hypothesis fails at x0.  x0 may be a
     QuadExtNumber when target_rel is given.
     """
-    fx = f(x0)
-    df = f.derivative()
-    dfx = df(x0)
+    fx = _horner(f, x0)
+    df = [f[i] * i for i in range(1, len(f))]
+    dfx = _horner(df, x0)
     if dfx.is_zeroish():
         raise NotHenselLiftableError("derivative indistinguishable from 0 at x0")
     if fx.is_zeroish():
@@ -878,11 +856,11 @@ def hensel_root(f: PadicPoly, x0: PadicNumber, target_rel: int | None = None) ->
     x = x0
     target = target_rel if target_rel is not None else x0.rel_precision
     for _ in range(64):
-        fx = f(x)
+        fx = _horner(f, x)
         if fx.is_zeroish() and (fx.is_exact_zero()
                                 or fx.valuation >= dfx.valuation + target):
             break
-        step = fx / df(x)
+        step = fx / _horner(df, x)
         if step.is_zeroish():
             break
         x = x - step
@@ -910,9 +888,11 @@ class PadicPowerSeries:
     def __init__(self, prime: int, coeffs, tail_valuation_bound=_INF, shift: int = 0,
                  tail_log_penalty: bool = False):
         self.prime = prime
-        self.coeffs = [c if isinstance(c, (PadicNumber, QuadExtNumber))
-                       else PadicNumber.from_rational(c, prime)
-                       for c in coeffs] or [PadicNumber.exact_zero(prime)]
+        self.coeffs = list(coeffs) or [PadicNumber.exact_zero(prime)]
+        for c in self.coeffs:
+            if not isinstance(c, (PadicNumber, QuadExtNumber)):
+                raise TypeError("series coefficient %r is not p-adic; lift it "
+                                "at the digits it should carry" % (c,))
         self.tail_valuation_bound = tail_valuation_bound
         self.shift = shift
         self.tail_log_penalty = tail_log_penalty
@@ -1008,12 +988,7 @@ class PadicPowerSeries:
             hi = sa + self.truncation_order + sb + other.truncation_order
         hi = int(hi)
         lo = sa + sb
-        a, b = self.coeffs, other.coeffs
-        dot = _series_dot(p, a + b)
-        out = []
-        for k in range(hi - lo + 1):
-            i0 = max(0, k - len(b) + 1)
-            out.append(dot(a[i0: k + 1], b[k - i0:: -1]))
+        out = series_mul(p, self.coeffs, other.coeffs, hi - lo + 1)
         if self.tail_valuation_bound == _INF and other.tail_valuation_bound == _INF:
             tail = _INF
         else:
@@ -1082,9 +1057,7 @@ class PadicPowerSeries:
         delta = Fraction(delta)
         if delta <= 0:
             raise ValueError("series evaluation requires v(t) > 0")
-        acc = None
-        for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * t + c
+        acc = _horner(self.coeffs, t)
         for _ in range(self.shift):
             acc = acc * t
         cap = self._eval_tail_cap(delta)
@@ -1111,11 +1084,7 @@ class PadicPowerSeries:
         if c0.valuation != 0 or self._finite_min_val() < 0:
             raise ValueError("series inverse requires an integral series with unit constant")
         p = self.prime
-        dot = _series_dot(p, self.coeffs)
-        inv0 = c0.inverse()
-        out = [inv0]
-        for d in range(1, self.truncation_order + 1):
-            out.append(-inv0 * dot(self.coeffs[1: d + 1], out[d - 1:: -1]))
+        out = series_inv(p, self.coeffs, len(self.coeffs))
         tail = 0 if self.tail_valuation_bound != _INF else _INF
         return PadicPowerSeries(p, out, tail, 0)
 
@@ -1132,6 +1101,35 @@ def _series_dot(p: int, coeffs):
         return lambda xs, ys: padic_dot(p, xs, ys)
     zero = PadicNumber.exact_zero(p)
     return lambda xs, ys: object_dot(zero, xs, ys)
+
+
+def series_mul(p: int, a, b, n: int):
+    """The first n coefficients of a*b, for coefficient lists a and b."""
+    dot = _series_dot(p, a + b)
+    out = []
+    for k in range(n):
+        i0 = max(0, k - len(b) + 1)
+        out.append(dot(a[i0: k + 1], b[k - i0:: -1]))
+    return out
+
+
+def series_inv(p: int, a, n: int):
+    """The first n coefficients of 1/a, for a coefficient list a whose
+    constant term is invertible."""
+    dot = _series_dot(p, a)
+    inv0 = a[0].inverse()
+    out = [inv0]
+    for d in range(1, n):
+        out.append(-inv0 * dot(a[1: d + 1], out[d - 1:: -1]))
+    return out
+
+
+def _horner(coeffs, x):
+    """sum coeffs[i] x^i by Horner from an exact zero."""
+    acc = PadicNumber.exact_zero(x.prime)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def log_penalty_tail_cap(p: int, T: int, base, delta: Fraction):
@@ -1220,10 +1218,7 @@ def mahler_bound_holds(f: PadicPowerSeries, zero_valuations, r_val: int, x, k: i
     if xv != _INF and xv > 0:
         val = g.evaluate(x)
     else:
-        acc = None
-        for c in reversed(g.coeffs):
-            acc = c if acc is None else acc * x + c
-        val = acc
+        val = _horner(g.coeffs, x)
         if g.tail_valuation_bound != _INF:
             val = val.with_abs_cap(int(g.tail_valuation_bound))
     need = (d - k) * r_val

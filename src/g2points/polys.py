@@ -1,15 +1,18 @@
 """Dense polynomial arithmetic over pluggable coefficient domains.
 
 The same composition/reduction code drives Jacobian arithmetic over Q
-(exact Fractions), over F_p (ints), and over Q_p and its quadratic
-extensions (capped precision).  A domain supplies ring ops plus the two
-predicates the algorithms actually branch on: "certainly zero" and
-"usable as a pivot".  Over Q_p the two differ: a coefficient with no
-known digits is neither, and any degree decision that depends on one
-raises PrecisionLossError so the caller can retry with more digits.
+(exact Fractions), over F_p (ints), and over Q_p (capped precision).  A
+domain supplies ring ops plus the two predicates the algorithms actually
+branch on: "certainly zero" and "usable as a pivot".  Over Q_p the two
+differ: a coefficient with no known digits is neither, and any degree
+decision that depends on one raises PrecisionLossError so the caller can
+retry with more digits.
 
-The Q_p and extension domains also drive the truncated series recursions
-in curve; their sums of products go through ``dot``.
+The Q_p domain and the domain of a quadratic extension of Q_p also lift
+the constants of the truncated series recursions in curve; those
+recursions compute on plain coefficient lists through
+``padic.series_mul`` and ``padic.series_inv``.  No Cantor arithmetic runs
+over the extension, so its domain has no predicates.
 
 Polynomials are ascending coefficient lists; [] is the zero polynomial.
 """
@@ -18,14 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .padic import (
-    PadicNumber,
-    PrecisionLossError,
-    QuadExtension,
-    QuadExtNumber,
-    object_dot,
-    padic_dot,
-)
+from .padic import PadicNumber, PrecisionLossError, QuadExtension, QuadExtNumber
 
 
 class _ElementOps:
@@ -130,9 +126,6 @@ class PadicDomain(_ElementOps):
     def one(self):
         return PadicNumber.from_int(1, self.p, self.rel)
 
-    def dot(self, xs, ys):
-        return padic_dot(self.p, xs, ys)
-
     def is_zero(self, a):
         # only an exact zero is *certainly* zero
         return a.is_exact_zero()
@@ -166,19 +159,6 @@ class QuadExtDomain(_ElementOps):
 
     def one(self):
         return self.lift(1)
-
-    def dot(self, xs, ys):
-        # extension elements are pairs, so the integer kernel does not apply
-        return object_dot(self.zero(), xs, ys)
-
-    def is_zero(self, a):
-        return a.a.is_exact_zero() and a.b.is_exact_zero()
-
-    def is_pivot(self, a):
-        return not a.is_zeroish()
-
-    def eq(self, a, b):
-        return (a - b).is_zeroish()
 
 
 def poly_lift(dom, coeffs):

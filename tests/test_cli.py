@@ -200,6 +200,19 @@ class TestRunJob:
         assert rep.diagnostics == ["RuntimeError: sieve exploded"]
         assert json.loads(emit_report(rep, "machine"))["status"] == "error"
 
+    def test_exception_without_message_closes_with_its_name(self, flynn_config,
+                                                           monkeypatch):
+        import g2points.cli as cli
+
+        def no_memory(ctx):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run_sieve", no_memory)
+        rep = run_job(flynn_config)
+        assert rep.status == "error"
+        assert rep.closing == "aborted: MemoryError"
+        assert rep.diagnostics == ["MemoryError: "]
+
     def test_determinism_modulo_telemetry(self, flynn_config, flynn_report):
         again = run_job(flynn_config)
         d1 = json.loads(emit_report(flynn_report, "machine"))

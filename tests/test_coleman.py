@@ -24,7 +24,7 @@ from g2points.curve import (CurvePoint, Differential, HyperellipticCurve,
                             local_expansion, reduce_point)
 from g2points.jacobian import (MumfordDivisor, cantor_add, embed_point,
                                reduce_divisor, scalar_mul)
-from g2points.padic import (TRUNCATION_FACTOR, PadicNumber, PadicPoly,
+from g2points.padic import (TRUNCATION_FACTOR, PadicNumber,
                             PadicPowerSeries, QuadExtension, QuadExtNumber,
                             hensel_root, legendre_symbol,
                             padic_agree, padic_sqrt, strassmann_count,
@@ -271,8 +271,7 @@ class TestExtensionSupport:
         # r one step off the exact root so f(r) has valuation exactly 1;
         # the twist is picked so that f(x) is a square in the extension
         rel = 20
-        f = PadicPoly(7, [PadicNumber.from_rational(k, 7, rel)
-                          for k in C.f_coeffs])
+        f = [PadicNumber.from_rational(k, 7, rel) for k in C.f_coeffs]
         rho = hensel_root(f, PadicNumber.from_rational(0, 7, rel))
         r = rho + PadicNumber.from_rational(7, 7, rel)
         w_unit = C.f_eval(r).pshift(-1)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2points.curve import CurvePoint, HyperellipticCurve, _linv, _lmul
+from g2points.curve import CurvePoint, HyperellipticCurve
 from g2points.jacobian import embed_point
 from g2points.padic import (
     DEFAULT_PRECISION,
@@ -16,16 +16,18 @@ from g2points.padic import (
     NewtonPolygon,
     NotHenselLiftableError,
     PadicNumber,
-    PadicPoly,
     PadicPowerSeries,
     PrecisionLossError,
     QuadExtension,
     QuadExtNumber,
+    _horner,
     hensel_root,
     legendre_symbol,
     mahler_bound_holds,
     padic_dot,
     padic_sqrt,
+    series_inv,
+    series_mul,
     smallest_nonresidue,
     sqrt_mod_p,
     strassmann_count,
@@ -39,6 +41,10 @@ from g2points.polys import PadicDomain
 
 def N(x, p=7, rel=DEFAULT_PRECISION):
     return PadicNumber.from_rational(Fraction(x), p, rel)
+
+
+def Ns(xs, p=7):
+    return [N(x, p) for x in xs]
 
 
 class TestBasicArithmetic:
@@ -243,50 +249,43 @@ class TestQuadExtension:
 class TestNewtonPolygonAndHensel:
     def test_x2_minus_7x(self):
         # roots 0 and 7: the zero root reports valuation +inf
-        f = PadicPoly(7, [0, -7, 1])
-        rv = f.newton_polygon().root_valuations()
+        rv = NewtonPolygon.of_poly(Ns([0, -7, 1])).root_valuations()
         assert (math.inf, 1) in rv
         assert (1, 1) in rv
         assert sum(l for _, l in rv) == 2
 
     def test_linear(self):
-        f = PadicPoly(7, [-1, 1])
-        assert f.newton_polygon().root_valuations() == [(0, 1)]
+        assert NewtonPolygon.of_poly(Ns([-1, 1])).root_valuations() == [(0, 1)]
 
     def test_seven_plus_x_plus_seven_x2(self):
-        f = PadicPoly(7, [7, 1, 7])
-        rv = dict((v, l) for v, l in f.newton_polygon().root_valuations())
+        rv = dict(NewtonPolygon.of_poly(Ns([7, 1, 7])).root_valuations())
         assert rv == {1: 1, -1: 1}
 
     def test_zeroish_coefficient_below_hull_raises(self):
-        f = PadicPoly(7, [PadicNumber.zeroish(7, 0), N(1), N(7)])
         with pytest.raises(PrecisionLossError):
-            f.newton_polygon()
+            NewtonPolygon.of_poly([PadicNumber.zeroish(7, 0), N(1), N(7)])
 
     def test_hensel_sqrt2(self):
-        f = PadicPoly(7, [-2, 0, 1])
-        r = hensel_root(f, N(3))
+        r = hensel_root(Ns([-2, 0, 1]), N(3))
         assert (r * r - 2).is_zeroish()
         assert r.unit_part() % 7 == 3
 
     def test_hensel_linear_identity(self):
-        f = PadicPoly(7, [-5, 1])
-        assert (hensel_root(f, N(5)) - 5).is_zeroish()
+        assert (hensel_root(Ns([-5, 1]), N(5)) - 5).is_zeroish()
 
     def test_hensel_precondition_violation(self):
-        f = PadicPoly(7, [-7, 0, 1])
         with pytest.raises(NotHenselLiftableError):
-            hensel_root(f, N(0))
+            hensel_root(Ns([-7, 0, 1]), N(0))
 
     def test_poly_eval_and_derivative(self):
-        f = PadicPoly(7, [1, 2, 3])
-        assert (f(N(2)) - 17).is_zeroish()
-        assert (f.derivative()(N(2)) - 14).is_zeroish()
+        # 1 + 2x + 3x^2 and its derivative 2 + 6x at x = 2
+        assert (_horner([N(1), N(2), N(3)], N(2)) - 17).is_zeroish()
+        assert (_horner([N(2), N(6)], N(2)) - 14).is_zeroish()
 
 
 class TestStrassmann:
     def test_quadratic_with_unit_linear_coefficient(self):
-        f = PadicPowerSeries(7, [7, 1, 7], tail_valuation_bound=1)
+        f = PadicPowerSeries(7, Ns([7, 1, 7]), tail_valuation_bound=1)
         assert strassmann_count(f) == 1
 
     def test_nonzero_constant(self):
@@ -306,12 +305,12 @@ class TestStrassmann:
         assert strassmann_count(f) == 0
 
     def test_tail_cannot_exclude_dominance(self):
-        f = PadicPowerSeries(7, [7, 1, 7], tail_valuation_bound=0)
+        f = PadicPowerSeries(7, Ns([7, 1, 7]), tail_valuation_bound=0)
         with pytest.raises(InconclusiveTruncationError):
             strassmann_count(f)
 
     def test_log_penalty_is_inconclusive(self):
-        base = PadicPowerSeries(7, [1, 1], tail_valuation_bound=1)
+        base = PadicPowerSeries(7, Ns([1, 1]), tail_valuation_bound=1)
         g = base.antiderivative()
         assert g.tail_log_penalty
         with pytest.raises(InconclusiveTruncationError):
@@ -335,8 +334,9 @@ class TestStrassmann:
             deg = rng.randint(1, 6)
             coeffs = [rng.randint(-p ** 3, p ** 3) for _ in range(deg)] + [
                 rng.randint(1, p ** 3)]
-            f = PadicPoly(p, coeffs)
-            expected = sum(l for v, l in f.newton_polygon().root_valuations() if v >= 0)
+            coeffs = Ns(coeffs, p)
+            rv = NewtonPolygon.of_poly(coeffs).root_valuations()
+            expected = sum(l for v, l in rv if v >= 0)
             g = PadicPowerSeries(p, coeffs)
             assert strassmann_count(g) == expected, (p, coeffs)
 
@@ -344,8 +344,8 @@ class TestStrassmann:
 class TestPowerSeries:
     def test_add_aligns_polynomial_and_truncated(self):
         # constant + truncated series must keep the full truncation window
-        s = PadicPowerSeries(7, [1, 2, 3, 4], tail_valuation_bound=2)
-        c = PadicPowerSeries(7, [5])
+        s = PadicPowerSeries(7, Ns([1, 2, 3, 4]), tail_valuation_bound=2)
+        c = PadicPowerSeries(7, [N(5)])
         t = s + c
         assert t.truncation_order == 3
         assert (t.coeff_of_degree(0) - 6).is_zeroish()
@@ -353,8 +353,8 @@ class TestPowerSeries:
         assert t.tail_valuation_bound == 2
 
     def test_mul_respects_completeness_horizon(self):
-        s = PadicPowerSeries(7, [1, 1, 1], tail_valuation_bound=3)
-        c = PadicPowerSeries(7, [2])
+        s = PadicPowerSeries(7, Ns([1, 1, 1]), tail_valuation_bound=3)
+        c = PadicPowerSeries(7, [N(2)])
         prod = c * s
         assert prod.truncation_order == 2
         assert (prod.coeff_of_degree(2) - 2).is_zeroish()
@@ -362,21 +362,21 @@ class TestPowerSeries:
 
     def test_laurent_shift_mul(self):
         # (t^-2)(t^3 + t^4) = t + t^2
-        a = PadicPowerSeries(7, [1], shift=-2)
-        b = PadicPowerSeries(7, [1, 1], shift=3)
+        a = PadicPowerSeries(7, [N(1)], shift=-2)
+        b = PadicPowerSeries(7, Ns([1, 1]), shift=3)
         c = a * b
         assert c.shift == 1
         assert (c.coeff_of_degree(1) - 1).is_zeroish()
         assert (c.coeff_of_degree(2) - 1).is_zeroish()
 
     def test_derivative_antiderivative_roundtrip(self):
-        s = PadicPowerSeries(7, [2, 3, 5, 7], tail_valuation_bound=1)
+        s = PadicPowerSeries(7, Ns([2, 3, 5, 7]), tail_valuation_bound=1)
         back = s.antiderivative().derivative()
         for d in range(4):
             assert (back.coeff_of_degree(d) - s.coeff_of_degree(d)).is_zeroish()
 
     def test_rescale_discharges_log_penalty(self):
-        s = PadicPowerSeries(7, [1] * 10, tail_valuation_bound=0)
+        s = PadicPowerSeries(7, Ns([1] * 10), tail_valuation_bound=0)
         g = s.antiderivative()
         assert g.tail_log_penalty
         h = g.rescale_argument(1)
@@ -385,14 +385,14 @@ class TestPowerSeries:
         assert h.tail_valuation_bound == 10
 
     def test_evaluate_caps_by_tail(self):
-        s = PadicPowerSeries(7, [1, 1], tail_valuation_bound=0)
+        s = PadicPowerSeries(7, Ns([1, 1]), tail_valuation_bound=0)
         v = s.evaluate(N(7))
         # truncation error O(7^(0+2)) dominates the cap
         assert v.abs_precision <= 2
         assert (v - 8).is_zeroish()
 
     def test_evaluate_log_penalty_still_converges(self):
-        s = PadicPowerSeries(7, [1] * 8, tail_valuation_bound=0).antiderivative()
+        s = PadicPowerSeries(7, Ns([1] * 8), tail_valuation_bound=0).antiderivative()
         v = s.evaluate(N(7))
         geom = sum(Fraction(7 ** (i + 1), i + 1) for i in range(8))
         assert (v - N(geom, rel=40)).is_zeroish()
@@ -401,14 +401,14 @@ class TestPowerSeries:
     def test_evaluate_on_extension_element(self):
         ext = QuadExtension(7, QuadExtension.RAMIFIED)
         pi = QuadExtNumber(ext, PadicNumber.exact_zero(7), N(1))
-        s = PadicPowerSeries(7, [1, 1, 1], tail_valuation_bound=5)
+        s = PadicPowerSeries(7, Ns([1, 1, 1]), tail_valuation_bound=5)
         v = s.evaluate(pi)
         # 1 + pi + pi^2 = (1 + 7) + pi
         assert (v.a - 8).is_zeroish()
         assert (v.b - 1).is_zeroish()
 
     def test_inverse(self):
-        s = PadicPowerSeries(7, [1, 3, 2], tail_valuation_bound=0)
+        s = PadicPowerSeries(7, Ns([1, 3, 2]), tail_valuation_bound=0)
         inv = s.inverse()
         prod = s * inv
         assert (prod.coeff_of_degree(0) - 1).is_zeroish()
@@ -417,20 +417,27 @@ class TestPowerSeries:
 
     def test_inverse_requires_unit_constant(self):
         with pytest.raises(ValueError):
-            PadicPowerSeries(7, [7, 1]).inverse()
+            PadicPowerSeries(7, Ns([7, 1])).inverse()
+
+    def test_int_coefficient_is_refused(self):
+        # a constant has no precision of its own; lift it first
+        with pytest.raises(TypeError, match="not p-adic"):
+            PadicPowerSeries(7, [1, 2])
+        with pytest.raises(TypeError, match="not p-adic"):
+            PadicPowerSeries(7, [N(1), Fraction(1, 2)])
 
 
 class TestMahler:
     def test_quadratic_at_zero(self):
-        f = PadicPowerSeries(7, [0, -7, 1])
+        f = PadicPowerSeries(7, Ns([0, -7, 1]))
         assert mahler_bound_holds(f, [1, 1], 1, N(0), 0)
 
     def test_quadratic_derivative_at_seven(self):
-        f = PadicPowerSeries(7, [0, -7, 1])
+        f = PadicPowerSeries(7, Ns([0, -7, 1]))
         assert mahler_bound_holds(f, [1, 1], 1, N(7), 1)
 
     def test_pure_power(self):
-        f = PadicPowerSeries(7, [0, 0, 0, 1])
+        f = PadicPowerSeries(7, Ns([0, 0, 0, 1]))
         for x in [N(0), N(7), N(49), N(21)]:
             assert mahler_bound_holds(f, [1, 1, 1], 1, x, 0)
 
@@ -549,6 +556,13 @@ def fields(x):
     return (x._val, x._unit, x._rel)
 
 
+def ext_fields(x):
+    """fields of both parts of a + b sqrt(d); a base element x is x + 0 sqrt(d)."""
+    if isinstance(x, QuadExtNumber):
+        return fields(x.a), fields(x.b)
+    return fields(x), fields(PadicNumber.exact_zero(x.prime))
+
+
 @st.composite
 def padics(draw, p, min_val=-4, max_val=12):
     kind = draw(st.sampled_from(["exact", "zeroish", "known", "known", "known"]))
@@ -633,15 +647,44 @@ class TestDotKernel:
         want = [fields(c) for c in ref_mul(p, a, b, n)]
         prod = PadicPowerSeries(p, a) * PadicPowerSeries(p, b)
         assert [fields(c) for c in prod.coeffs] == want
-        F = PadicDomain(p, 20)
-        assert [fields(c) for c in _lmul(F, a, b, n)] == want
+        assert [fields(c) for c in series_mul(p, a, b, n)] == want
         m = data.draw(st.integers(1, n))
-        assert [fields(c) for c in _lmul(F, a, b, m)] == want[:m]
+        assert [fields(c) for c in series_mul(p, a, b, m)] == want[:m]
         inv = PadicPowerSeries(p, a, tail_valuation_bound=0).inverse()
         assert [fields(c) for c in inv.coeffs] == \
             [fields(c) for c in ref_inv(p, a, len(a))]
-        assert [fields(c) for c in _linv(F, a, n)] == \
+        assert [fields(c) for c in series_inv(p, a, n)] == \
             [fields(c) for c in ref_inv(p, a, n)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_series_kernel_over_an_extension(self, data):
+        # Q_p(sqrt(c)) lists, alone or mixed with base elements, take the
+        # object fold; it must agree with the plain operator fold
+        p = data.draw(st.sampled_from([3, 5, 7]))
+        ext = QuadExtension(p, QuadExtension.UNRAMIFIED)
+        mixed = data.draw(st.booleans())
+
+        def lift(cs):
+            out = []
+            for c in cs:
+                if mixed and data.draw(st.booleans()):
+                    out.append(c)
+                else:
+                    b = data.draw(padics(p, 0, 6))
+                    out.append(QuadExtNumber(ext, c, b))
+            return out
+
+        a = lift(data.draw(integral_series(p, unit_constant=True)))
+        b = lift(data.draw(integral_series(p)))
+        if isinstance(a[0], QuadExtNumber) and a[0].norm().is_zeroish():
+            # a sqrt(c) part with no digits at valuation 0 hides the norm
+            a[0] = QuadExtNumber.from_base(ext, a[0].a)
+        n = len(a) + len(b) - 1
+        assert [ext_fields(c) for c in series_mul(p, a, b, n)] == \
+            [ext_fields(c) for c in ref_mul(p, a, b, n)]
+        assert [ext_fields(c) for c in series_inv(p, a, n)] == \
+            [ext_fields(c) for c in ref_inv(p, a, n)]
 
 
 # -- tail cap of a log-penalized series ---------------------------------------
@@ -668,7 +711,7 @@ class TestTailCap:
             for T in (0, 1, 2, 6, 9, 26, 86, 160):
                 for base in (-3, 0, 5):
                     for penalty in (False, True):
-                        s = PadicPowerSeries(p, [1] * (T + 1), base, 0, penalty)
+                        s = PadicPowerSeries(p, Ns([1] * (T + 1), p), base, 0, penalty)
                         for delta in (Fraction(1, 3), Fraction(1, 2), Fraction(1),
                                       Fraction(3, 2), Fraction(2), Fraction(5)):
                             got = s._eval_tail_cap(delta)
@@ -677,7 +720,7 @@ class TestTailCap:
                                 (p, T, base, penalty, delta)
 
     def test_tiny_valuation_raises_instead_of_capping_silently(self):
-        s = PadicPowerSeries(7, [1] * 5, tail_valuation_bound=0).antiderivative()
+        s = PadicPowerSeries(7, Ns([1] * 5), tail_valuation_bound=0).antiderivative()
         with pytest.raises(InconclusiveTruncationError):
             s._eval_tail_cap(Fraction(1, 10 ** 6))
 
