@@ -41,6 +41,7 @@ from .padic import (
     PadicPowerSeries,
     PrecisionLossError,
     QuadExtNumber,
+    lift,
     strassmann_count,
     valuation_is_negative,
 )
@@ -87,13 +88,6 @@ class LogVector:
 
 # -- residue-disc bookkeeping ----------------------------------------------
 
-def _as_padic(c, p: int, rel: int):
-    """c as a p-adic field element; rationals are lifted into Q_p."""
-    if isinstance(c, (PadicNumber, QuadExtNumber)):
-        return c
-    return PadicNumber.from_rational(Fraction(c), p, rel)
-
-
 def _infinity_param(P: CurvePoint, p: int, rel: int):
     """t = x^2/y at a point of the disc at infinity."""
     if P.at_infinity:
@@ -109,8 +103,8 @@ def _disc_param(P: CurvePoint, center: CurvePoint, p: int, rel: int):
     if center.at_infinity:
         return _infinity_param(P, p, rel)
     if center.y.is_exact_zero():
-        return _as_padic(P.y, p, rel)
-    return _as_padic(P.x, p, rel) - center.x
+        return lift(P.y, p, rel)
+    return lift(P.x, p, rel) - center.x
 
 
 # -- tiny integrals within one residue disc --------------------------------
@@ -286,7 +280,7 @@ def _near_doubled_log(C, delta, mid, disc, p, rel):
     if k_eps is not None and len(delta.v) == 2:
         # dy = v'(x) dx along the support, so |dt| <= |v1| |eps|; a
         # constant v makes the parameter y0 exact in eps
-        cap = k_eps + int(_as_padic(delta.v[1], p, rel).valuation)
+        cap = k_eps + int(lift(delta.v[1], p, rel).valuation)
     out = []
     for lam in lams:
         val = lam.evaluate(mid.y) - lam.evaluate(-mid.y)
@@ -407,7 +401,7 @@ def point_anchored_series(C: HyperellipticCurve, w, Q: CurvePoint, p: int,
                           n: int = 1, rel: int = DEFAULT_PRECISION) -> PadicPowerSeries:
     """Antiderivative of w as a series in t/p^n, anchored at Q itself with
     constant term exactly 0 (so r = 0 is the zero at Q)."""
-    y0 = None if Q.at_infinity else _as_padic(Q.y, p, rel)
+    y0 = None if Q.at_infinity else lift(Q.y, p, rel)
     if y0 is None or y0.is_exact_zero() or y0.valuation == 0:
         # Q anchors its own expansion: infinity (t = x^2/y), branch point
         # (t = y) or ordinary disc

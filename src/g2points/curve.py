@@ -23,6 +23,7 @@ from .padic import (
     _series_dot,
     hensel_root,
     legendre_symbol,
+    lift,
     padic_sqrt,
     series_inv,
     series_mul,
@@ -31,7 +32,6 @@ from .padic import (
     valuation_is_negative,
     vp,
 )
-from .polys import PadicDomain, QuadExtDomain
 
 _INF = math.inf
 
@@ -299,20 +299,20 @@ def disc_center(C: HyperellipticCurve, fp_point, p: int,
                            PadicNumber.from_int(xb, p, rel))
         ybar = (ya % p, yb % p)
         weierstrass = ybar == (0, 0)
-        F, residue = QuadExtDomain(ext, rel), QuadExtNumber.residue_pair
+        residue = QuadExtNumber.residue_pair
     else:
         xbar, ybar = fp_point
         x0 = PadicNumber.from_int(xbar, p, rel)
         ybar %= p
         weierstrass = ybar == 0
-        F, residue = PadicDomain(p, rel), PadicNumber.residue
+        residue = PadicNumber.residue
     if weierstrass:
         f = [PadicNumber.from_int(k, p, rel) for k in C.f_coeffs]
         return CurvePoint(hensel_root(f, x0, rel), PadicNumber.exact_zero(p), False)
     # f read at rel digits: an exact x0 = 0 gives f_eval no precision to read
-    fx0 = _horner([F.lift(k) for k in C.f_coeffs], x0)
+    fx0 = _horner([lift(k, p, rel) for k in C.f_coeffs], x0)
     if isinstance(x0, QuadExtNumber):
-        y0 = _ext_sqrt(F, fx0)
+        y0 = _ext_sqrt(fx0, rel)
     else:
         y0 = padic_sqrt(fx0)
         if not isinstance(y0, PadicNumber):
@@ -325,12 +325,9 @@ def disc_center(C: HyperellipticCurve, fp_point, p: int,
 
 
 # -- local series helpers (plain coefficient lists, truncated products) ----
-# products and inverses are padic.series_mul / series_inv; a polys domain
-# (PadicDomain or QuadExtDomain) only lifts the constants, so the same
-# recursions serve Q_p and its quadratic extensions
-
-def _lzero(F, n):
-    return [F.zero() for _ in range(n)]
+# products and inverses are padic.series_mul / series_inv.  The recursions
+# take f as padic.lift reads it, with p and 1 = fc[5] read off it; f stays in
+# Q_p on an extension disc, where the extension arithmetic coerces it
 
 
 def _lsub(a, b, n, k=0):
@@ -361,10 +358,10 @@ def _lpolyval(p, poly_coeffs, s, n):
     return acc
 
 
-def _affine_y_coeffs(F, fc, x0, y0, T):
+def _affine_y_coeffs(fc, x0, y0, T):
     """y(t) on y^2 = f(x0 + t) to T coefficients, y(0) = y0 a unit."""
     taylor = _taylor_coeffs(fc, x0)
-    dot = _series_dot(F.p, taylor + [y0])
+    dot = _series_dot(fc[5].prime, taylor + [y0])
     ys = [y0]
     for m in range(1, T + 1):
         s = dot(ys[1: m], ys[m - 1: 0: -1])
@@ -372,10 +369,11 @@ def _affine_y_coeffs(F, fc, x0, y0, T):
     return ys
 
 
-def _weierstrass_x_coeffs(F, fc, x0, T):
+def _weierstrass_x_coeffs(fc, x0, T):
     """x(t) solving f(x(t)) = t^2 with x(0) = x0 a simple root of f;
     the series is even in t."""
-    p, one = F.p, F.one()
+    one = fc[5]
+    p = one.prime
     fpc = [fc[i] * i for i in range(1, 6)]
     xs = [x0]
     m = 1
@@ -388,21 +386,12 @@ def _weierstrass_x_coeffs(F, fc, x0, T):
     return xs[: T + 1]
 
 
-def _disc_field(center: CurvePoint, p: int, rel: int):
-    """The polys domain of center's disc: Q_p, or Q_p(sqrt(c)) for a center
-    with extension coordinates."""
-    if isinstance(center.x, QuadExtNumber):
-        return QuadExtDomain(center.x.ext, rel)
-    return PadicDomain(p, rel)
-
-
 def lift_anchor(center: CurvePoint, p: int, rel: int) -> CurvePoint:
-    """center with its coordinates in its disc's field at rel digits, as the
+    """center with its coordinates read by padic.lift at rel digits, as the
     local expansions read it."""
     if center.at_infinity:
         return center
-    F = _disc_field(center, p, rel)
-    return CurvePoint(F.lift(center.x), F.lift(center.y), False)
+    return CurvePoint(lift(center.x, p, rel), lift(center.y, p, rel), False)
 
 
 def local_expansion(C: HyperellipticCurve, center: CurvePoint, p: int, T: int,
@@ -415,25 +404,25 @@ def local_expansion(C: HyperellipticCurve, center: CurvePoint, p: int, T: int,
     lie in the field of the center's x-coordinate: Q_p, or its unramified
     quadratic extension for a disc with no Q_p-rational center.
     """
-    F = _disc_field(center, p, rel)
-    fc = [F.lift(k) for k in C.f_coeffs]
+    fc = [lift(k, p, rel) for k in C.f_coeffs]
     if center.at_infinity:
-        return _expansion_at_infinity(F, fc, T)
+        return _expansion_at_infinity(fc, T)
     center = lift_anchor(center, p, rel)
     x0, y0 = center.x, center.y
     ybar_zero = y0.is_zeroish() or y0.valuation >= 1
     if ybar_zero:
         if not y0.is_zeroish():
             raise ValueError("Weierstrass-disc center must have y = 0")
-        return _expansion_at_weierstrass(F, fc, x0, T)
-    return _expansion_at_affine(F, fc, x0, y0, T)
+        return _expansion_at_weierstrass(fc, x0, T)
+    return _expansion_at_affine(fc, x0, y0, T)
 
 
-def _expansion_at_affine(F, fc, x0, y0, T):
+def _expansion_at_affine(fc, x0, y0, T):
     # y(t)^2 = f(x0 + t): coefficient recursion off 2 y0 y_m = F_m - cross terms
-    ys = _affine_y_coeffs(F, fc, x0, y0, T)
-    x_series = PadicPowerSeries(F.p, [x0, F.one()], _INF, 0)
-    y_series = PadicPowerSeries(F.p, ys, 0, 0)
+    ys = _affine_y_coeffs(fc, x0, y0, T)
+    p = fc[5].prime
+    x_series = PadicPowerSeries(p, [x0, fc[5]], _INF, 0)
+    y_series = PadicPowerSeries(p, ys, 0, 0)
     return x_series, y_series
 
 
@@ -453,28 +442,31 @@ def _taylor_coeffs(fc, x0):
     return out
 
 
-def _expansion_at_weierstrass(F, fc, x0, T):
+def _expansion_at_weierstrass(fc, x0, T):
     # solve f(x(t)) = t^2 by series Newton; x(t) is even in t
-    xs = _weierstrass_x_coeffs(F, fc, x0, T)
-    x_series = PadicPowerSeries(F.p, xs, 0, 0)
-    y_series = PadicPowerSeries(F.p, [F.zero(), F.one()], _INF, 0)
+    xs = _weierstrass_x_coeffs(fc, x0, T)
+    p = fc[5].prime
+    x_series = PadicPowerSeries(p, xs, 0, 0)
+    y_series = PadicPowerSeries(p, [PadicNumber.exact_zero(p), fc[5]], _INF, 0)
     return x_series, y_series
 
 
-def _expansion_at_infinity(F, fc, T):
+def _expansion_at_infinity(fc, T):
     # xi = 1/x satisfies xi = t^2 g(xi), g(w) = 1 + c4 w + ... + c0 w^5
-    p, one = F.p, F.one()
+    one = fc[5]
+    p = one.prime
+    zero = PadicNumber.exact_zero(p)
     g = [one, fc[4], fc[3], fc[2], fc[1], fc[0]]
     gp = [g[i] * i for i in range(1, 6)]
     n = T + 3
-    xi = _lzero(F, n)
+    xi = [zero] * n
     xi[2] = one
     m = 3
     while m < n:
         m = min(2 * m, n)
         res = _lsub(xi, _lpolyval(p, g, xi, m), m, 2)
         gpx = _lpolyval(p, gp, xi, m)
-        dF = [one, F.zero()] + [-c for c in gpx[: m - 2]]
+        dF = [one, zero] + [-c for c in gpx[: m - 2]]
         step = series_mul(p, res, series_inv(p, dF, m), m)
         xi = _lsub(xi, step, m)
     u = xi[2: T + 3]  # xi = t^2 * u(t), u(0) = 1
@@ -491,11 +483,9 @@ class Differential:
 
     def __init__(self, c1, c2, p: int | None = None, rel: int = DEFAULT_PRECISION):
         def conv(c):
-            if isinstance(c, PadicNumber):
-                return c
-            if p is None:
+            if p is None and not isinstance(c, PadicNumber):
                 raise ValueError("rational coefficients need the prime")
-            return PadicNumber.from_rational(c, p, rel)
+            return lift(c, p, rel)
         self.c1 = conv(c1)
         self.c2 = conv(c2)
         if self.c1.is_zeroish() and self.c2.is_zeroish():

@@ -17,12 +17,12 @@ from fractions import Fraction
 
 from .curve import (FP_INFINITY, CurvePoint, HyperellipticCurve, count_Fp_points,
                     count_Fp2_points, fp_curve_points, reduce_point)
-from .padic import (DEFAULT_PRECISION, PadicNumber, QuadExtension, padic_sqrt,
-                    sqrt_mod_p)
-from .polys import (PadicDomain, PrimeFieldDomain, QuadExtDomain,
-                    RationalDomain, poly_add, poly_degree_certified,
-                    poly_divexact, poly_eq, poly_lift, poly_mod, poly_monic,
-                    poly_mul, poly_neg, poly_trim, poly_xgcd)
+from .padic import (DEFAULT_PRECISION, PadicNumber, QuadExtension, lift,
+                    padic_sqrt, sqrt_mod_p)
+from .polys import (PadicDomain, PrimeFieldDomain, RationalDomain, poly_add,
+                    poly_degree_certified, poly_divexact, poly_eq, poly_lift,
+                    poly_mod, poly_monic, poly_mul, poly_neg, poly_trim,
+                    poly_xgcd)
 
 
 class MumfordDivisor:
@@ -283,8 +283,7 @@ def embed_point(C: HyperellipticCurve, Q: CurvePoint,
     def against_infinity(pt):
         if pt.at_infinity:
             return MumfordDivisor.identity(domain)
-        x = domain.lift(pt.x) if not isinstance(pt.x, PadicNumber) else pt.x
-        y = domain.lift(pt.y) if not isinstance(pt.y, PadicNumber) else pt.y
+        x, y = domain.lift(pt.x), domain.lift(pt.y)
         return MumfordDivisor(domain, [domain.neg(x), domain.one()], [y])
 
     D = against_infinity(Q)
@@ -295,8 +294,8 @@ def embed_point(C: HyperellipticCurve, Q: CurvePoint,
 
 def curve_preimage(C: HyperellipticCurve, D: MumfordDivisor, P0: CurvePoint):
     """The rational point Q with [Q - P0] = D, or None."""
-    E = cantor_add(C, D, embed_point(C, P0, CurvePoint.infinity(),
-                                     domain=D.domain))
+    E = D if P0.at_infinity else cantor_add(
+        C, D, embed_point(C, P0, CurvePoint.infinity(), domain=D.domain))
     deg = E.degree()
     if deg == 0:
         return CurvePoint.infinity()
@@ -421,9 +420,9 @@ def divisor_support(D: MumfordDivisor, p: int, rel: int):
     deg = D.degree()
     if deg == 0:
         return [], None
-    F = PadicDomain(p, rel)
-    uc = poly_lift(F, D.u)
-    vc = poly_lift(F, D.v) + [F.zero()] * (2 - len(D.v))
+    uc = [lift(c, p, rel) for c in D.u]
+    vc = ([lift(c, p, rel) for c in D.v]
+          + [PadicNumber.exact_zero(p)] * (2 - len(D.v)))
 
     def point_over(x):
         return CurvePoint(x, vc[0] + vc[1] * x, False)
@@ -431,8 +430,8 @@ def divisor_support(D: MumfordDivisor, p: int, rel: int):
     if deg == 1:
         return [point_over(-(uc[0] / uc[1]))], None
     if isinstance(D.domain, RationalDomain):
-        disc = F.lift(Fraction(D.u[1]) ** 2
-                      - 4 * Fraction(D.u[2]) * Fraction(D.u[0]))
+        disc = lift(Fraction(D.u[1]) ** 2
+                    - 4 * Fraction(D.u[2]) * Fraction(D.u[0]), p, rel)
     else:
         disc = uc[1] * uc[1] - uc[2] * uc[0] * 4
     if disc.is_zeroish():
@@ -442,8 +441,7 @@ def divisor_support(D: MumfordDivisor, p: int, rel: int):
     if isinstance(root, PadicNumber):
         return [point_over((minus_b + root) * inv2a),
                 point_over((minus_b - root) * inv2a)], disc
-    E = QuadExtDomain(root.ext, rel)
-    P = point_over((E.lift(minus_b) + root) * E.lift(inv2a))
+    P = point_over((root + minus_b) * inv2a)
     return [P, CurvePoint(P.x.conjugate(), P.y.conjugate(), False)], disc
 
 

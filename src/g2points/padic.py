@@ -12,7 +12,8 @@ so the caller can retry with a doubled cap.
 One precision rule: an exact int or Fraction takes the precision of the
 p-adic value it meets (its absolute precision in a sum, its relative precision
 in a product), so no constant caps a result at a fixed default.  Adding a
-nonzero constant to an exact zero raises TypeError: lift it through a domain.
+nonzero constant to an exact zero raises TypeError: read it at a precision
+with :func:`lift` first.
 
 Quadratic extensions Q_p(sqrt(d)) for d in {c, p, p*c} (c the smallest
 positive non-residue) are pairs a + b*sqrt(d) of base elements.  Valuations of
@@ -262,7 +263,7 @@ class PadicNumber:
             if rel is None:
                 if self.is_exact_zero():
                     raise TypeError("an exact zero gives %s no precision; "
-                                    "lift it through a domain" % q)
+                                    "read it with padic.lift" % q)
                 rel = int(self.abs_precision) - vp(q, self.prime)
             return PadicNumber.from_rational(q, self.prime, max(rel, 1))
         return None
@@ -587,7 +588,7 @@ class QuadExtNumber:
         if isinstance(other, (int, Fraction)):
             if additive and other != 0 and self.is_exact_zero():
                 raise TypeError("an exact zero gives %s no precision; "
-                                "lift it through a domain" % other)
+                                "read it with padic.lift" % other)
             rel = max(self.a.rel_precision, self.b.rel_precision, 1)
             return QuadExtNumber.from_base(
                 self.ext, PadicNumber.from_rational(other, self.prime, rel))
@@ -662,6 +663,14 @@ class QuadExtNumber:
         return "QuadExtNumber((%r) + (%r)*sqrt(%d))" % (self.a, self.b, self.ext.d)
 
 
+def lift(c, p: int, rel: int):
+    """c as a p-adic field element: an int or a Fraction is read in Q_p at
+    rel digits, and a PadicNumber or a QuadExtNumber is returned as it is."""
+    if isinstance(c, (PadicNumber, QuadExtNumber)):
+        return c
+    return PadicNumber.from_rational(c, p, rel)
+
+
 def valuation_is_negative(x) -> bool:
     """Certified v(x) < 0 decision for a PadicNumber or a QuadExtNumber.
 
@@ -720,10 +729,10 @@ def padic_sqrt(a: PadicNumber, ext: QuadExtension | None = None):
     return QuadExtNumber(target, PadicNumber.exact_zero(p), _canonical_sign(b))
 
 
-def _ext_sqrt(F, z: QuadExtNumber) -> QuadExtNumber:
-    """Square root of a unit z of the unramified extension F.ext at F.rel
-    digits (F a polys.QuadExtDomain): brute-force the residue, then Newton."""
-    ext, p = F.ext, F.p
+def _ext_sqrt(z: QuadExtNumber, rel: int) -> QuadExtNumber:
+    """Square root of a unit z of an unramified extension at rel digits:
+    brute-force the residue, then Newton."""
+    ext, p = z.ext, z.prime
     za, zb = z.residue_pair()
     start = None
     for ra in range(p):
@@ -736,9 +745,9 @@ def _ext_sqrt(F, z: QuadExtNumber) -> QuadExtNumber:
             break
     if start is None:
         raise ArithmeticError("residue is not a square in the extension")
-    x = QuadExtNumber(ext, PadicNumber.from_rational(start[0], p, F.rel),
-                      PadicNumber.from_rational(start[1], p, F.rel))
-    half = F.lift(Fraction(1, 2))
+    x = QuadExtNumber(ext, PadicNumber.from_rational(start[0], p, rel),
+                      PadicNumber.from_rational(start[1], p, rel))
+    half = lift(Fraction(1, 2), p, rel)
     for _ in range(64):
         d = x * x - z
         if d.is_zeroish():

@@ -6,13 +6,8 @@ domain supplies ring ops plus the two predicates the algorithms actually
 branch on: "certainly zero" and "usable as a pivot".  Over Q_p the two
 differ: a coefficient with no known digits is neither, and any degree
 decision that depends on one raises PrecisionLossError so the caller can
-retry with more digits.
-
-The Q_p domain and the domain of a quadratic extension of Q_p also lift
-the constants of the truncated series recursions in curve; those
-recursions compute on plain coefficient lists through
-``padic.series_mul`` and ``padic.series_inv``.  No Cantor arithmetic runs
-over the extension, so its domain has no predicates.
+retry with more digits.  A constant read into Q_p outside this arithmetic
+goes through ``padic.lift``, as ``PadicDomain.lift`` does.
 
 Polynomials are ascending coefficient lists; [] is the zero polynomial.
 """
@@ -21,12 +16,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .padic import PadicNumber, PrecisionLossError, QuadExtension, QuadExtNumber
+from .padic import PadicNumber, PrecisionLossError, lift
 
 
 class _ElementOps:
     """Ring operations of a domain whose elements carry their own
-    operators: Fraction, PadicNumber and QuadExtNumber."""
+    operators: Fraction and PadicNumber."""
 
     def add(self, a, b):
         return a + b
@@ -116,9 +111,7 @@ class PadicDomain(_ElementOps):
         self.rel = rel
 
     def lift(self, x):
-        if isinstance(x, PadicNumber):
-            return x
-        return PadicNumber.from_rational(x, self.p, self.rel)
+        return lift(x, self.p, self.rel)
 
     def zero(self):
         return PadicNumber.exact_zero(self.p)
@@ -135,30 +128,6 @@ class PadicDomain(_ElementOps):
 
     def eq(self, a, b):
         return (a - b).is_zeroish()
-
-
-class QuadExtDomain(_ElementOps):
-    """Quadratic extension of Q_p at a fixed working precision."""
-
-    def __init__(self, ext: QuadExtension, rel: int):
-        self.ext = ext
-        self.p = ext.prime
-        self.rel = rel
-
-    def lift(self, x):
-        if isinstance(x, QuadExtNumber):
-            return x
-        if isinstance(x, PadicNumber):
-            return QuadExtNumber.from_base(self.ext, x)
-        return QuadExtNumber.from_base(
-            self.ext, PadicNumber.from_rational(x, self.p, self.rel))
-
-    def zero(self):
-        z = PadicNumber.exact_zero(self.p)
-        return QuadExtNumber(self.ext, z, z)
-
-    def one(self):
-        return self.lift(1)
 
 
 def poly_lift(dom, coeffs):

@@ -257,6 +257,21 @@ class TestEmbedAndPreimage:
                            CurvePoint.infinity())
         assert Q is not None and Q.at_infinity
 
+    def test_preimage_at_infinity_reads_the_class(self, C, gamma, monkeypatch):
+        # [Q - infinity] = D is read off D itself: adding the identity
+        # would be one Cantor step that returns D
+        calls = []
+        add = jacobian.cantor_add
+
+        def counting_add(*args):
+            calls.append(args)
+            return add(*args)
+
+        monkeypatch.setattr(jacobian, "cantor_add", counting_add)
+        Q = curve_preimage(C, gamma, CurvePoint.infinity())
+        assert Q == CurvePoint.affine(Fraction(3), Fraction(6))
+        assert calls == []
+
     def test_generic_degree_two_has_no_preimage(self, C, gamma):
         D = scalar_mul(C, 3, gamma)
         assert D.degree() == 2

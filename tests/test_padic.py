@@ -23,6 +23,7 @@ from g2points.padic import (
     _horner,
     hensel_root,
     legendre_symbol,
+    lift,
     mahler_bound_holds,
     padic_dot,
     padic_sqrt,
@@ -734,6 +735,28 @@ ZEROS = [pytest.param(PadicNumber.exact_zero(7), id="qp"),
                       id="ext")]
 
 
+class TestLift:
+    """padic.lift reads an int or a Fraction at rel digits and returns a
+    p-adic value as it is."""
+
+    @pytest.mark.parametrize("rel", [1, 8, 20])
+    @pytest.mark.parametrize("c", [1, -3, 49, 12 * 7 ** 5, Fraction(1, 2),
+                                   Fraction(-5, 49), Fraction(98, 3)])
+    def test_rational_matches_from_rational(self, c, rel):
+        fields = lambda x: (x.prime, x.valuation, x.unit_part(), x.rel_precision)
+        assert fields(lift(c, 7, rel)) == fields(PadicNumber.from_rational(c, 7, rel))
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0)])
+    def test_zero_is_exact(self, zero):
+        assert lift(zero, 7, 20).is_exact_zero()
+
+    def test_padic_values_come_back_unchanged(self):
+        x = N(Fraction(3, 7), 7, 5)
+        z = unram(N(2), N(5, 7, 3))
+        assert lift(x, 7, 20) is x
+        assert lift(z, 7, 20) is z
+
+
 class TestOnePrecisionRule:
     """An exact constant takes the precision of the p-adic value it meets."""
 
@@ -758,7 +781,7 @@ class TestOnePrecisionRule:
                                     lambda z: 3 - z],
                              ids=["z+1", "1+z", "z-1/2", "3-z"])
     def test_exact_zero_plus_constant_raises(self, zero, op):
-        with pytest.raises(TypeError, match="lift it through a domain"):
+        with pytest.raises(TypeError, match="read it with padic.lift"):
             op(zero)
 
     @pytest.mark.parametrize("zero", ZEROS)
