@@ -44,6 +44,7 @@ from .oracle import (
     exhaustive_jacobian,
     exhaustive_series_zeros,
     naive_rational_points,
+    newton_polygon_zeros,
 )
 from .padic import (
     DEFAULT_PRECISION,
@@ -105,6 +106,7 @@ __all__ = [
     "log_jacobian",
     "mahler_bound_holds",
     "naive_rational_points",
+    "newton_polygon_zeros",
     "padic_sqrt",
     "point_anchored_series",
     "reduce_divisor",

@@ -65,23 +65,6 @@ class LogVector:
         self.l1 = l1
         self.l2 = l2
 
-    def __add__(self, other):
-        if not isinstance(other, LogVector):
-            return NotImplemented
-        return LogVector(self.l1 + other.l1, self.l2 + other.l2)
-
-    def __sub__(self, other):
-        if not isinstance(other, LogVector):
-            return NotImplemented
-        return LogVector(self.l1 - other.l1, self.l2 - other.l2)
-
-    def __mul__(self, k):
-        if not isinstance(k, (int, Fraction)):
-            return NotImplemented
-        return LogVector(self.l1 * k, self.l2 * k)
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return "LogVector(%r, %r)" % (self.l1, self.l2)
 
@@ -335,10 +318,6 @@ class DiscCertificate:
         self.truncation_order = truncation_order
         self.lambda_coefficients = lambda_coefficients
         self.tail_valuation_bound = tail_valuation_bound
-
-    @property
-    def contains_known_point(self) -> bool:
-        return self.known_count > 0
 
     @property
     def resolved(self) -> bool:

@@ -185,13 +185,6 @@ class CurvePoint:
         dx, dy = self.x - other.x, self.y - other.y
         return dx.is_zeroish() and dy.is_zeroish()
 
-    def __hash__(self):
-        if self.at_infinity:
-            return hash("curve-point-infinity")
-        if not self.is_rational():
-            raise TypeError("p-adic points are not hashable")
-        return hash((self.x, self.y))
-
     def __repr__(self):
         if self.at_infinity:
             return "CurvePoint(infinity)"

@@ -261,24 +261,12 @@ def scalar_mul(C: HyperellipticCurve, m: int,
     return acc
 
 
-def _domain_for_point(Q: CurvePoint):
-    if Q.at_infinity:
-        return None
-    if isinstance(Q.x, PadicNumber):
-        rel = max(Q.x.rel_precision, Q.y.rel_precision)
-        if not rel:
-            raise TypeError("a point with no known digits gives embed_point "
-                            "no precision; pass a domain")
-        return PadicDomain(Q.x.prime, rel)
-    return RationalDomain()
-
-
 def embed_point(C: HyperellipticCurve, Q: CurvePoint,
                 P0: CurvePoint, domain=None) -> MumfordDivisor:
-    """The class [Q - P0].  With P0 at infinity and Q affine: (x - x_Q, y_Q)."""
+    """The class [Q - P0] over ``domain``, Q by default.  With P0 at
+    infinity and Q affine: (x - x_Q, y_Q)."""
     if domain is None:
-        domain = (_domain_for_point(Q) or _domain_for_point(P0)
-                  or RationalDomain())
+        domain = RationalDomain()
 
     def against_infinity(pt):
         if pt.at_infinity:

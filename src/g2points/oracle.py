@@ -2,9 +2,10 @@
 
 Everything here recomputes values from first principles with the dumbest
 reliable method available: rational points by integer search, Z_p root
-counts by residue refinement over exact integers, Jacobian orders by
-counting unordered divisor point-pairs.  Test code compares these against
-the optimized implementations; the two code paths share nothing.
+counts by residue refinement over exact integers, unit-ball zero counts by
+the Newton polygon of exact integers, Jacobian orders by counting unordered
+divisor point-pairs.  Test code compares these against the optimized
+implementations; the two code paths share nothing.
 """
 
 from __future__ import annotations
@@ -184,6 +185,39 @@ def exhaustive_series_zeros(coeffs, p: int) -> int:
         ints = _int_clear(part)
         total += mult * _count_distinct_zp_roots(ints, p, 0)
     return total
+
+
+# -- zeros in the closed unit ball by the Newton polygon -------------------
+
+def newton_polygon_zeros(coeffs, p: int) -> int:
+    """Zeros in the closed unit ball of C_p, with multiplicity, of the
+    polynomial with exact integer coefficients ``coeffs`` (ascending).
+
+    A segment of the lower convex hull of the points (i, v_p(c_i)) with
+    slope -s carries as many roots of valuation s as it is long, so the
+    count is the zero roots plus the length of the segments of slope <= 0.
+    """
+    pts = []
+    for i, c in enumerate(coeffs):
+        if c:
+            v = 0
+            while c % p == 0:
+                c //= p
+                v += 1
+            pts.append((i, v))
+    if not pts:
+        raise ValueError("the zero polynomial has no Newton polygon")
+    hull = []
+    for i, v in pts:
+        # drop the last vertex while it lies on or above the chord to (i, v)
+        while len(hull) >= 2:
+            (i0, v0), (i1, v1) = hull[-2], hull[-1]
+            if (v1 - v0) * (i - i0) < (v - v0) * (i1 - i0):
+                break
+            hull.pop()
+        hull.append((i, v))
+    return hull[0][0] + sum(i1 - i0 for (i0, v0), (i1, v1) in zip(hull, hull[1:])
+                            if v1 <= v0)
 
 
 # -- Jacobian order and exponent by divisor pairs ---------------------------

@@ -299,20 +299,16 @@ class PadicNumber:
                                  self.prime ** self._rel - self._unit, self._rel)
 
     def __sub__(self, other):
+        if isinstance(other, QuadExtNumber):
+            return -other + self
         b = self._coerce(other)
         if b is None:
             return NotImplemented
         return self + (-b)
 
-    def __rsub__(self, other):
-        b = self._coerce(other)
-        if b is None:
-            return NotImplemented
-        return b + (-self)
-
     def __mul__(self, other):
         if isinstance(other, QuadExtNumber):
-            return NotImplemented
+            return other * self
         b = self._coerce(other, rel=max(self._rel, 1))
         if b is None:
             return NotImplemented
@@ -341,26 +337,6 @@ class PadicNumber:
             return NotImplemented
         return self * b.inverse()
 
-    def __rtruediv__(self, other):
-        b = self._coerce(other, rel=max(self._rel, 1))
-        if b is None:
-            return NotImplemented
-        return b * self.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = PadicNumber.from_int(1, self.prime, max(self._rel, 1))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     # -- display ------------------------------------------------------
 
     def __repr__(self):
@@ -370,28 +346,6 @@ class PadicNumber:
             return "PadicNumber(O(%d^%d))" % (self.prime, self._val)
         return "PadicNumber(%d^%d * %d + O(%d^%d))" % (
             self.prime, self._val, self._unit, self.prime, self.abs_precision)
-
-    def __str__(self):
-        if self.is_exact_zero():
-            return "0"
-        if self.is_zeroish():
-            return "O(%d^%d)" % (self.prime, self._val)
-        p = self.prime
-        parts = []
-        u = self._unit
-        for i in range(self._rel):
-            d = u % p
-            u //= p
-            if d:
-                e = self._val + i
-                if e == 0:
-                    parts.append("%d" % d)
-                elif e == 1:
-                    parts.append("%d*%d" % (d, p))
-                else:
-                    parts.append("%d*%d^%d" % (d, p, e))
-        parts.append("O(%d^%d)" % (p, self.abs_precision))
-        return " + ".join(parts)
 
     def __eq__(self, other):
         if isinstance(other, (PadicNumber, int, Fraction)):
@@ -492,9 +446,6 @@ class QuadExtension:
         return (isinstance(other, QuadExtension)
                 and (self.prime, self.kind) == (other.prime, other.kind))
 
-    def __hash__(self):
-        return hash((self.prime, self.kind))
-
     def __repr__(self):
         return "QuadExtension(p=%d, sqrt(%d))" % (self.prime, self.d)
 
@@ -547,10 +498,6 @@ class QuadExtNumber:
 
     def conjugate(self) -> "QuadExtNumber":
         return QuadExtNumber(self.ext, self.a, -self.b)
-
-    def trace(self) -> PadicNumber:
-        """Tr(a + b*sqrt(d)) = 2a."""
-        return self.a * 2
 
     def norm(self) -> PadicNumber:
         return self.a * self.a - self.b * self.b * self.ext.d
@@ -611,12 +558,6 @@ class QuadExtNumber:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other, additive=True)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -638,26 +579,6 @@ class QuadExtNumber:
         if o is None:
             return NotImplemented
         return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self._coerce(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __repr__(self):
         return "QuadExtNumber((%r) + (%r)*sqrt(%d))" % (self.a, self.b, self.ext.d)
@@ -769,78 +690,6 @@ def _lift_sqrt(unit: int, r0: int, p: int, rel: int) -> int:
         m = p ** known
         r = (r + unit * pow(r, -1, m)) * pow(2, -1, m) % m
     return r
-
-
-class NewtonPolygon:
-    """Lower convex hull of (i, v(c_i)); slopes are non-decreasing.
-
-    A segment of slope -s and horizontal length l certifies l roots of
-    valuation s (with multiplicity, over an algebraic closure).  Exactly
-    vanishing low coefficients contribute roots at 0, reported with
-    valuation +inf.
-    """
-
-    __slots__ = ("vertices", "zero_roots")
-
-    def __init__(self, vertices, zero_roots: int = 0):
-        self.vertices = list(vertices)
-        self.zero_roots = zero_roots
-
-    @classmethod
-    def of_poly(cls, coeffs) -> "NewtonPolygon":
-        """The polygon of sum coeffs[i] x^i, a list of PadicNumbers."""
-        pts, floors = [], []
-        for i, c in enumerate(coeffs):
-            if c.is_zeroish():
-                if not c.is_exact_zero():
-                    floors.append((i, c.valuation))
-            else:
-                pts.append((i, int(c.valuation)))
-        if not pts:
-            raise PrecisionLossError("no coefficient with known digits")
-        hull = _lower_hull(pts)
-        for i, floor in floors:
-            # a coefficient with no known digits is tolerable only strictly
-            # above the hull; anything else could reshape the polygon
-            if i < hull[0][0] or i > hull[-1][0]:
-                raise PrecisionLossError(
-                    "coefficient %d known only to O(p^%s) outside the hull span" % (i, floor))
-            if floor < _hull_value_at(hull, i):
-                raise PrecisionLossError(
-                    "coefficient %d known only to O(p^%s); polygon undetermined" % (i, floor))
-        return cls(hull, zero_roots=hull[0][0])
-
-    def slopes(self):
-        """[(slope, horizontal_length)] left to right; slope is a Fraction."""
-        return [(Fraction(v1 - v0, i1 - i0), i1 - i0)
-                for (i0, v0), (i1, v1) in zip(self.vertices, self.vertices[1:])]
-
-    def root_valuations(self):
-        """[(valuation, count)], roots at 0 first with valuation +inf."""
-        out = [(_INF, self.zero_roots)] if self.zero_roots else []
-        out.extend((-s, l) for s, l in self.slopes())
-        return out
-
-
-def _lower_hull(pts):
-    pts = sorted(pts)
-    hull = []
-    for pt in pts:
-        while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            if (y1 - y0) * (pt[0] - x0) >= (pt[1] - y0) * (x1 - x0):
-                hull.pop()
-            else:
-                break
-        hull.append(pt)
-    return hull
-
-
-def _hull_value_at(hull, i):
-    for (x0, y0), (x1, y1) in zip(hull, hull[1:]):
-        if x0 <= i <= x1:
-            return Fraction(y0) + Fraction(y1 - y0, x1 - x0) * (i - x0)
-    return None
 
 
 def hensel_root(f, x0: PadicNumber, target_rel: int | None = None) -> PadicNumber:
@@ -965,15 +814,6 @@ class PadicPowerSeries:
         # a log penalty only ever weakens the bound, so keeping the flag on the
         # min of the bases stays sound
         return PadicPowerSeries(p, coeffs, tail, lo, penalty)
-
-    def __neg__(self):
-        return PadicPowerSeries(self.prime, [-c for c in self.coeffs],
-                                self.tail_valuation_bound, self.shift, self.tail_log_penalty)
-
-    def __sub__(self, other):
-        if not isinstance(other, PadicPowerSeries):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, PadicNumber)):

@@ -32,11 +32,12 @@ def C():
 
 def curve_eq_residual(C, xs, ys, p, upto):
     """Nonzero coefficients of y(t)^2 - f(x(t)) up to the given degree."""
-    fc = [PadicNumber.from_int(k, p, 20) for k in C.f_coeffs]
+    # Horner on -f, so that the residual is a sum
+    fc = [PadicNumber.from_int(-k, p, 20) for k in C.f_coeffs]
     acc = PadicPowerSeries(p, [fc[5]])
     for c in reversed(fc[:5]):
         acc = acc * xs + PadicPowerSeries(p, [c])
-    d = ys * ys - acc
+    d = ys * ys + acc
     return [(deg, str(c)) for deg in range(d.shift, upto)
             if not (c := d.coeff_of_degree(deg)).is_zeroish()]
 
