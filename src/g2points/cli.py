@@ -278,8 +278,8 @@ def _center_sort_key(center):
 
 
 def _series_json(s: PadicPowerSeries) -> dict:
-    if s.shift != 0 or s.tail_log_penalty:
-        raise ValueError("only discharged, shift-free series are reportable")
+    if s.tail_log_penalty:
+        raise ValueError("only discharged series are reportable")
     return {"prime": s.prime,
             "tail_valuation_bound": _tail_json(s.tail_valuation_bound),
             "coefficients": [_coeff_json(c) for c in s.coeffs]}

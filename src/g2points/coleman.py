@@ -354,7 +354,7 @@ def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
     a = expand_on_frame(w, frame)
     a0 = a.coeff_of_degree(0)
     v_w = None if a0.is_zeroish() else int(a0.valuation)
-    series = PadicPowerSeries(p, [kappa], _INF, 0) \
+    series = PadicPowerSeries(p, [kappa]) \
         + a.antiderivative().rescale_argument(n)
     count = strassmann_count(series)
     inside = 0
@@ -399,8 +399,6 @@ def _recentered_series(lam: PadicPowerSeries, t0: PadicNumber) -> PadicPowerSeri
     The polynomial part shifts exactly; the tail contributes at least
     M - k v(t0) to the degree-k coefficient, M the tail cap of lam at t0.
     """
-    if lam.shift != 0:
-        raise ValueError("shift-0 series required")
     if t0.is_zeroish() or t0.valuation < 1:
         raise ValueError("recentering requires certified v(t0) >= 1")
     p = lam.prime
@@ -413,8 +411,8 @@ def _recentered_series(lam: PadicPowerSeries, t0: PadicNumber) -> PadicPowerSeri
     bs[0] = PadicNumber.exact_zero(p)
     # for d > T the tail contributions keep the penalized shape: the log
     # term grows by at most 1 per unit of degree while v(t0) >= 1
-    return PadicPowerSeries(p, bs, lam.tail_valuation_bound, 0,
-                            lam.tail_log_penalty)
+    return PadicPowerSeries(p, bs, lam.tail_valuation_bound,
+                            tail_log_penalty=lam.tail_log_penalty)
 
 
 def single_point_criterion(v_w, p: int, n: int, series: PadicPowerSeries) -> bool:
@@ -424,7 +422,7 @@ def single_point_criterion(v_w, p: int, n: int, series: PadicPowerSeries) -> boo
     any uncertainty returns False."""
     if v_w is None or p < 3 or n < v_w + 1:
         return False
-    if series.shift != 0 or series.tail_log_penalty:
+    if series.tail_log_penalty:
         return False
     b1 = series.coeff_of_degree(1)
     if b1.is_zeroish():

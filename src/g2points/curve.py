@@ -8,7 +8,6 @@ w = (c1 + c2 x) dx/(2y) into a0 + a1 t + ... with integral coefficients.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .padic import (
@@ -32,8 +31,6 @@ from .padic import (
     valuation_is_negative,
     vp,
 )
-
-_INF = math.inf
 
 #: reduction of a point in the disc at infinity
 FP_INFINITY = "infinity"
@@ -143,8 +140,9 @@ class HyperellipticCurve:
 class CurvePoint:
     """A point on the curve: Affine(x, y) or the point at infinity.
 
-    Coordinates are Fractions for rational points or PadicNumbers for
-    p-adic ones; only rational points are hashable.
+    Coordinates are Fractions for rational points, and PadicNumbers or
+    QuadExtNumbers for p-adic ones.  Equality of p-adic points holds up to
+    working precision, so no point is hashable.
     """
 
     __slots__ = ("x", "y", "at_infinity")
@@ -391,8 +389,8 @@ def local_expansion(C: HyperellipticCurve, center: CurvePoint, p: int, T: int,
                     rel: int):
     """(x(t), y(t)) in the disc parameter t at the given center.
 
-    t = x - x0 off the Weierstrass locus, t = y at a Weierstrass center,
-    t = x^2/y at infinity (where x(t) is Laurent with leading term t^-2).
+    t = x - x0 off the Weierstrass locus, t = y at a Weierstrass center.  At
+    infinity t = x^2/y, and the pair is the pole-free (t^2 x(t), t^5 y(t)).
     Coefficients are p-adically integral; tail bounds reflect that.  They
     lie in the field of the center's x-coordinate: Q_p, or its unramified
     quadratic extension for a disc with no Q_p-rational center.
@@ -414,8 +412,8 @@ def _expansion_at_affine(fc, x0, y0, T):
     # y(t)^2 = f(x0 + t): coefficient recursion off 2 y0 y_m = F_m - cross terms
     ys = _affine_y_coeffs(fc, x0, y0, T)
     p = fc[5].prime
-    x_series = PadicPowerSeries(p, [x0, fc[5]], _INF, 0)
-    y_series = PadicPowerSeries(p, ys, 0, 0)
+    x_series = PadicPowerSeries(p, [x0, fc[5]])
+    y_series = PadicPowerSeries(p, ys, 0)
     return x_series, y_series
 
 
@@ -439,8 +437,8 @@ def _expansion_at_weierstrass(fc, x0, T):
     # solve f(x(t)) = t^2 by series Newton; x(t) is even in t
     xs = _weierstrass_x_coeffs(fc, x0, T)
     p = fc[5].prime
-    x_series = PadicPowerSeries(p, xs, 0, 0)
-    y_series = PadicPowerSeries(p, [PadicNumber.exact_zero(p), fc[5]], _INF, 0)
+    x_series = PadicPowerSeries(p, xs, 0)
+    y_series = PadicPowerSeries(p, [PadicNumber.exact_zero(p), fc[5]])
     return x_series, y_series
 
 
@@ -464,9 +462,10 @@ def _expansion_at_infinity(fc, T):
         xi = _lsub(xi, step, m)
     u = xi[2: T + 3]  # xi = t^2 * u(t), u(0) = 1
     uinv = series_inv(p, u, T + 1)
-    x_series = PadicPowerSeries(p, uinv, 0, -2)
-    y_series = PadicPowerSeries(p, series_mul(p, uinv, uinv, T + 1), 0, -5)
-    return x_series, y_series
+    # t^2 x = 1/u, and t^5 y = (t^2 x)^2 since t = x^2/y
+    X = PadicPowerSeries(p, uinv, 0)
+    Y = PadicPowerSeries(p, series_mul(p, uinv, uinv, T + 1), 0)
+    return X, Y
 
 
 class Differential:
@@ -505,32 +504,39 @@ class Differential:
 
 def local_frame(C: HyperellipticCurve, center: CurvePoint, p: int, T: int,
                 rel: int):
-    """The form-independent part of an expansion at center: (x(t), h) with
-    (c1 + c2 x) dx/2y = (c1 + c2 x(t)) h(t) dt for every regular form, h the
-    product of its factors taken left to right.
+    """The form-independent part of an expansion at center: (k, X, factors)
+    with (c1 + c2 x) dx/2y = (c1 t^k + c2 X(t)) h(t) dt for every regular
+    form, X = t^k x and h the product of the factors taken left to right.
 
-    h is 1/(2y) on an affine disc (t = x - x0), x'(t)/(2t) at a branch
-    point (t = y), and x'(t), t^5 (t^5 y)^-1, 1/2 at infinity (t = x^2/y).
+    k = 0, with h = 1/(2y) on an affine disc (t = x - x0) and x'(t)/(2t) at a
+    branch point (t = y).  At infinity (t = x^2/y) k = 2, and h is t^3 x'(t),
+    (t^5 y)^-1, 1/2, all power series.
     """
     center = lift_anchor(center, p, rel)
     xs, ys = local_expansion(C, center, p, T + 6, rel)
     if center.at_infinity:
-        return xs, (xs.derivative(), ys.shifted(5).inverse().shifted(5),
-                    Fraction(1, 2))
+        # t^3 x'(t) = sum (i - 2) X_i t^i
+        dX = [c * (i - 2) for i, c in enumerate(xs.coeffs)]
+        return 2, xs, (PadicPowerSeries(p, dX, xs.tail_valuation_bound),
+                       ys.inverse(), Fraction(1, 2))
     if center.y.is_zeroish():
         half_dxdt = [xs.coeffs[j + 2] * Fraction(j + 2, 2)
                      for j in range(len(xs.coeffs) - 2)]
-        return xs, (PadicPowerSeries(p, half_dxdt, 0, 0),)
-    return xs, (PadicPowerSeries(p, [c * 2 for c in ys.coeffs], 0, 0).inverse(),)
+        return 0, xs, (PadicPowerSeries(p, half_dxdt, 0),)
+    return 0, xs, (PadicPowerSeries(p, [c * 2 for c in ys.coeffs], 0).inverse(),)
 
 
 def expand_on_frame(w: Differential, frame) -> PadicPowerSeries:
     """Coefficient series a0 + a1 t + ... of w on a local frame."""
-    xs, factors = frame
-    a = PadicPowerSeries(xs.prime, [w.c1], _INF, 0) + xs * w.c2
+    k, xs, factors = frame
+    zero = PadicNumber.exact_zero(xs.prime)
+    # c1 t^k h for c2 = 0: the factors meet c1 alone and the product enters
+    # k degrees up, known as far as h is
+    lead = k if w.c2.is_exact_zero() else 0
+    a = PadicPowerSeries(xs.prime, [zero] * (k - lead) + [w.c1]) + xs * w.c2
     for h in factors:
         a = a * h
-    return _laurent_to_series(a)
+    return PadicPowerSeries(xs.prime, [zero] * lead + a.coeffs, a.tail_valuation_bound)
 
 
 def expand_differential(C: HyperellipticCurve, w: Differential, center: CurvePoint,
@@ -538,17 +544,3 @@ def expand_differential(C: HyperellipticCurve, w: Differential, center: CurvePoi
     """Coefficient series a0 + a1 t + ... of w in the disc parameter at center,
     with truncation order at least T."""
     return expand_on_frame(w, local_frame(C, center, p, T, rel))
-
-
-def _laurent_to_series(a: PadicPowerSeries) -> PadicPowerSeries:
-    if a.shift == 0:
-        return a
-    if a.shift > 0:
-        pad = [PadicNumber.exact_zero(a.prime)] * a.shift
-        return PadicPowerSeries(a.prime, pad + list(a.coeffs),
-                                a.tail_valuation_bound, 0, a.tail_log_penalty)
-    for c in a.coeffs[: -a.shift]:
-        if not c.is_zeroish():
-            raise ArithmeticError("differential has a pole in the disc")
-    return PadicPowerSeries(a.prime, a.coeffs[-a.shift:],
-                            a.tail_valuation_bound, 0, a.tail_log_penalty)

@@ -153,8 +153,8 @@ def _count_distinct_zp_roots(coeffs, p, depth):
             total += 1
             continue
         # substitute x = r + p z and strip p-content
-        shifted = _itaylor(coeffs, r)
-        scaled = [shifted[i] * p ** i for i in range(len(shifted))]
+        taylor = _itaylor(coeffs, r)
+        scaled = [taylor[i] * p ** i for i in range(len(taylor))]
         total += _count_distinct_zp_roots(_strip_p(scaled, p), p, depth + 1)
     return total
 

@@ -269,6 +269,8 @@ class PadicNumber:
         return None
 
     def __add__(self, other):
+        if isinstance(other, QuadExtNumber):
+            return other + self
         b = self._coerce(other)
         if b is None:
             return NotImplemented
@@ -728,22 +730,19 @@ def hensel_root(f, x0: PadicNumber, target_rel: int | None = None) -> PadicNumbe
 
 
 class PadicPowerSeries:
-    """Truncated series sum_i c_i t^(shift+i) with a certified tail.
+    """Truncated power series sum_i c_i t^i with a certified tail.
 
     ``tail_valuation_bound`` promises v(coefficient of t^d) >= bound for every
-    d beyond shift + truncation_order; a bound of +inf means those
-    coefficients vanish exactly (a genuine polynomial).  When
-    ``tail_log_penalty`` is set the promise weakens to bound - floor(log_p d),
-    which is what antiderivatives produce; the penalty is discharged back into
-    an integer bound by argument rescaling or by evaluation at |t| < 1.
-
-    shift < 0 gives the Laurent expansions needed at the point at infinity;
-    normality, Strassmann counting and antidifferentiation require shift 0.
+    d beyond truncation_order; a bound of +inf means those coefficients
+    vanish exactly (a genuine polynomial).  When ``tail_log_penalty`` is set
+    the promise weakens to bound - floor(log_p d), which is what
+    antiderivatives produce; the penalty is discharged back into an integer
+    bound by argument rescaling or by evaluation at |t| < 1.
     """
 
-    __slots__ = ("prime", "coeffs", "tail_valuation_bound", "shift", "tail_log_penalty")
+    __slots__ = ("prime", "coeffs", "tail_valuation_bound", "tail_log_penalty")
 
-    def __init__(self, prime: int, coeffs, tail_valuation_bound=_INF, shift: int = 0,
+    def __init__(self, prime: int, coeffs, tail_valuation_bound=_INF, *,
                  tail_log_penalty: bool = False):
         self.prime = prime
         self.coeffs = list(coeffs) or [PadicNumber.exact_zero(prime)]
@@ -752,7 +751,6 @@ class PadicPowerSeries:
                 raise TypeError("series coefficient %r is not p-adic; lift it "
                                 "at the digits it should carry" % (c,))
         self.tail_valuation_bound = tail_valuation_bound
-        self.shift = shift
         self.tail_log_penalty = tail_log_penalty
         if tail_log_penalty and tail_valuation_bound == _INF:
             self.tail_log_penalty = False
@@ -762,15 +760,14 @@ class PadicPowerSeries:
         return len(self.coeffs) - 1
 
     def coeff_of_degree(self, d: int) -> PadicNumber:
-        i = d - self.shift
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= d < len(self.coeffs):
+            return self.coeffs[d]
         return PadicNumber.exact_zero(self.prime)
 
     def _horizon(self):
         """Largest t-degree whose coefficient is fully determined (inf for
         polynomials)."""
-        return _INF if self.tail_valuation_bound == _INF else self.shift + self.truncation_order
+        return _INF if self.tail_valuation_bound == _INF else self.truncation_order
 
     def _finite_min_val(self):
         m = self.tail_valuation_bound
@@ -780,8 +777,8 @@ class PadicPowerSeries:
         return m
 
     def is_normal(self) -> bool:
-        """All coefficients integral and tending to 0 (shift 0 required)."""
-        if self.shift != 0 or self.tail_log_penalty:
+        """All coefficients integral and tending to 0."""
+        if self.tail_log_penalty:
             return False
         if any(c.valuation < 0 for c in self.coeffs):
             return False
@@ -793,91 +790,71 @@ class PadicPowerSeries:
         if not isinstance(other, PadicPowerSeries):
             return NotImplemented
         p = self.prime
-        lo = min(self.shift, other.shift)
         hi = min(self._horizon(), other._horizon())
         if hi == _INF:
-            hi = max(self.shift + self.truncation_order,
-                     other.shift + other.truncation_order)
+            hi = max(self.truncation_order, other.truncation_order)
         hi = int(hi)
-        # outside one operand's range the other's coefficient is copied:
-        # adding an exact zero would return it unchanged
+        # past one operand's end the other's coefficient is copied: adding an
+        # exact zero would return it unchanged
         a, b = self.coeffs, other.coeffs
         coeffs = []
-        for d in range(lo, hi + 1):
-            i, j = d - self.shift, d - other.shift
-            if 0 <= i < len(a):
-                coeffs.append(a[i] + b[j] if 0 <= j < len(b) else a[i])
+        for d in range(hi + 1):
+            if d < len(a):
+                coeffs.append(a[d] + b[d] if d < len(b) else a[d])
             else:
-                coeffs.append(b[j] if 0 <= j < len(b) else PadicNumber.exact_zero(p))
+                coeffs.append(b[d] if d < len(b) else PadicNumber.exact_zero(p))
         tail = min(self.tail_valuation_bound, other.tail_valuation_bound)
         penalty = self.tail_log_penalty or other.tail_log_penalty
         # a log penalty only ever weakens the bound, so keeping the flag on the
         # min of the bases stays sound
-        return PadicPowerSeries(p, coeffs, tail, lo, penalty)
+        return PadicPowerSeries(p, coeffs, tail, tail_log_penalty=penalty)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, PadicNumber)):
             # each coefficient reads an exact constant at its own precision
             v = other.valuation if isinstance(other, PadicNumber) else vp(other, self.prime)
             if v == _INF:
-                return PadicPowerSeries(self.prime, [PadicNumber.exact_zero(self.prime)], _INF, 0)
+                return PadicPowerSeries(self.prime, [PadicNumber.exact_zero(self.prime)])
             if isinstance(other, PadicNumber) and other.is_zeroish():
                 raise PrecisionLossError("scaling a series by a value with no known digits")
             return PadicPowerSeries(self.prime, [x * other for x in self.coeffs],
-                                    self.tail_valuation_bound + v, self.shift,
-                                    self.tail_log_penalty)
+                                    self.tail_valuation_bound + v,
+                                    tail_log_penalty=self.tail_log_penalty)
         if not isinstance(other, PadicPowerSeries):
             return NotImplemented
         if self.tail_log_penalty or other.tail_log_penalty:
             raise ValueError("multiplying log-penalized tails is unsupported")
         p = self.prime
-        sa, sb = self.shift, other.shift
-        hi = min(self._horizon() + sb, other._horizon() + sa)
+        hi = min(self._horizon(), other._horizon())
         if hi == _INF:
-            hi = sa + self.truncation_order + sb + other.truncation_order
-        hi = int(hi)
-        lo = sa + sb
-        out = series_mul(p, self.coeffs, other.coeffs, hi - lo + 1)
+            hi = self.truncation_order + other.truncation_order
+        out = series_mul(p, self.coeffs, other.coeffs, int(hi) + 1)
         if self.tail_valuation_bound == _INF and other.tail_valuation_bound == _INF:
             tail = _INF
         else:
             tail = min(self.tail_valuation_bound + other._finite_min_val(),
                        other.tail_valuation_bound + self._finite_min_val())
-        return PadicPowerSeries(p, out, tail, lo)
+        return PadicPowerSeries(p, out, tail)
 
     __rmul__ = __mul__
 
-    def shifted(self, k: int) -> "PadicPowerSeries":
-        """Multiply by t^k."""
-        return PadicPowerSeries(self.prime, list(self.coeffs), self.tail_valuation_bound,
-                                self.shift + k, self.tail_log_penalty)
-
     def derivative(self) -> "PadicPowerSeries":
-        p = self.prime
-        if self.shift == 0:
-            coeffs = [self.coeffs[i] * i for i in range(1, len(self.coeffs))]
-            return PadicPowerSeries(p, coeffs, self.tail_valuation_bound, 0,
-                                    self.tail_log_penalty)
-        coeffs = [c * (self.shift + i) for i, c in enumerate(self.coeffs)]
-        return PadicPowerSeries(p, coeffs, self.tail_valuation_bound,
-                                self.shift - 1, self.tail_log_penalty)
+        coeffs = [self.coeffs[i] * i for i in range(1, len(self.coeffs))]
+        return PadicPowerSeries(self.prime, coeffs, self.tail_valuation_bound,
+                                tail_log_penalty=self.tail_log_penalty)
 
     def antiderivative(self) -> "PadicPowerSeries":
         """Termwise integral with constant 0; the tail picks up a log penalty."""
-        if self.shift != 0:
-            raise ValueError("antiderivative requires shift 0")
         if self.tail_log_penalty:
             raise ValueError("iterated antiderivatives are unsupported")
         p = self.prime
         coeffs = [PadicNumber.exact_zero(p)]
         coeffs.extend(c / (i + 1) for i, c in enumerate(self.coeffs))
-        return PadicPowerSeries(p, coeffs, self.tail_valuation_bound, 0,
+        return PadicPowerSeries(p, coeffs, self.tail_valuation_bound,
                                 tail_log_penalty=self.tail_valuation_bound != _INF)
 
     def rescale_argument(self, n: int) -> "PadicPowerSeries":
         """Substitute t = p^n r; discharges any tail log penalty (n >= 1)."""
-        if self.shift != 0:
-            raise ValueError("rescale requires shift 0")
         if n < 1:
             raise ValueError("level must be >= 1")
         p = self.prime
@@ -892,23 +869,18 @@ class PadicPowerSeries:
             tail = base - _ilog(p, T + 1) + n * (T + 1)
         else:
             tail = base + n * (T + 1)
-        return PadicPowerSeries(p, coeffs, tail, 0)
+        return PadicPowerSeries(p, coeffs, tail)
 
     def evaluate(self, t):
         """Value at t with v_p(t) > 0; the result's precision includes the
         truncation error."""
-        if self.shift < 0:
-            raise ValueError("evaluation of a Laurent series is unsupported")
         delta = t.valuation_p()
         if delta == _INF:
-            val = self.coeffs[0]
-            return val * 0 if self.shift else val
+            return self.coeffs[0]
         delta = Fraction(delta)
         if delta <= 0:
             raise ValueError("series evaluation requires v(t) > 0")
         acc = _horner(self.coeffs, t)
-        for _ in range(self.shift):
-            acc = acc * t
         cap = self._eval_tail_cap(delta)
         if cap == _INF:
             return acc
@@ -918,15 +890,13 @@ class PadicPowerSeries:
         base = self.tail_valuation_bound
         if base == _INF:
             return _INF
-        T = self.shift + self.truncation_order
+        T = self.truncation_order
         if not self.tail_log_penalty:
             return base + (T + 1) * delta
         return log_penalty_tail_cap(self.prime, T, base, delta)
 
     def inverse(self) -> "PadicPowerSeries":
         """1/self for an integral series with unit constant term."""
-        if self.shift != 0:
-            raise ValueError("inverse requires shift 0 (strip poles with shifted())")
         c0 = self.coeffs[0]
         if c0.is_zeroish():
             raise PrecisionLossError("inverting a series with indistinguishable constant term")
@@ -935,11 +905,11 @@ class PadicPowerSeries:
         p = self.prime
         out = series_inv(p, self.coeffs, len(self.coeffs))
         tail = 0 if self.tail_valuation_bound != _INF else _INF
-        return PadicPowerSeries(p, out, tail, 0)
+        return PadicPowerSeries(p, out, tail)
 
     def __repr__(self):
-        return "PadicPowerSeries(p=%d, T=%d, shift=%d, tail>=%s%s)" % (
-            self.prime, self.truncation_order, self.shift, self.tail_valuation_bound,
+        return "PadicPowerSeries(p=%d, T=%d, tail>=%s%s)" % (
+            self.prime, self.truncation_order, self.tail_valuation_bound,
             ", log-penalty" if self.tail_log_penalty else "")
 
 
@@ -1015,8 +985,6 @@ def strassmann_count(f: PadicPowerSeries) -> int:
     with no known digits is tolerated only when its valuation floor certifiably
     clears mu; a tail bound <= mu raises InconclusiveTruncationError.
     """
-    if f.shift != 0:
-        raise ValueError("strassmann_count requires shift 0")
     if f.tail_log_penalty:
         raise InconclusiveTruncationError("tail bound carries an undischarged log penalty")
     mu = None

@@ -591,8 +591,9 @@ class TestRequestedPrecision:
     def test_frame_at_infinity(self, C, rel):
         # the leading 1 of g(xi) and the 1/2 factor are exact constants,
         # read at the precision of the series they meet
-        xs, hs = curve.local_frame(C, INF, 7, TRUNCATION_FACTOR * rel, rel)
-        a = curve.expand_on_frame(Differential(2, 3, 7, rel), (xs, hs))
+        k, xs, hs = curve.local_frame(C, INF, 7, TRUNCATION_FACTOR * rel, rel)
+        assert k == 2
+        a = curve.expand_on_frame(Differential(2, 3, 7, rel), (k, xs, hs))
         for s in [xs, a] + [h for h in hs if isinstance(h, PadicPowerSeries)]:
             assert min_digits(s) >= rel - 3
 
@@ -607,9 +608,10 @@ class TestRequestedPrecision:
         for crv, label in ((C, (2, 0)), (HyperellipticCurve(CURVE2), (5, 0))):
             center = disc_center(crv, label, 7, rel)
             assert center.x.rel_precision == rel
-            frame = curve.local_frame(crv, center, 7, TRUNCATION_FACTOR * rel, rel)
-            a = curve.expand_on_frame(Differential(2, 3, 7, rel), frame)
-            for s in (frame[0], frame[1][0], a):
+            k, xs, hs = curve.local_frame(crv, center, 7, TRUNCATION_FACTOR * rel, rel)
+            assert k == 0
+            a = curve.expand_on_frame(Differential(2, 3, 7, rel), (k, xs, hs))
+            for s in (xs, hs[0], a):
                 assert min_digits(s) >= rel - 4, label
 
 

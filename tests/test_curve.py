@@ -1,5 +1,6 @@
 """Curve model, reduction, disc centers, expansions, differential data."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -20,7 +21,12 @@ from g2points.curve import (
     local_expansion,
     reduce_point,
 )
-from g2points.padic import PadicNumber, PadicPowerSeries, PrecisionLossError
+from g2points.padic import (
+    PadicNumber,
+    PadicPowerSeries,
+    PrecisionLossError,
+    QuadExtNumber,
+)
 
 FLYNN = [0, 60, -112, 65, -14, 1]  # x(x-1)(x-2)(x-5)(x-6)
 
@@ -30,16 +36,28 @@ def C():
     return HyperellipticCurve(FLYNN)
 
 
-def curve_eq_residual(C, xs, ys, p, upto):
-    """Nonzero coefficients of y(t)^2 - f(x(t)) up to the given degree."""
-    # Horner on -f, so that the residual is a sum
-    fc = [PadicNumber.from_int(-k, p, 20) for k in C.f_coeffs]
+def curve_eq_residual(C, xs, ys, p, upto, k=0):
+    """Nonzero coefficients below the given degree of y(t)^2 - f(x(t)).
+
+    With k = 2 the pair is the pole-free (X, Y) = (t^2 x, t^5 y) at
+    infinity, and the residual is Y^2 - sum f_i X^i t^(10 - 2i).
+    """
+    # homogeneous Horner on -f, so that the residual is a sum
+    fc = [PadicNumber.from_int(-c, p, 20) for c in C.f_coeffs]
+    zero = PadicNumber.exact_zero(p)
     acc = PadicPowerSeries(p, [fc[5]])
-    for c in reversed(fc[:5]):
-        acc = acc * xs + PadicPowerSeries(p, [c])
+    for i in range(4, -1, -1):
+        acc = acc * xs + PadicPowerSeries(p, [zero] * (k * (5 - i)) + [fc[i]])
     d = ys * ys + acc
-    return [(deg, str(c)) for deg in range(d.shift, upto)
+    return [(deg, str(c)) for deg in range(upto)
             if not (c := d.coeff_of_degree(deg)).is_zeroish()]
+
+
+def coefficient_digits(c):
+    """(v, unit, rel) of a coefficient, per part over an extension."""
+    if isinstance(c, QuadExtNumber):
+        return (coefficient_digits(c.a), coefficient_digits(c.b))
+    return (c.valuation, c.unit_part(), c.rel_precision)
 
 
 class TestCurveBasics:
@@ -175,11 +193,11 @@ class TestExpansions:
         assert xs.coeff_of_degree(3).is_zeroish()
 
     def test_infinity_expansion(self, C):
-        xs, ys = local_expansion(C, CurvePoint.infinity(), 7, 12, 20)
-        assert xs.shift == -2
-        assert (xs.coeffs[0] - 1).is_zeroish()
-        assert ys.shift == -5
-        assert curve_eq_residual(C, xs, ys, 7, 6) == []
+        # the pole-free pair (t^2 x, t^5 y), both with constant term 1
+        X, Y = local_expansion(C, CurvePoint.infinity(), 7, 12, 20)
+        assert (X.coeffs[0] - 1).is_zeroish()
+        assert (Y.coeffs[0] - 1).is_zeroish()
+        assert curve_eq_residual(C, X, Y, 7, 11, k=2) == []
 
     def test_integrality_of_expansions(self, C):
         for fp_pt in [(3, 6), (0, 0), FP_INFINITY]:
@@ -207,6 +225,41 @@ class TestDifferentials:
         a0 = a.coeff_of_degree(0)
         assert a0.valuation == 0
         assert (a0 + 1).is_zeroish()  # orientation of t = x^2/y gives -1
+
+    # sha256 of the (v, unit, rel) coefficients and the tail bound of
+    # dx/2y, x dx/2y and (2 + 3x) dx/2y at T = 2 rel, per disc and precision
+    EXPANSION_DIGESTS = {
+        (FP_INFINITY, 20): "fa6f134afc1e15a60ff6eab8c97f49cc"
+                           "559ba2e4e51ba030db9ae27d559ae258",
+        (FP_INFINITY, 40): "7bda8fbbbf2c86c34f91b8a467e8a129"
+                           "4ac730111efce5f04a7f3dc9896e5af2",
+        ((2, 0), 20): "67a184c05ede1d5e1506d720db9caa9d"
+                      "f202721dfe7c48ceeb99a60cba5348ca",
+        ((2, 0), 40): "b0735c97560e3e6027fe8e7bc73f2367"
+                      "d3be6a5ae4ac3cb0f549a5088c8750b8",
+        ((3, 6), 20): "3a960383be1fecf234bf502145eb8438"
+                      "e1f0a4939cdba24ad7622684127c5cc3",
+        ((3, 6), 40): "c3d29436896bd526b638595aee7a1bf3"
+                      "fc97193382527f3d8a0d3081054ba299",
+        (("ext", "unramified", 0, 1, 3, 2), 20):
+            "4d6d80dfb49a16871ffad369e96fd513c63346c51468c71c8697e6823fc38d15",
+        (("ext", "unramified", 0, 1, 3, 2), 40):
+            "c692265d89ecc68129d78d4e66b00a4abf6b17cf02258561c8c1f2e109fa3ba1",
+    }
+
+    @pytest.mark.parametrize("label, rel", list(EXPANSION_DIGESTS))
+    def test_expansion_digits_are_pinned(self, C, label, rel):
+        # an infinity disc, a branch point, an affine disc and a disc with
+        # no Q_p-rational center, digit for digit
+        center = disc_center(C, label, 7, rel)
+        rows = []
+        for form in ((1, 0), (0, 1), (2, 3)):
+            a = expand_differential(C, Differential(*form, 7, rel), center, 7,
+                                    2 * rel, rel)
+            rows.append(([coefficient_digits(c) for c in a.coeffs],
+                         a.tail_valuation_bound))
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == self.EXPANSION_DIGESTS[label, rel]
 
     def test_w1_vanishes_to_order_2_at_infinity(self, C):
         w = Differential(1, 0, p=7)

@@ -223,6 +223,17 @@ class TestQuadExtension:
         one = x * x.inverse()
         assert (one.a - 1).is_zeroish() and one.b.is_zeroish()
 
+    def test_qp_operand_first_hands_over_to_the_extension(self):
+        # a Q_p value meeting an extension value never answers NotImplemented
+        ext = QuadExtension(7, QuadExtension.UNRAMIFIED)
+        x, c = QuadExtNumber(ext, N(2), N(3)), N(5)
+        def digits(z):
+            return [(v.valuation, v.unit_part(), v.rel_precision) for v in (z.a, z.b)]
+        for got, want in ((c.__add__(x), x + c), (c.__sub__(x), -x + c),
+                          (c.__mul__(x), x * c)):
+            assert isinstance(got, QuadExtNumber)
+            assert digits(got) == digits(want)
+
     def test_ramified_valuation_granularity(self):
         ext = QuadExtension(7, QuadExtension.RAMIFIED)
         pi = QuadExtNumber(ext, PadicNumber.exact_zero(7), N(1))
@@ -343,15 +354,6 @@ class TestPowerSeries:
         assert (prod.coeff_of_degree(2) - 2).is_zeroish()
         assert prod.tail_valuation_bound == 3
 
-    def test_laurent_shift_mul(self):
-        # (t^-2)(t^3 + t^4) = t + t^2
-        a = PadicPowerSeries(7, [N(1)], shift=-2)
-        b = PadicPowerSeries(7, Ns([1, 1]), shift=3)
-        c = a * b
-        assert c.shift == 1
-        assert (c.coeff_of_degree(1) - 1).is_zeroish()
-        assert (c.coeff_of_degree(2) - 1).is_zeroish()
-
     def test_derivative_antiderivative_roundtrip(self):
         s = PadicPowerSeries(7, Ns([2, 3, 5, 7]), tail_valuation_bound=1)
         back = s.antiderivative().derivative()
@@ -408,6 +410,12 @@ class TestPowerSeries:
             PadicPowerSeries(7, [1, 2])
         with pytest.raises(TypeError, match="not p-adic"):
             PadicPowerSeries(7, [N(1), Fraction(1, 2)])
+
+    def test_log_penalty_is_keyword_only(self):
+        # a stale fourth positional argument must not turn the penalty on
+        with pytest.raises(TypeError):
+            PadicPowerSeries(7, Ns([1, 1]), 0, -2)
+        assert not PadicPowerSeries(7, Ns([1, 1]), 0).tail_log_penalty
 
 
 class TestMahler:
@@ -677,7 +685,7 @@ def scanned_tail_cap(s, delta):
     base = s.tail_valuation_bound
     if base == math.inf:
         return math.inf
-    T = s.shift + s.truncation_order
+    T = s.truncation_order
     p = s.prime
     if not s.tail_log_penalty:
         return base + (T + 1) * delta
@@ -694,7 +702,8 @@ class TestTailCap:
             for T in (0, 1, 2, 6, 9, 26, 86, 160):
                 for base in (-3, 0, 5):
                     for penalty in (False, True):
-                        s = PadicPowerSeries(p, Ns([1] * (T + 1), p), base, 0, penalty)
+                        s = PadicPowerSeries(p, Ns([1] * (T + 1), p), base,
+                                             tail_log_penalty=penalty)
                         for delta in (Fraction(1, 3), Fraction(1, 2), Fraction(1),
                                       Fraction(3, 2), Fraction(2), Fraction(5)):
                             got = s._eval_tail_cap(delta)
