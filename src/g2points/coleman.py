@@ -71,20 +71,14 @@ class LogVector:
 
 # -- residue-disc bookkeeping ----------------------------------------------
 
-def _infinity_param(P: CurvePoint, p: int, rel: int):
-    """t = x^2/y at a point of the disc at infinity."""
-    if P.at_infinity:
-        return PadicNumber.exact_zero(p)
-    x, y = P.x, P.y
-    if isinstance(x, Fraction) or isinstance(x, int):
-        return PadicNumber.from_rational(Fraction(x) ** 2 / Fraction(y), p, rel)
-    return x * x / y
-
-
 def _disc_param(P: CurvePoint, center: CurvePoint, p: int, rel: int):
-    """Disc parameter of P w.r.t. the center's expansion."""
+    """Disc parameter of P w.r.t. the center's expansion: t = x^2/y on the
+    disc at infinity, t = y on a branch-point disc, t = x - x0 elsewhere."""
     if center.at_infinity:
-        return _infinity_param(P, p, rel)
+        if P.at_infinity:
+            return PadicNumber.exact_zero(p)
+        x = lift(P.x, p, rel)
+        return x * x / lift(P.y, p, rel)
     if center.y.is_exact_zero():
         return lift(P.y, p, rel)
     return lift(P.x, p, rel) - center.x
@@ -99,14 +93,16 @@ def tiny_integral(C: HyperellipticCurve, w, frm: CurvePoint, to: CurvePoint,
 
     Endpoints may have rational, p-adic, or quadratic-extension coordinates;
     the value lies in the same field (a conjugate-symmetric extension value
-    with no certified sqrt(d) part is returned as its Q_p component).
+    with no certified sqrt(d) part is returned as its Q_p component).  The
+    basis integrals are the signed disc sum over [(to, +1), (frm, -1)].
     """
     if not C.good_reduction(p):
         raise ValueError("tiny integrals need a prime of good reduction")
-    basis = _basis_integrals(C, frm, to, p, rel)
-    if basis is None:
+    key = reduce_point(C, to, p)
+    if key != reduce_point(C, frm, p):
         raise ValueError("endpoints lie in different residue discs")
-    val = w.c1 * basis[0] + w.c2 * basis[1]
+    l1, l2 = _disc_sums(C, key, [(to, 1), (frm, -1)], p, rel)
+    val = w.c1 * l1 + w.c2 * l2
     if isinstance(val, QuadExtNumber) and val.b.is_zeroish():
         return val.a
     return val
@@ -159,17 +155,19 @@ def _basis_lambdas(C: HyperellipticCurve, disc_key, p: int, rel: int):
                          for w in _basis(p, rel))
 
 
-def _basis_integrals(C: HyperellipticCurve, frm: CurvePoint, to: CurvePoint,
-                     p: int, rel: int):
-    """Integrals of dx/2y and x dx/2y from frm to to, or None when the
-    endpoints lie in different residue discs."""
-    key = reduce_point(C, to, p)
-    if key != reduce_point(C, frm, p):
-        return None
+def _disc_sums(C: HyperellipticCurve, key, terms, p: int, rel: int):
+    """The sums of s * lambda(t(P)) over the pairs (P, s) of terms, for the
+    two basis antiderivatives lambda of the residue disc labeled key; each
+    P lies in that disc and each sign s is +1 or -1."""
     center, lams = _basis_lambdas(C, key, p, rel)
-    t_to = _disc_param(to, center, p, rel)
-    t_frm = _disc_param(frm, center, p, rel)
-    return tuple(lam.evaluate(t_to) - lam.evaluate(t_frm) for lam in lams)
+    ts = [(_disc_param(P, center, p, rel), s) for P, s in terms]
+    out = []
+    for lam in lams:
+        acc = PadicNumber.exact_zero(p)
+        for t, s in ts:
+            acc = acc + lam.evaluate(t) if s > 0 else acc - lam.evaluate(t)
+        out.append(acc)
+    return tuple(out)
 
 
 def _base_value(val):
@@ -195,82 +193,53 @@ def _kernel_log(C: HyperellipticCurve, delta: MumfordDivisor, p: int, rel: int):
     """Basis tiny integrals for a divisor class in the kernel of reduction.
 
     The reduction being the canonical class forces the support, as
-    divisor_support splits it, into one of: empty, one point, two points or
-    a conjugate pair in the disc at infinity, or an affine pair P, Q with
-    Q-bar = (iota P)-bar, integrated as a single path from iota(Q) to P
-    inside P's disc.
+    divisor_support reads it, into one of: empty, one point, two points or
+    a conjugate pair in the disc at infinity, summed there with sign +1,
+    or an affine pair P, Q with Q-bar = (iota P)-bar, integrated as the
+    path from iota(Q) to P: the disc sum over [(P, +1), (iota Q, -1)].
+
+    A doubled midpoint takes the same shapes.  Off by at least eps from
+    each true root, it is capped at eps at infinity, where dt/dx has
+    positive valuation, and at eps + v(v1) on an affine disc, where t = y
+    and dy = v'(x) dx along the support; a constant v leaves t exact.  The
+    basis antiderivatives have integral coefficients in t, so
+    |lambda(t + dt) - lambda(t)| <= |dt|.  An affine midpoint must reduce
+    to a branch point; anywhere else the zeroish discriminant was precision
+    erosion, not a genuine double root, and the class is retried.
     """
-    points, disc = divisor_support(delta, p, rel)
+    points, eps = divisor_support(delta, p, rel)
     if not points:
         zero = PadicNumber.exact_zero(p)
         return zero, zero
-    if disc is not None and disc.is_zeroish():
-        return _near_doubled_log(C, delta, points[0], disc, p, rel)
     drops = [valuation_is_negative(P.x) for P in points]
     if all(drops):
-        _, lams = _basis_lambdas(C, FP_INFINITY, p, rel)
-        ts = [_infinity_param(P, p, rel) for P in points]
-        return tuple(_base_value(sum((lam.evaluate(t) for t in ts[1:]),
-                                     lam.evaluate(ts[0])))
-                     for lam in lams)
-    if any(drops):
+        key, terms, cap = FP_INFINITY, [(P, 1) for P in points], eps
+    elif any(drops):
         raise DecompositionFailureError(
             "kernel class with mixed affine and infinite support")
-    if len(points) == 1:
+    elif len(points) == 1:
         raise DecompositionFailureError(
             "degree-1 kernel class with integral support")
-    P, Q = points
-    basis = _basis_integrals(C, Q.involution(), P, p, rel)
-    if basis is None:
-        raise DecompositionFailureError(
-            "kernel endpoints land in distinct residue discs")
-    return tuple(_base_value(val) for val in basis)
-
-
-def _near_doubled_log(C, delta, mid, disc, p, rel):
-    """Kernel class whose two support points cannot be separated: integrate
-    from the midpoint's involute and cap by the perturbation size.
-
-    The true roots sit at x0 +- eps with 2 v(eps) >= v(disc); the basis
-    antiderivatives have integral coefficients in the disc parameter, so
-    |lambda(t + dt) - lambda(t)| <= |dt| bounds the error of treating the
-    class as exactly doubled.
-    """
-    if disc.is_exact_zero():
-        k_eps = None
     else:
-        k_eps = int(disc.valuation) // 2
-    if valuation_is_negative(mid.x):
-        _, lams = _basis_lambdas(C, FP_INFINITY, p, rel)
-        t = _infinity_param(mid, p, rel)
-        out = [lam.evaluate(t) * 2 for lam in lams]
-        # dt/dx has positive valuation on the disc at infinity
-        if k_eps is not None:
-            out = [v.with_abs_cap(k_eps) for v in out]
-        return tuple(out)
-    # affine doubled support reduces to a Weierstrass point; t = y there.
-    # A midpoint that reduces anywhere else means the zeroish discriminant
-    # was precision erosion, not a genuine double root: retryable.
-    key = reduce_point(C, mid, p)
-    fbar = 0
-    for k in reversed(C.f_coeffs):
-        fbar = (fbar * key[0] + k) % p
-    if key[1] % p != 0 or fbar % p != 0:
-        raise PrecisionLossError(
-            "eroded kernel data: midpoint does not reduce to a branch point")
-    _, lams = _basis_lambdas(C, key, p, rel)
-    cap = None
-    if k_eps is not None and len(delta.v) == 2:
-        # dy = v'(x) dx along the support, so |dt| <= |v1| |eps|; a
-        # constant v makes the parameter y0 exact in eps
-        cap = k_eps + int(lift(delta.v[1], p, rel).valuation)
-    out = []
-    for lam in lams:
-        val = lam.evaluate(mid.y) - lam.evaluate(-mid.y)
-        if cap is not None:
-            val = val.with_abs_cap(cap)
-        out.append(val)
-    return tuple(out)
+        P, Q = points
+        key = reduce_point(C, P, p)
+        if P is Q:
+            fbar = 0
+            for k in reversed(C.f_coeffs):
+                fbar = (fbar * key[0] + k) % p
+            if key[1] % p != 0 or fbar != 0:
+                raise PrecisionLossError("eroded kernel data: midpoint does "
+                                         "not reduce to a branch point")
+        elif reduce_point(C, Q.involution(), p) != key:
+            raise DecompositionFailureError(
+                "kernel endpoints land in distinct residue discs")
+        terms, cap = [(P, 1), (Q.involution(), -1)], None
+        if eps is not None and len(delta.v) == 2:
+            cap = eps + int(lift(delta.v[1], p, rel).valuation)
+    vals = _disc_sums(C, key, terms, p, rel)
+    if cap is not None:
+        vals = [val.with_abs_cap(cap) for val in vals]
+    return tuple(_base_value(val) for val in vals)
 
 
 # -- annihilating form and transversality -----------------------------------

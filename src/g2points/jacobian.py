@@ -17,8 +17,7 @@ from fractions import Fraction
 
 from .curve import (FP_INFINITY, CurvePoint, HyperellipticCurve, count_Fp_points,
                     count_Fp2_points, fp_curve_points, reduce_point)
-from .padic import (DEFAULT_PRECISION, PadicNumber, QuadExtension, lift,
-                    padic_sqrt, sqrt_mod_p)
+from .padic import DEFAULT_PRECISION, PadicNumber, lift, padic_sqrt, sqrt_mod_p
 from .polys import (PadicDomain, PrimeFieldDomain, RationalDomain, poly_add,
                     poly_degree_certified, poly_divexact, poly_eq, poly_lift,
                     poly_mod, poly_monic, poly_mul, poly_neg, poly_trim,
@@ -392,15 +391,16 @@ def enumerate_Fp_jacobian(C: HyperellipticCurve, p: int) -> FpJacobian:
 # -- reduction J(Q) -> J(F_p) ------------------------------------------------
 
 def divisor_support(D: MumfordDivisor, p: int, rel: int):
-    """(points, disc): the support of a class of degree <= 2 over Q or Q_p.
+    """(points, eps): the support of a class of degree <= 2 over Q or Q_p.
 
     points is empty for the identity, one point for degree 1, and for
     degree 2 the two roots x of u with y = v(x): both over Q_p, or a
     conjugate pair P, sigma(P) over Q_p(sqrt(d)).  When disc(u) has no
-    known digits the roots cannot be separated and only their midpoint is
-    returned.  disc is disc(u) over Q_p for degree 2, None below.  A
-    rational D is read at rel digits, but its discriminant is formed
-    exactly.
+    known digits the roots cannot be separated: the same midpoint object
+    comes back twice, and eps = floor(v(disc)/2) is a floor on v(x - x0)
+    for each true root x.  eps is None when the points are the support
+    itself, an exactly zero disc(u) included.  A rational D is read at rel
+    digits, but its discriminant is formed exactly.
     """
     if isinstance(D.domain, PadicDomain) and D.domain.p != p:
         raise ValueError("divisor is %d-adic, support asked at %d"
@@ -423,31 +423,30 @@ def divisor_support(D: MumfordDivisor, p: int, rel: int):
     else:
         disc = uc[1] * uc[1] - uc[2] * uc[0] * 4
     if disc.is_zeroish():
-        return [point_over(-(uc[1] / (uc[2] * 2)))], disc
+        mid = point_over(-(uc[1] / (uc[2] * 2)))
+        eps = None if disc.is_exact_zero() else int(disc.valuation) // 2
+        return [mid, mid], eps
     root = padic_sqrt(disc)
     minus_b, inv2a = -uc[1], (uc[2] * 2).inverse()
     if isinstance(root, PadicNumber):
         return [point_over((minus_b + root) * inv2a),
-                point_over((minus_b - root) * inv2a)], disc
+                point_over((minus_b - root) * inv2a)], None
     P = point_over((root + minus_b) * inv2a)
-    return [P, CurvePoint(P.x.conjugate(), P.y.conjugate(), False)], disc
+    return [P, CurvePoint(P.x.conjugate(), P.y.conjugate(), False)], None
 
 
 def reduce_divisor(C: HyperellipticCurve, D: MumfordDivisor, p: int,
                    rel: int = DEFAULT_PRECISION) -> MumfordDivisor:
     """Reduce a divisor class to J(F_p), pointwise: reduce the support
     points of divisor_support and sum their F_p point classes with
-    cantor_add.  Points with v(x) < 0 drop to infinity.  D may be given
-    over Q or over Q_p itself."""
+    cantor_add.  Points with v(x) < 0 drop to infinity.  A conjugate pair
+    whose reduction leaves F_p reduces D's own u and v instead, which are
+    p-integral: x-bar not in F_p keeps the two roots apart mod p.  D may be
+    given over Q or over Q_p itself."""
     if not C.good_reduction(p):
         raise ValueError("curve has bad reduction at %d" % p)
     fdom = PrimeFieldDomain(p)
-    points, disc = divisor_support(D, p, rel)
-    if disc is not None and disc.is_zeroish():
-        # doubled root, or a pair congruent to working precision; the
-        # midpoint value decides every subcase (a pair whose y-residues
-        # cancel gives residue 0 there, hence the canonical class)
-        points = points * 2
+    points, _ = divisor_support(D, p, rel)
     labels = [r for r in (reduce_point(C, P, p) for P in points)
               if r != FP_INFINITY]
     if not labels:
@@ -456,24 +455,13 @@ def reduce_divisor(C: HyperellipticCurve, D: MumfordDivisor, p: int,
         # a conjugate pair over F_{p^2}; when x-bar lies in F_p it is an
         # involution pair {P, -P}
         if labels[0][3] != 0:
-            return _conjugate_pair_class(C, fdom, labels[0])
+            u, v = ([lift(c, p, rel).residue() for c in cs]
+                    for cs in (D.u, D.v))
+            return MumfordDivisor(fdom, u, v)
         return MumfordDivisor.identity(fdom)
     out = fp_point_class(fdom, labels[0])
     for label in labels[1:]:
         out = cantor_add(C, out, fp_point_class(fdom, label))
-    return out
-
-
-def _conjugate_pair_class(C, fdom, label):
-    """F_p class of a conjugate pair over F_{p^2}: trace/norm assembly."""
-    _, kind, xa, xb, ya, yb = label
-    p = fdom.p
-    c = QuadExtension(p, kind).d % p
-    u_bar = [(xa * xa - c * xb * xb) % p, (-2 * xa) % p, 1]
-    v1bar = yb * pow(xb, -1, p) % p
-    v0bar = (ya - v1bar * xa) % p
-    out = MumfordDivisor(fdom, u_bar, poly_trim(fdom, [v0bar, v1bar]))
-    out.validate(C)
     return out
 
 

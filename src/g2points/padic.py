@@ -726,6 +726,9 @@ def hensel_root(f, x0: PadicNumber, target_rel: int | None = None) -> PadicNumbe
         x = x - step
     else:
         raise NotHenselLiftableError("Newton iteration failed to converge")
+    if x is x0 and not fx.is_exact_zero():
+        # no step taken: x0 is known only to its distance from the root
+        return x0.with_abs_cap(int(fx.valuation - dfx.valuation))
     return x
 
 

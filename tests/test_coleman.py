@@ -22,13 +22,13 @@ from g2points.coleman import (DecompositionFailureError, LogVector,
 from g2points.curve import (CurvePoint, Differential, HyperellipticCurve,
                             disc_center, expand_differential, fp_curve_points,
                             local_expansion, reduce_point)
-from g2points.jacobian import (MumfordDivisor, cantor_add, embed_point,
-                               reduce_divisor, scalar_mul)
+from g2points.jacobian import (MumfordDivisor, cantor_add, divisor_support,
+                               embed_point, reduce_divisor, scalar_mul)
 from g2points.padic import (TRUNCATION_FACTOR, PadicNumber,
-                            PadicPowerSeries, QuadExtension, QuadExtNumber,
-                            hensel_root, legendre_symbol, lift,
-                            padic_agree, padic_sqrt, strassmann_count,
-                            with_precision_retry)
+                            PadicPowerSeries, PrecisionLossError,
+                            QuadExtension, QuadExtNumber, hensel_root,
+                            legendre_symbol, lift, padic_agree, padic_sqrt,
+                            strassmann_count, with_precision_retry)
 from g2points.polys import PadicDomain, RationalDomain
 from g2points.sieve import _log_floor
 
@@ -394,6 +394,34 @@ class TestKernelSupportShapes:
         L2 = log_jacobian(C, cantor_add(C, D, D), 7)
         assert vec_agree(L2, log_jacobian(C, D, 7), 2)
 
+    def test_near_double_is_capped_at_its_distance_from_the_roots(self, C):
+        # the doubled midpoint is off each true root by v >= eps: t = x^2/y
+        # by as much at infinity, t = y by eps + v(v1) in a Weierstrass disc
+        P, _, A = self._points(C)
+        for Q in (P, A):
+            D = self._padic_class(C, Q)
+            D2 = cantor_add(C, D, D)
+            (mid, again), eps = divisor_support(D2, 7, 20)
+            assert mid is again and eps is not None
+            if Q is A:
+                eps += int(D2.v[1].valuation)
+            for val in _kernel_log(C, D2, 7, 20):
+                assert not val.is_zeroish()
+                assert val.abs_precision <= eps
+
+    @pytest.mark.parametrize("x, y", [(3, 6), (4, 0)])
+    def test_eroded_midpoint_off_the_branch_locus_is_retried(
+            self, C, monkeypatch, x, y):
+        # a zeroish disc(u) whose midpoint reduces to (3, 6), off the branch
+        # locus, or to (4, 0), off the curve, was precision erosion: the
+        # class is retried at more digits, not refused
+        mid = CurvePoint(lift(x, 7, 20), lift(y, 7, 20), False)
+        monkeypatch.setattr(coleman, "divisor_support",
+                            lambda D, p, rel: ([mid, mid], 3))
+        D = self._padic_class(C, aff(3, 6))
+        with pytest.raises(PrecisionLossError, match="branch point"):
+            _kernel_log(C, D, 7, 20)
+
     def test_near_double_in_a_weierstrass_disc(self, C):
         _, _, A = self._points(C)
         D = self._padic_class(C, A)
@@ -434,6 +462,21 @@ class TestKernelSupportShapes:
         assert reduce_divisor(C, D, 7).is_identity()
         L = log_jacobian(C, D, 7)
         assert vec_agree(log_jacobian(C, D.neg(), 7), L, -1)
+
+
+@pytest.mark.parametrize("rel", [4, 20, 40])
+def test_infinity_parameter_of_a_rational_point(rel):
+    # (2/49, w/7^5) lies on y^2 = x^5 + c, c = (w^2 - 32)/7^10, in the disc
+    # at infinity; t = x^2/y read in Q_7 has the digits of the exact value
+    w = 344441197
+    Cx = HyperellipticCurve([(w * w - 32) // 7 ** 10, 0, 0, 0, 0, 1])
+    P = aff(Fraction(2, 49), Fraction(w, 7 ** 5))
+    assert curve.is_on_curve(Cx, P)
+    assert reduce_point(Cx, P, 7) == curve.FP_INFINITY
+    t = coleman._disc_param(P, INF, 7, rel)
+    want = PadicNumber.from_rational(P.x ** 2 / P.y, 7, rel)
+    assert ((t.valuation, t.unit_part(), t.rel_precision)
+            == (want.valuation, want.unit_part(), want.rel_precision))
 
 
 class TestAnnihilatingForm:

@@ -199,6 +199,21 @@ class TestExpansions:
         assert (Y.coeffs[0] - 1).is_zeroish()
         assert curve_eq_residual(C, X, Y, 7, 11, k=2) == []
 
+    @pytest.mark.parametrize("rel", [4, 40])
+    def test_center_reached_without_a_newton_step_keeps_its_precision(
+            self, rel):
+        # x^2 - 2 divides f mod 3, so x0 = sqrt(2) is a branch point over
+        # F_9; at rel 4 Newton stops at x0, whose exact-zero Q_3 part is
+        # known only to O(3^4), as the rel-40 center shows
+        Cx = HyperellipticCurve([-31, 17, 40, 30, 8, 1])
+        label = ("ext", "unramified", 0, 1, 0, 0)
+        x = disc_center(Cx, label, 3, rel).x
+        assert not x.a.is_exact_zero()
+        assert x.a.abs_precision <= rel
+        x40 = disc_center(Cx, label, 3, 40).x
+        assert (x - x40).is_zeroish()
+        assert (x.a.valuation, x40.a.valuation) == (4, 4)
+
     def test_integrality_of_expansions(self, C):
         for fp_pt in [(3, 6), (0, 0), FP_INFINITY]:
             ctr = disc_center(C, fp_pt, 7)

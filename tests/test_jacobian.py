@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from g2points import jacobian
-from g2points.curve import CurvePoint, HyperellipticCurve, fp_curve_points
+from g2points.curve import (CurvePoint, HyperellipticCurve, fp_curve_points,
+                            reduce_point)
 from g2points.jacobian import (MumfordDivisor, cantor_add, curve_preimage,
                                element_order, embed_point,
                                enumerate_Fp_jacobian, fp_point_class,
@@ -472,6 +473,39 @@ class TestReduction:
                 want = _mini_add((single[i].u, single[i].v),
                                  (single[j].u, single[j].v), f, p)
                 assert (got.u, got.v) == want, (pts[i], pts[j], p)
+
+    def test_conjugate_pairs_leaving_fq_reduce_homomorphically(self, C,
+                                                                gamma):
+        # s*gamma + t over the 16 rational 2-torsion classes t, at every
+        # good q <= 47: a support that is a conjugate pair with x-bar off
+        # F_q reduces through u and v mod q, and must land on the sum of
+        # the reductions of s*gamma and t
+        inf = CurvePoint.infinity()
+        halves = [embed_point(C, CurvePoint.affine(Fraction(x), Fraction(0)),
+                              inf) for x in (0, 1, 2, 5)]
+        torsion = []
+        for picks in itertools.product((0, 1), repeat=4):
+            t = MumfordDivisor.identity(QDOM)
+            for T, pick in zip(halves, picks):
+                if pick:
+                    t = cantor_add(C, t, T)
+            torsion.append(t)
+        multiples = [scalar_mul(C, s, gamma) for s in range(-6, 7)]
+        pairs = 0
+        for q in (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47):
+            g = reduce_divisor(C, gamma, q)
+            for s, sg in zip(range(-6, 7), multiples):
+                for t in torsion:
+                    D = cantor_add(C, sg, t)
+                    points, _ = jacobian.divisor_support(D, q, 20)
+                    label = reduce_point(C, points[0], q) if points else None
+                    if not (label and label[0] == "ext" and label[3]):
+                        continue
+                    want = cantor_add(C, scalar_mul(C, s, g),
+                                      reduce_divisor(C, t, q))
+                    assert reduce_divisor(C, D, q) == want, (s, t, q)
+                    pairs += 1
+        assert pairs == 940
 
     def test_bad_prime_rejected(self, C, gamma):
         with pytest.raises(ValueError):

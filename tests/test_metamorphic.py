@@ -5,7 +5,7 @@ from a fresh input.  A correct certificate must come out `complete` with
 the same ten rational points, mapped back to the original model.  Each
 machine report is also pinned byte for byte: the sha256 of the report
 without its telemetry block, rendered as the CI golden-report step
-renders it, and the escalation count, which lives in that block.  Two
+renders it, and the escalation count, which lives in that block.  Four
 Chabauty primes whose data leave classes end `inconclusive`; their
 reports are pinned the same way.
 """
@@ -87,21 +87,26 @@ def test_other_chabauty_prime():
 
 
 def test_inconclusive_chabauty_primes():
-    # the only pinned jobs whose surviving classes outlive a deepen that
-    # raises the modulus, so their count and sample are read at the new N
-    for p, aux, left, digest in (
-            (19, [7, 11, 13, 17, 23], 10,
-             "7ff6a76c8e98382119dc985aae361147"
-             "1f965bf3597c1bddad1b4a09cd5c6449"),
-            (23, [7, 11, 13, 17], 528,
-             "68f3692db643dbb649109312195e4412"
-             "87047a0787f8d9a4fc28800a6fe47b1a")):
+    # aux primes: the other primes of {7, 11, 13, 17, 23}.  At 19 and 23
+    # the surviving classes outlive a deepen that raises the modulus, so
+    # their count and sample are read at the new N; 31 is the only
+    # Chabauty prime up to 37 whose run escalates
+    for p, left, digest, escalations in (
+            (17, 2, "99a3b98ea7979313099bdfaa9be1593b"
+                    "e9c10f1debf25f12e7f3107a25050de5", 0),
+            (19, 10, "7ff6a76c8e98382119dc985aae361147"
+                     "1f965bf3597c1bddad1b4a09cd5c6449", 0),
+            (23, 528, "68f3692db643dbb649109312195e4412"
+                      "87047a0787f8d9a4fc28800a6fe47b1a", 0),
+            (31, 4, "7a81a4395158c6dabdf78c1e80587440"
+                    "ed8da4db659006ddff635c5c44e2a27b", 4)):
+        aux = [q for q in (7, 11, 13, 17, 23) if q != p]
         job = dict(FLYNN_JOB, chabauty_prime=p, aux_primes=aux)
         rep, report, got = _run(job)
         assert rep.status == "inconclusive", p
         assert report["surviving_classes"]["count"] == left
         assert got == digest, p
-        assert rep.result.escalations == 0
+        assert rep.result.escalations == escalations
 
 
 def test_every_good_aux_prime_up_to_47():
