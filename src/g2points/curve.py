@@ -353,28 +353,46 @@ def _affine_y_coeffs(fc, x0, y0, T):
     """y(t) on y^2 = f(x0 + t) to T coefficients, y(0) = y0 a unit."""
     taylor = _taylor_coeffs(fc, x0)
     dot = _series_dot(fc[5].prime, taylor + [y0])
+    inv = (y0 * 2).inverse()
     ys = [y0]
     for m in range(1, T + 1):
         s = dot(ys[1: m], ys[m - 1: 0: -1])
-        ys.append((taylor[m] - s if m < len(taylor) else -s) / (y0 * 2))
+        ys.append((taylor[m] - s if m < len(taylor) else -s) * inv)
     return ys
 
 
+def _u_lengths(m, n):
+    """The lengths, in u = t^2, of a series Newton loop that doubles an even
+    t-series from m to n coefficients: (k + 1) // 2 for each t-length k.
+    The odd t-coefficients of such a loop are exact zeros, whose products
+    every sum of products skips, so the u-loop gives the even coefficients
+    digit for digit."""
+    while m < n:
+        m = min(2 * m, n)
+        yield (m + 1) // 2
+
+
+def _even_in_t(p, us, n):
+    """sum us[j] t^(2j) to n coefficients, the odd ones exact zeros."""
+    out = [PadicNumber.exact_zero(p)] * n
+    out[::2] = us[: (n + 1) // 2]
+    return out
+
+
 def _weierstrass_x_coeffs(fc, x0, T):
-    """x(t) solving f(x(t)) = t^2 with x(0) = x0 a simple root of f;
-    the series is even in t."""
+    """x(t) solving f(x(t)) = t^2 with x(0) = x0 a simple root of f, to
+    T + 1 coefficients.  x(t) is even in t, so Newton solves f(X(u)) = u
+    in u = t^2; its first step, at one coefficient, refines x0 itself."""
     one = fc[5]
     p = one.prime
     fpc = [fc[i] * i for i in range(1, 6)]
     xs = [x0]
-    m = 1
-    while m < T + 1:
-        m = min(2 * m, T + 1)
-        res = _lsub(_lpolyval(p, fc, xs, m), [one], m, 2)
-        dfx = _lpolyval(p, fpc, xs, m)
-        step = series_mul(p, res, series_inv(p, dfx, m), m)
-        xs = _lsub(xs, step, m)
-    return xs[: T + 1]
+    for n in _u_lengths(1, T + 1):
+        res = _lsub(_lpolyval(p, fc, xs, n), [one], n, 1)
+        dfx = _lpolyval(p, fpc, xs, n)
+        step = series_mul(p, res, series_inv(p, dfx, n), n)
+        xs = _lsub(xs, step, n)
+    return _even_in_t(p, xs, T + 1)
 
 
 def lift_anchor(center: CurvePoint, p: int, rel: int) -> CurvePoint:
@@ -391,6 +409,8 @@ def local_expansion(C: HyperellipticCurve, center: CurvePoint, p: int, T: int,
 
     t = x - x0 off the Weierstrass locus, t = y at a Weierstrass center.  At
     infinity t = x^2/y, and the pair is the pole-free (t^2 x(t), t^5 y(t)).
+    x(t) at a branch point and both series at infinity are even in t, so
+    they are solved in u = t^2 and their odd coefficients are exact zeros.
     Coefficients are p-adically integral; tail bounds reflect that.  They
     lie in the field of the center's x-coordinate: Q_p, or its unramified
     quadratic extension for a disc with no Q_p-rational center.
@@ -434,7 +454,7 @@ def _taylor_coeffs(fc, x0):
 
 
 def _expansion_at_weierstrass(fc, x0, T):
-    # solve f(x(t)) = t^2 by series Newton; x(t) is even in t
+    # solve f(x(t)) = t^2 by series Newton in u = t^2
     xs = _weierstrass_x_coeffs(fc, x0, T)
     p = fc[5].prime
     x_series = PadicPowerSeries(p, xs, 0)
@@ -443,28 +463,29 @@ def _expansion_at_weierstrass(fc, x0, T):
 
 
 def _expansion_at_infinity(fc, T):
-    # xi = 1/x satisfies xi = t^2 g(xi), g(w) = 1 + c4 w + ... + c0 w^5
+    """(t^2 x, t^5 y) at infinity to T + 1 coefficients, t = x^2/y.
+
+    xi = 1/x, t^2 x and t^5 y are even in t.  In u = t^2, xi solves
+    xi = u g(xi), g(w) = 1 + c4 w + ... + c0 w^5, by Newton from
+    xi = u + O(u^2); t^2 x = u/xi and its square t^5 y follow in u too.
+    """
     one = fc[5]
     p = one.prime
-    zero = PadicNumber.exact_zero(p)
     g = [one, fc[4], fc[3], fc[2], fc[1], fc[0]]
     gp = [g[i] * i for i in range(1, 6)]
-    n = T + 3
-    xi = [zero] * n
-    xi[2] = one
-    m = 3
-    while m < n:
-        m = min(2 * m, n)
-        res = _lsub(xi, _lpolyval(p, g, xi, m), m, 2)
-        gpx = _lpolyval(p, gp, xi, m)
-        dF = [one, zero] + [-c for c in gpx[: m - 2]]
-        step = series_mul(p, res, series_inv(p, dF, m), m)
-        xi = _lsub(xi, step, m)
-    u = xi[2: T + 3]  # xi = t^2 * u(t), u(0) = 1
-    uinv = series_inv(p, u, T + 1)
-    # t^2 x = 1/u, and t^5 y = (t^2 x)^2 since t = x^2/y
-    X = PadicPowerSeries(p, uinv, 0)
-    Y = PadicPowerSeries(p, series_mul(p, uinv, uinv, T + 1), 0)
+    xi = [PadicNumber.exact_zero(p), one]
+    for n in _u_lengths(3, T + 3):
+        res = _lsub(xi, _lpolyval(p, g, xi, n), n, 1)
+        gpx = _lpolyval(p, gp, xi, n)
+        dF = [one] + [-c for c in gpx[: n - 1]]
+        step = series_mul(p, res, series_inv(p, dF, n), n)
+        xi = _lsub(xi, step, n)
+    k = (T + 2) // 2  # the even t-degrees up to T
+    v = xi[1: k + 1]  # xi = u * v(u), v(0) = 1
+    vinv = series_inv(p, v, k)
+    # t^2 x = 1/v, and t^5 y = (t^2 x)^2 since t = x^2/y; both even in t
+    X = PadicPowerSeries(p, _even_in_t(p, vinv, T + 1), 0)
+    Y = PadicPowerSeries(p, _even_in_t(p, series_mul(p, vinv, vinv, k), T + 1), 0)
     return X, Y
 
 

@@ -311,6 +311,8 @@ class PadicNumber:
     def __mul__(self, other):
         if isinstance(other, QuadExtNumber):
             return other * self
+        if self._val == _INF and isinstance(other, (int, Fraction)):
+            return self  # an exact zero times a rational: no scalar to read
         b = self._coerce(other, rel=max(self._rel, 1))
         if b is None:
             return NotImplemented
@@ -334,6 +336,8 @@ class PadicNumber:
         return PadicNumber._make(p, -self._val, inv, rel)
 
     def __truediv__(self, other):
+        if self._val == _INF and isinstance(other, (int, Fraction)) and other:
+            return self  # a division by 0 still raises, from inverse()
         b = self._coerce(other, rel=max(self._rel, 1))
         if b is None:
             return NotImplemented

@@ -11,6 +11,8 @@ from g2points.curve import (
     CurvePoint,
     Differential,
     HyperellipticCurve,
+    _lpolyval,
+    _lsub,
     count_Fp2_points,
     count_Fp_points,
     disc_center,
@@ -18,6 +20,7 @@ from g2points.curve import (
     fp_curve_points,
     is_on_curve,
     is_prime,
+    lift_anchor,
     local_expansion,
     reduce_point,
 )
@@ -26,6 +29,9 @@ from g2points.padic import (
     PadicPowerSeries,
     PrecisionLossError,
     QuadExtNumber,
+    lift,
+    series_inv,
+    series_mul,
 )
 
 FLYNN = [0, 60, -112, 65, -14, 1]  # x(x-1)(x-2)(x-5)(x-6)
@@ -58,6 +64,31 @@ def coefficient_digits(c):
     if isinstance(c, QuadExtNumber):
         return (coefficient_digits(c.a), coefficient_digits(c.b))
     return (c.valuation, c.unit_part(), c.rel_precision)
+
+
+def t_newton_reference(fc, T, x0=None):
+    """The series Newton loops in t that local_expansion runs in u = t^2:
+    x(t) with f(x(t)) = t^2 from the branch point x0, or, for x0 None, the
+    pair (t^2 x, t^5 y) at infinity from xi = 1/x = t^2 g(xi)."""
+    one, p = fc[5], fc[5].prime
+    zero = PadicNumber.exact_zero(p)
+    if x0 is None:
+        poly, s, m, n = [one, fc[4], fc[3], fc[2], fc[1], fc[0]], [zero, zero, one], 3, T + 3
+    else:
+        poly, s, m, n = fc, [x0], 1, T + 1
+    dpoly = [poly[i] * i for i in range(1, 6)]
+    while m < n:
+        m = min(2 * m, n)
+        val, dval = _lpolyval(p, poly, s, m), _lpolyval(p, dpoly, s, m)
+        if x0 is None:
+            res, dF = _lsub(s, val, m, 2), [one, zero] + [-c for c in dval[: m - 2]]
+        else:
+            res, dF = _lsub(val, [one], m, 2), dval
+        s = _lsub(s, series_mul(p, res, series_inv(p, dF, m), m), m)
+    if x0 is not None:
+        return (s[: T + 1],)
+    inv = series_inv(p, s[2: T + 3], T + 1)
+    return inv, series_mul(p, inv, inv, T + 1)
 
 
 class TestCurveBasics:
@@ -213,6 +244,43 @@ class TestExpansions:
         x40 = disc_center(Cx, label, 3, 40).x
         assert (x - x40).is_zeroish()
         assert (x.a.valuation, x40.a.valuation) == (4, 4)
+
+    @pytest.mark.parametrize("p", [7, 11, 13])
+    def test_even_series_have_exact_zero_odd_coefficients(self, C, p):
+        # x(t) at a branch point and (t^2 x, t^5 y) at infinity are even in t
+        for label in [FP_INFINITY] + [(r % p, 0) for r in (0, 1, 2, 5, 6)]:
+            ctr = disc_center(C, label, p, 20)
+            xs, ys = local_expansion(C, ctr, p, 21, 20)
+            series = (xs, ys) if label == FP_INFINITY else (xs,)
+            for s in series:
+                assert len(s.coeffs) == 22
+                assert all(c.is_exact_zero() for c in s.coeffs[1::2]), label
+                assert not s.coeffs[2].is_zeroish(), label
+
+    @pytest.mark.parametrize("T", [1, 2, 9, 10, 80, 81])
+    @pytest.mark.parametrize("rel", [4, 20, 40])
+    def test_even_expansions_match_the_t_loops(self, C, T, rel):
+        # every coefficient, digit for digit, at Flynn's branch points and
+        # infinity for p = 7 and 13, and at a branch point over F_9
+        cases = [(C, p, disc_center(C, label, p, rel)) for p in (7, 13)
+                 for label in [FP_INFINITY] + [(r % p, 0) for r in (0, 1, 2, 5, 6)]]
+        if T < 80:
+            Cx = HyperellipticCurve([-31, 17, 40, 30, 8, 1])
+            label = ("ext", "unramified", 0, 1, 0, 0)
+            cases.append((Cx, 3, disc_center(Cx, label, 3, rel)))
+        # x0 = 5 is a root of x^5 + 2x + 1 only mod 7^2: the first Newton
+        # step, at one coefficient in u, moves it
+        rough = CurvePoint(PadicNumber.from_int(5, 7, rel), PadicNumber.exact_zero(7), False)
+        cases.append((HyperellipticCurve([1, 2, 0, 0, 0, 1]), 7, rough))
+        for curve, p, ctr in cases:
+            fc = [lift(k, p, rel) for k in curve.f_coeffs]
+            xs, ys = local_expansion(curve, ctr, p, T, rel)
+            if ctr.at_infinity:
+                got, want = (xs, ys), t_newton_reference(fc, T)
+            else:
+                got, want = (xs,), t_newton_reference(fc, T, lift_anchor(ctr, p, rel).x)
+            assert [[coefficient_digits(c) for c in s.coeffs] for s in got] == \
+                [[coefficient_digits(c) for c in s] for s in want], (p, ctr)
 
     def test_integrality_of_expansions(self, C):
         for fp_pt in [(3, 6), (0, 0), FP_INFINITY]:

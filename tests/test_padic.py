@@ -95,6 +95,19 @@ class TestBasicArithmetic:
         assert (z * N(12)).is_exact_zero()
         assert (N(12) + z).valuation == 0
 
+    def test_exact_zero_meets_a_rational_scalar(self):
+        z = PadicNumber.exact_zero(7)
+        for q in (3, -14, 0, Fraction(5, 49)):
+            assert (z * q).is_exact_zero() and (q * z).is_exact_zero()
+        for q in (3, -14, Fraction(5, 49)):
+            assert (z / q).is_exact_zero()
+        for q in (0, Fraction(0)):
+            with pytest.raises(PrecisionLossError):
+                z / q
+        ext = QuadExtension(7, QuadExtension.UNRAMIFIED)
+        w = QuadExtNumber(ext, N(1), N(2))
+        assert isinstance(z * w, QuadExtNumber) and (z * w).is_exact_zero()
+
     def test_rational_roundtrip(self):
         q = Fraction(-355, 113)
         x = N(q, rel=30)
