@@ -8,6 +8,10 @@ the sieve spends its group operations, cantor_add first tries the same
 law on plain ints (_fq_add: one inverse from a resultant, one reduction
 step); only shared roots and doubling with Res(u, v) = 0 fall back to the
 generic composition.
+
+The sieve reads J(F_q) without listing it (order_and_exponent): the order
+from the zeta identity, and the exponent one Sylow subgroup at a time
+(_sylow_exponent).  Full listing, enumerate_Fp_jacobian, is for the tests.
 """
 
 from __future__ import annotations
@@ -334,23 +338,14 @@ def jacobian_order(C: HyperellipticCurve, q: int) -> int:
     return 1 - s1 + s2 - q * s1 + q * q
 
 
-_enumeration_cache: dict = {}
-
-
-def enumerate_Fp_jacobian(C: HyperellipticCurve, p: int) -> FpJacobian:
-    """All Mumford pairs over F_p, cross-checked against jacobian_order;
-    the exponent is the lcm of the lengths of their cyclic walks."""
-    ck = (tuple(C.f_coeffs), p)
-    if ck in _enumeration_cache:
-        return _enumeration_cache[ck]
-    if p > 50:
-        raise ValueError("enumeration is desk-scale only (p <= 50)")
-    # jacobian_order also refuses a prime of bad reduction
-    zeta_order = jacobian_order(C, p)
+def _fq_classes(C: HyperellipticCurve, p: int):
+    """Every class of J(F_p) once, lazily, in a fixed order: the point
+    classes of fp_curve_points, then per monic quadratic u each v with
+    v^2 = f mod u."""
     dom = PrimeFieldDomain(p)
+    for P in fp_curve_points(C, p):
+        yield fp_point_class(dom, P)
     f = poly_lift(dom, C.f_coeffs)
-    els = [fp_point_class(dom, c) for c in fp_curve_points(C, p)]
-
     for u1 in range(p):
         for u0 in range(p):
             u = [u0, u1, 1]
@@ -361,31 +356,107 @@ def enumerate_Fp_jacobian(C: HyperellipticCurve, p: int) -> FpJacobian:
             #   2 v1 v0 - v1^2 u1 = r1 and v0^2 - v1^2 u0 = r0
             v0 = sqrt_mod_p(r0, p) if r1 == 0 else None
             if v0 is not None:
-                els.append(MumfordDivisor(dom, u, [v0] if v0 else []))
+                yield MumfordDivisor(dom, u, [v0] if v0 else [])
                 if v0:
-                    els.append(MumfordDivisor(dom, u, [p - v0]))
+                    yield MumfordDivisor(dom, u, [p - v0])
             for v1 in range(1, p):
                 v0 = (r1 + v1 * v1 % p * u1) * pow(2 * v1, -1, p) % p
                 if (v0 * v0 - v1 * v1 % p * u0) % p == r0:
-                    els.append(MumfordDivisor(dom, u, poly_trim(dom, [v0, v1])))
+                    yield MumfordDivisor(dom, u, poly_trim(dom, [v0, v1]))
 
-    order = len(els)
-    if order != zeta_order:
+
+def _prime_powers(n: int):
+    """(ell, k) for each ell^k || n, by trial division."""
+    ell = 2
+    while ell * ell <= n:
+        k = 0
+        while n % ell == 0:
+            n, k = n // ell, k + 1
+        if k:
+            yield ell, k
+        ell += 1
+    if n > 1:
+        yield n, 1
+
+
+def _sylow_exponent(C: HyperellipticCurve, q: int, order: int, ell: int,
+                    k: int) -> int:
+    """The exponent of the ell-part of J(F_q), ell^k || order.
+
+    (order / ell^k).D projects a class D into the ell-part.  The
+    projections of the classes of _fq_classes, taken in turn, span it once
+    the span holds ell^k classes, and an abelian group's exponent is the
+    lcm of its generators' orders: for an ell-group, the largest.  A
+    projection of order above ell^k, a span that would pass ell^k, or
+    classes that run out first raise ArithmeticError: then order is not
+    |J(F_q)|.
+    """
+    size = ell ** k
+    identity = MumfordDivisor.identity(PrimeFieldDomain(q))
+    span, keys, top = [identity], {identity.key()}, 1
+    for D in _fq_classes(C, q):
+        g = scalar_mul(C, order // size, D)
+        if g.key() in keys:
+            continue
+        # ord(g) = ell^j, the least j with ell^j.g = 0, for some j <= k
+        n, h = ell, scalar_mul(C, ell, g)
+        while not h.is_identity():
+            if n == size:
+                raise ArithmeticError("%d does not kill the %d-part of a "
+                                      "class of J(F_%d)" % (size, ell, q))
+            n, h = n * ell, scalar_mul(C, ell, h)
+        top = max(top, n)
+        # span + <g>: the cosets span + j.g, j = 1, 2, ... up to the first
+        # j.g already in the span
+        base, h = list(span), g
+        while h.key() not in keys:
+            for s in base:
+                E = cantor_add(C, s, h)
+                span.append(E)
+                keys.add(E.key())
+            if len(span) > size:
+                raise ArithmeticError("the %d-part of J(F_%d) has more than "
+                                      "%d classes" % (ell, q, size))
+            h = cantor_add(C, h, g)
+        if len(span) == size:
+            return top
+    raise ArithmeticError("the classes of J(F_%d) ran out before its %d-part "
+                          "reached %d classes" % (q, ell, size))
+
+
+_enumeration_cache: dict = {}
+
+
+def order_and_exponent(C: HyperellipticCurve, q: int):
+    """(|J(F_q)|, its exponent) without listing J(F_q): the order from the
+    zeta identity, the exponent one Sylow subgroup at a time from the
+    classes of _fq_classes, generated only as far as it reads them.
+    Cached per (f, q)."""
+    ck = (tuple(C.f_coeffs), q)
+    if ck not in _enumeration_cache:
+        order, exponent = jacobian_order(C, q), 1
+        for ell, k in _prime_powers(order):
+            # an ell-part of order ell is cyclic and needs no class
+            exponent *= (ell if k == 1
+                         else _sylow_exponent(C, q, order, ell, k))
+        _enumeration_cache[ck] = order, exponent
+    return _enumeration_cache[ck]
+
+
+def enumerate_Fp_jacobian(C: HyperellipticCurve, p: int) -> FpJacobian:
+    """All Mumford pairs over F_p, the classes of _fq_classes listed to
+    the end, cross-checked against the zeta order; order and exponent are
+    order_and_exponent's."""
+    if p > 50:
+        raise ValueError("enumeration is desk-scale only (p <= 50)")
+    # order_and_exponent also refuses a prime of bad reduction
+    order, exponent = order_and_exponent(C, p)
+    els = list(_fq_classes(C, p))
+    if len(els) != order:
         raise ArithmeticError(
             "enumeration found %d elements but zeta identity gives %d"
-            % (order, zeta_order))
-
-    # every element lies on the walk of one that no earlier walk visited,
-    # so its order divides that walk's length
-    exponent, visited = 1, set()
-    for el in els:
-        if el.key() not in visited:
-            walk = cyclic_walk(C, el, order)
-            visited.update(walk)
-            exponent = math.lcm(exponent, len(walk))
-    J = FpJacobian(els, order, exponent)
-    _enumeration_cache[ck] = J
-    return J
+            % (len(els), order))
+    return FpJacobian(els, order, exponent)
 
 
 # -- reduction J(Q) -> J(F_p) ------------------------------------------------

@@ -288,11 +288,15 @@ def exhaustive_jacobian(C: HyperellipticCurve, p: int):
         raise ArithmeticError(
             "oracle-internal mismatch: pair count %d vs Mumford scan %d"
             % (order, len(elements)))
-    exponent = 1
+    # every element lies on the walk of one that no earlier walk visited,
+    # so its order divides that walk's length
+    exponent, visited = 1, set()
     fcoeffs = [k % p for k in C.f_coeffs]
     for el in elements:
-        o = _mini_order(el, fcoeffs, p, order)
-        exponent = exponent * o // math.gcd(exponent, o)
+        if (tuple(el[0]), tuple(el[1])) not in visited:
+            walk = _mini_walk(el, fcoeffs, p, order)
+            visited.update(walk)
+            exponent = exponent * len(walk) // math.gcd(exponent, len(walk))
     return order, exponent
 
 
@@ -420,13 +424,13 @@ def _mini_enumerate(C, p):
     return els
 
 
-def _mini_order(el, f, p, cap):
-    ident = ([1], [])
+def _mini_walk(el, f, p, cap):
+    """The keys of el, 2.el, ..., up to the identity: ord(el) of them."""
     acc = el
-    o = 1
+    walk = [(tuple(el[0]), tuple(el[1]))]
     while not (acc[0] == [1] and acc[1] == []):
         acc = _mini_add(acc, el, f, p)
-        o += 1
-        if o > cap:
+        walk.append((tuple(acc[0]), tuple(acc[1])))
+        if len(walk) > cap:
             raise ArithmeticError("element order exceeds group order")
-    return o
+    return walk

@@ -21,8 +21,8 @@ from .coleman import (annihilating_form, disc_zero_count, log_jacobian,
 from .curve import (CurvePoint, HyperellipticCurve, fp_curve_points,
                     is_on_curve, reduce_point)
 from .jacobian import (MumfordDivisor, cantor_add, curve_preimage,
-                       cyclic_walk, element_order, enumerate_Fp_jacobian,
-                       fp_point_class, reduce_divisor, scalar_mul,
+                       cyclic_walk, element_order, fp_point_class,
+                       order_and_exponent, reduce_divisor, scalar_mul,
                        torsion_multiple_bound)
 from .padic import (DEFAULT_PRECISION, InconclusiveTruncationError,
                     PrecisionLossError, strassmann_count,
@@ -86,7 +86,7 @@ class SieveContext:
             raise ValueError("generator is torsion: killed by the bound %d"
                              % bnd)
         self.gamma = gamma
-        self.N = math.lcm(*(enumerate_Fp_jacobian(curve, q).exponent
+        self.N = math.lcm(*(order_and_exponent(curve, q)[1]
                             for q in (prime,) + self.aux_primes))
         self.bound = bound
         self.rel = rel
@@ -156,12 +156,12 @@ def build_images(ctx: SieveContext, q: int) -> ImageData:
     """The image of C(F_q) in J(F_q), and per torsion label the residues
     s mod the reduced generator's order that land on it."""
     C = ctx.curve
-    jac = enumerate_Fp_jacobian(C, q)
+    order, exponent = order_and_exponent(C, q)
     fdom = PrimeFieldDomain(q)
     image = [fp_point_class(fdom, c) for c in fp_curve_points(C, q)]
     # one walk of <gamma-bar>: s*gamma + t = P exactly when P - t is the
     # s-th step
-    walk = cyclic_walk(C, reduce_divisor(C, ctx.gamma, q), jac.order)
+    walk = cyclic_walk(C, reduce_divisor(C, ctx.gamma, q), order)
     index = {key: s for s, key in enumerate(walk)}
     tbars = [reduce_divisor(C, T, q) for T, _ in ctx.torsion]
     residues = {}
@@ -170,7 +170,7 @@ def build_images(ctx: SieveContext, q: int) -> ImageData:
         neg_t = t.neg()
         keys = (cantor_add(C, P, neg_t).key() for P in image)
         residues[label] = frozenset(index[k] for k in keys if k in index)
-    return ImageData(jac.order, jac.exponent, len(image), len(walk), residues)
+    return ImageData(order, exponent, len(image), len(walk), residues)
 
 
 class SieveState:

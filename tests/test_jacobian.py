@@ -3,10 +3,13 @@
 Group orders and exponents asserted here were computed by the independent
 pair-counting oracle (exhaustive_jacobian) and frozen; the enumeration
 path must reproduce them, and the zeta identity is checked inside
-enumerate_Fp_jacobian itself.
+enumerate_Fp_jacobian itself.  The exponent the sieve reads is certified
+one Sylow subgroup at a time without listing J(F_q); it is checked against
+the oracle and against the lcm of walk lengths over the listed group.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -18,9 +21,10 @@ from g2points import jacobian
 from g2points.curve import (CurvePoint, HyperellipticCurve, fp_curve_points,
                             reduce_point)
 from g2points.jacobian import (MumfordDivisor, cantor_add, curve_preimage,
-                               element_order, embed_point,
+                               cyclic_walk, element_order, embed_point,
                                enumerate_Fp_jacobian, fp_point_class,
-                               jacobian_order, reduce_divisor, scalar_mul,
+                               jacobian_order, order_and_exponent,
+                               reduce_divisor, scalar_mul,
                                torsion_multiple_bound)
 from g2points.oracle import (_mini_add, _mini_enumerate, exhaustive_jacobian,
                              naive_rational_points)
@@ -312,7 +316,7 @@ class TestEnumeration:
             assert scalar_mul(C, J.order, el).is_identity()
 
     def test_exponent_kills_everything(self, C):
-        # by scalar_mul, independent of the walks that found the exponent:
+        # by scalar_mul, independent of the spans that found the exponent:
         # it kills every element, and no prime can be taken out of it
         D = HyperellipticCurve(CURVE2)
         for curve, q in ([(C, q) for q in (7, 11, 13, 17, 23)]
@@ -383,6 +387,87 @@ class TestEnumeration:
         J3 = enumerate_Fp_jacobian(D, 3)
         assert (J3.order, J3.exponent) == exhaustive_jacobian(D, 3)
         assert jacobian_order(D, 3) == J3.order
+
+
+def _good_primes(C, top):
+    return [q for q in range(3, top + 1) if C.good_reduction(q)]
+
+
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    # every order_and_exponent call in the test certifies afresh
+    monkeypatch.setattr(jacobian, "_enumeration_cache", {})
+
+
+class TestSylowExponent:
+    @pytest.mark.parametrize("f_coeffs", [FLYNN, CURVE2, X5_PLUS_4])
+    def test_matches_the_pair_counting_oracle(self, f_coeffs, fresh_cache):
+        D = HyperellipticCurve(f_coeffs)
+        for q in _good_primes(D, 23):
+            assert order_and_exponent(D, q) == exhaustive_jacobian(D, q), q
+
+    def test_flynn_matches_walk_lengths_up_to_47(self, C, fresh_cache):
+        # every listed class lies on the walk of one that no earlier walk
+        # visited, so the exponent is the lcm of those walks' lengths
+        for q in _good_primes(C, 47):
+            J = enumerate_Fp_jacobian(C, q)
+            lcm, visited = 1, set()
+            for el in J.elements:
+                if el.key() not in visited:
+                    walk = cyclic_walk(C, el, J.order)
+                    visited.update(walk)
+                    lcm = math.lcm(lcm, len(walk))
+            assert order_and_exponent(C, q) == (J.order, lcm), q
+            assert J.exponent == lcm, q
+
+    @pytest.mark.parametrize("q", [7, 19, 23])
+    def test_a_doubled_order_raises_after_one_pass(self, C, q, monkeypatch,
+                                                   fresh_cache):
+        # 2.|J| claims a 2-part twice the real one, which no span reaches:
+        # the classes run out after one pass over J(F_q), and no loop
+        # draws more than that
+        order = jacobian_order(C, q)
+        drawn = []
+        classes = jacobian._fq_classes
+
+        def counted(curve, p):
+            for D in classes(curve, p):
+                drawn.append(D)
+                yield D
+
+        monkeypatch.setattr(jacobian, "_fq_classes", counted)
+        monkeypatch.setattr(jacobian, "jacobian_order",
+                            lambda curve, p: 2 * order)
+        with pytest.raises(ArithmeticError, match="ran out before its 2-part"):
+            order_and_exponent(C, q)
+        assert len(drawn) == order
+        assert jacobian._enumeration_cache == {}
+
+    def test_listing_cross_checks_the_zeta_order(self, C, monkeypatch,
+                                                 fresh_cache):
+        # |J(F_7)| = 48 with a 2-part of exponent 2: a claimed 24 passes
+        # the Sylow spans (8 classes of order 2), not the count of the list
+        monkeypatch.setattr(jacobian, "jacobian_order", lambda curve, p: 24)
+        with pytest.raises(ArithmeticError, match="found 48 elements"):
+            enumerate_Fp_jacobian(C, 7)
+
+    @pytest.mark.parametrize("q, claimed, message", [
+        # |J(F_7)| = 48: the classes of order 3 are not killed by 16
+        (7, 16, "16 does not kill the 2-part"),
+        # |J(F_19)| = 2^7.3: the 2-part of a claimed 48 is 16 classes
+        (19, 48, "2-part of J\\(F_19\\) has more than 16 classes")])
+    def test_a_wrong_order_meets_a_cap(self, C, q, claimed, message,
+                                       monkeypatch, fresh_cache):
+        monkeypatch.setattr(jacobian, "jacobian_order",
+                            lambda curve, p: claimed)
+        with pytest.raises(ArithmeticError, match=message):
+            order_and_exponent(C, q)
+
+    def test_warm_call_recomputes_nothing(self, C, monkeypatch, fresh_cache):
+        first = order_and_exponent(C, 23)
+        monkeypatch.setattr(jacobian, "_fq_classes", None)
+        monkeypatch.setattr(jacobian, "jacobian_order", None)
+        assert order_and_exponent(C, 23) == first == (528, 66)
 
 
 class TestReduction:

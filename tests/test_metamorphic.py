@@ -122,6 +122,18 @@ def test_every_good_aux_prime_up_to_47():
             for rec in rep.result.points} == FLYNN_POINTS
 
 
+def test_an_aux_prime_above_fifty():
+    # J(F_61) is never listed: its exponent is certified one Sylow
+    # subgroup at a time, so the p <= 50 limit of full listing does not
+    # reach the run
+    rep, report, _ = _run(dict(FLYNN_JOB, aux_primes=[11, 13, 17, 23, 61]))
+    assert rep.status == "complete", rep.closing
+    assert 61 in report["aux_primes"]
+    assert {"infinity" if rec.point.at_infinity
+            else (rec.point.x, rec.point.y)
+            for rec in rep.result.points} == FLYNN_POINTS
+
+
 def test_translated_model_and_negated_generator():
     job = _translated_job(1)
     assert job["f_coeffs"] == [0, -20, 9, 19, -9, 1]
