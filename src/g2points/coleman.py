@@ -114,6 +114,12 @@ def _basis(p: int, rel: int):
     return (Differential(1, 0, p, rel), Differential(0, 1, p, rel))
 
 
+#: most disc frames _DISC_LAMBDA_CACHE keeps, the oldest dropped first.  A
+#: job at Chabauty prime p reads about 1.4 (p + 1) frames per precision (54
+#: at p = 37, 132 at p = 97), so it keeps every frame up to about p = 83;
+#: above, a frame read again after its eviction is rebuilt with the same
+#: digits (138 builds for 132 frames at p = 97)
+DISC_LAMBDA_CACHE_LIMIT = 128
 _DISC_LAMBDA_CACHE: dict = {}
 
 
@@ -129,7 +135,7 @@ def _anchor_frame(C: HyperellipticCurve, anchor: CurvePoint, p: int, rel: int):
     TRUNCATION_FACTOR * rel, the center being the anchor as the local
     expansions lift it.  Cached per curve and precision by those lifted
     coordinates, so a rational point that is its disc's center shares the
-    disc's frame."""
+    disc's frame; up to DISC_LAMBDA_CACHE_LIMIT frames are kept."""
     center = lift_anchor(anchor, p, rel)
     key = FP_INFINITY if center.at_infinity else (_field_key(center.x),
                                                   _field_key(center.y))
@@ -137,6 +143,8 @@ def _anchor_frame(C: HyperellipticCurve, anchor: CurvePoint, p: int, rel: int):
     hit = _DISC_LAMBDA_CACHE.get(ck)
     if hit is None:
         hit = (center, local_frame(C, center, p, TRUNCATION_FACTOR * rel, rel))
+        while len(_DISC_LAMBDA_CACHE) >= DISC_LAMBDA_CACHE_LIMIT:
+            del _DISC_LAMBDA_CACHE[next(iter(_DISC_LAMBDA_CACHE))]
         _DISC_LAMBDA_CACHE[ck] = hit
     return hit
 

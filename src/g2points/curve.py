@@ -19,13 +19,13 @@ from .padic import (
     QuadExtNumber,
     _ext_sqrt,
     _horner,
-    _series_dot,
     hensel_root,
     legendre_symbol,
     lift,
     padic_sqrt,
     series_inv,
     series_mul,
+    series_sqrt,
     smallest_nonresidue,
     sqrt_mod_p,
     valuation_is_negative,
@@ -351,14 +351,7 @@ def _lpolyval(p, poly_coeffs, s, n):
 
 def _affine_y_coeffs(fc, x0, y0, T):
     """y(t) on y^2 = f(x0 + t) to T coefficients, y(0) = y0 a unit."""
-    taylor = _taylor_coeffs(fc, x0)
-    dot = _series_dot(fc[5].prime, taylor + [y0])
-    inv = (y0 * 2).inverse()
-    ys = [y0]
-    for m in range(1, T + 1):
-        s = dot(ys[1: m], ys[m - 1: 0: -1])
-        ys.append((taylor[m] - s if m < len(taylor) else -s) * inv)
-    return ys
+    return series_sqrt(fc[5].prime, _taylor_coeffs(fc, x0), y0, T + 1)
 
 
 def _u_lengths(m, n):

@@ -424,6 +424,9 @@ def _sylow_exponent(C: HyperellipticCurve, q: int, order: int, ell: int,
                           "reached %d classes" % (q, ell, size))
 
 
+#: most (order, exponent) records _enumeration_cache keeps, the oldest
+#: dropped first; a job reads one per auxiliary prime
+ENUMERATION_CACHE_LIMIT = 32
 _enumeration_cache: dict = {}
 
 
@@ -431,7 +434,7 @@ def order_and_exponent(C: HyperellipticCurve, q: int):
     """(|J(F_q)|, its exponent) without listing J(F_q): the order from the
     zeta identity, the exponent one Sylow subgroup at a time from the
     classes of _fq_classes, generated only as far as it reads them.
-    Cached per (f, q)."""
+    Cached per (f, q), up to ENUMERATION_CACHE_LIMIT records."""
     ck = (tuple(C.f_coeffs), q)
     if ck not in _enumeration_cache:
         order, exponent = jacobian_order(C, q), 1
@@ -439,6 +442,8 @@ def order_and_exponent(C: HyperellipticCurve, q: int):
             # an ell-part of order ell is cyclic and needs no class
             exponent *= (ell if k == 1
                          else _sylow_exponent(C, q, order, ell, k))
+        while len(_enumeration_cache) >= ENUMERATION_CACHE_LIMIT:
+            del _enumeration_cache[next(iter(_enumeration_cache))]
         _enumeration_cache[ck] = order, exponent
     return _enumeration_cache[ck]
 

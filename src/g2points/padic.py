@@ -22,13 +22,19 @@ count half-integers doubled.
 
 Power series carry an explicit truncation order and a tail valuation bound,
 which is what lets Strassmann counts and series evaluations return certified
-precisions instead of hopeful ones.
+precisions instead of hopeful ones.  Their products, inverses and square
+roots (series_mul, series_inv, series_sqrt) run on int lanes: each operand is
+read once into valuations, absolute precisions and units scaled to a common
+shift, and every coefficient is built once from the exact sum of unit
+products and the least absolute precision over its pairs, over Q_p and over
+Q_p(sqrt(d)) alike, digit for digit what the operator fold gives.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add, and_, mul
 
 DEFAULT_PRECISION = 20
 
@@ -364,61 +370,6 @@ class PadicNumber:
 def padic_agree(a: PadicNumber, b: PadicNumber) -> bool:
     """True when a and b agree on all digits both claim (soundness check)."""
     return (a - b).is_zeroish()
-
-
-def padic_dot(p: int, xs, ys) -> PadicNumber:
-    """sum(x*y for x, y in zip(xs, ys)) over Q_p, computed on plain ints.
-
-    Returns exactly the PadicNumber of the left fold ``acc = acc + x*y`` from
-    an exact zero.  Addition is canonical, so that fold depends only on
-    A = min abs precision over the products that are not exact zeros and on
-    S = sum of unit * p^val over the products with known digits, mod p^A.
-    A product with no known digits lowers A and adds nothing to S.  S is
-    kept exactly as s * p^m, m the least valuation seen so far.
-    """
-    A = m = _INF
-    s = 0
-    for x, y in zip(xs, ys):
-        v = x._val + y._val
-        if v == _INF:
-            continue
-        r = x._rel
-        if y._rel < r:
-            r = y._rel
-        if v + r < A:
-            A = v + r
-        if not r:
-            continue
-        if v == m:
-            s += x._unit * y._unit
-        elif v > m:
-            s += x._unit * y._unit * p ** (v - m)
-        elif m == _INF:
-            s = x._unit * y._unit
-            m = v
-        else:
-            s = s * p ** (m - v) + x._unit * y._unit
-            m = v
-    if A == _INF:
-        return PadicNumber.exact_zero(p)
-    if m >= A:
-        return PadicNumber.zeroish(p, A)
-    return PadicNumber._make(p, m, s, A - m)
-
-
-def object_dot(zero, xs, ys):
-    """sum(x*y for x, y in zip(xs, ys)) as the object fold from ``zero``.
-
-    The sum of products for coefficients that padic_dot cannot take, such
-    as QuadExtNumber pairs.  Exact-zero products are skipped, and the
-    first product starts the sum: adding an exact zero would return the
-    other operand's digits unchanged.
-    """
-    acc = None
-    for x, y in zip(xs, ys):
-        if not (x.is_exact_zero() or y.is_exact_zero()):
-            acc = x * y if acc is None else acc + x * y
-    return zero if acc is None else acc
 
 
 class QuadExtension:
@@ -920,33 +871,261 @@ class PadicPowerSeries:
             ", log-penalty" if self.tail_log_penalty else "")
 
 
-def _series_dot(p: int, coeffs):
-    """The sum of products for one series product or inverse: padic_dot
-    when every coefficient is a PadicNumber, else the object fold."""
-    if all(type(c) is PadicNumber for c in coeffs):
-        return lambda xs, ys: padic_dot(p, xs, ys)
-    zero = PadicNumber.exact_zero(p)
-    return lambda xs, ys: object_dot(zero, xs, ys)
+# -- sums of products on int lanes --------------------------------------------
+# Every coefficient of a series product, inverse or square root is a sum of
+# products x_i y_j, and must be what the left fold of the operators from an
+# exact zero gives.  Addition is canonical, so over Q_p that fold depends
+# only on A, the least absolute precision min(top_i + v_j, v_i + top_j)
+# over the products that are not exact zeros, and on S, the sum of
+# unit * p^val over the products with known digits, mod p^A; _make
+# normalizes any common shift of S that is at most its least valuation.
+# Over Q_p(sqrt(d)) each part of the fold is such a sum: a + b sqrt(d) times
+# a' + b' sqrt(d) is (aa' + d bb') + (ab' + ba') sqrt(d), and d bb' moves
+# the cap by v(d).
+
+
+class _Part:
+    """One part of a coefficient list as int lanes: the valuations ``v``
+    and absolute precisions ``top`` (+inf at an exact zero), and the units
+    times p^(v - shift) ``u`` (0 with no known digits)."""
+
+    __slots__ = ("v", "top", "u")
+
+    def __init__(self, xs, p: int, shift: int):
+        self.v = [x._val for x in xs]
+        self.top = [x._val + x._rel for x in xs]
+        self.u = [x._unit * p ** (x._val - shift) if x._rel else 0 for x in xs]
+
+    def append(self, x, p: int, shift: int):
+        self.v.append(x._val)
+        self.top.append(x._val + x._rel)
+        self.u.append(x._unit * p ** (x._val - shift) if x._rel else 0)
+
+
+class _Lanes:
+    """A coefficient list read once into one _Part over Q_p, or two over
+    Q_p(sqrt(d)): a and b of a + b sqrt(d), a base element having b = 0.
+
+    ``shift`` is common to the parts and at most every valuation with known
+    digits, so the units are exact ints; a coefficient appended with a lower
+    one rescales them.  Over an extension ``nz`` flags the coefficients
+    that are not exact zeros and ``qz`` those of them that are extension
+    elements: a sum of products is a QuadExtNumber when some pair of nonzero
+    factors has one.
+    """
+
+    __slots__ = ("prime", "ext", "shift", "parts", "nz", "qz")
+
+    def __init__(self, p: int, ext, cs):
+        self.prime, self.ext = p, ext
+        parts = self._split(cs)
+        self.shift = min((x._val for xs in parts for x in xs if x._rel), default=0)
+        self.parts = [_Part(xs, p, self.shift) for xs in parts]
+        if ext is not None:
+            self.nz = [0 if c.is_exact_zero() else 1 for c in cs]
+            self.qz = [f if type(c) is QuadExtNumber else 0
+                       for f, c in zip(self.nz, cs)]
+
+    def _split(self, cs):
+        if self.ext is None:
+            return (cs,)
+        zero = PadicNumber.exact_zero(self.prime)
+        return ([c.a if type(c) is QuadExtNumber else c for c in cs],
+                [c.b if type(c) is QuadExtNumber else zero for c in cs])
+
+    def append(self, c):
+        p = self.prime
+        xs = [part[0] for part in self._split([c])]
+        for x in xs:
+            if x._rel and x._val < self.shift:
+                f = p ** (self.shift - x._val)
+                for part in self.parts:
+                    part.u = [u * f for u in part.u]
+                self.shift = x._val
+        for part, x in zip(self.parts, xs):
+            part.append(x, p, self.shift)
+        if self.ext is not None:
+            self.nz.append(0 if c.is_exact_zero() else 1)
+            self.qz.append(self.nz[-1] if type(c) is QuadExtNumber else 0)
+
+
+def _lanes(p: int, *lists):
+    """One _Lanes per coefficient list, all over the quadratic extension of
+    the QuadExtNumber entries of any of them (Q_p when there is none)."""
+    ext = None
+    if any(QuadExtNumber in set(map(type, cs)) for cs in lists):
+        for c in (c for cs in lists for c in cs if type(c) is QuadExtNumber):
+            if ext is None:
+                ext = c.ext
+            elif c.ext != ext:
+                raise ValueError("mixing distinct quadratic extensions")
+    return [_Lanes(p, ext, cs) for cs in lists]
+
+
+def _term(p: int, shift: int, s: int, cap):
+    """p^shift * s + O(p^cap), an exact zero when no pair reached it."""
+    if cap == _INF:
+        return PadicNumber.exact_zero(p)
+    return PadicNumber._make(p, shift, s, cap - shift)
+
+
+def _convolution(xs, ys, n: int):
+    """[sum of xs[i] * ys[k - i] for k < n] for lists of ints >= 0, read off
+    one product of the lists packed into ints (Kronecker substitution)."""
+    if not xs or not ys:
+        return [0] * n
+    w = (max(xs).bit_length() + max(ys).bit_length()
+         + min(len(xs), len(ys)).bit_length()) // 8 + 1
+    x = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in xs]), "little")
+    y = int.from_bytes(b"".join([c.to_bytes(w, "little") for c in ys]), "little")
+    z = (x * y).to_bytes(w * (len(xs) + len(ys)), "little")
+    return [int.from_bytes(z[i: i + w], "little") for i in range(0, n * w, w)]
+
+
+def _sumset(xm: int, ym: int) -> int:
+    """The bit mask of the index sums i + j over the bits i of xm and j of ym."""
+    if xm.bit_count() > ym.bit_count():
+        xm, ym = ym, xm
+    out = 0
+    while xm:
+        low = xm & -xm
+        out |= ym * low
+        xm ^= low
+    return out
+
+
+def _classes(X: _Part):
+    """{(v, top): bit mask of its indices} over the coefficients that are
+    not exact zeros."""
+    out = {}
+    for i, key in enumerate(zip(X.v, X.top)):
+        if key[0] != _INF:
+            out[key] = out.get(key, 0) | 1 << i
+    return out
+
+
+def _caps(X: _Part, Y: _Part, n: int):
+    """[the least min(top_i + v_j, v_i + top_j) over the pairs i + j = k of
+    nonzero factors, for k < n], +inf where there is none.
+
+    The coefficients fall into a few classes (v, top), and a pair of classes
+    has one such value; so each degree takes the value of the first class
+    pair, in increasing order, whose index sums reach it."""
+    xc, yc = _classes(X), _classes(Y)
+    todo = _sumset(sum(xc.values()), sum(yc.values())) & ((1 << n) - 1)
+    caps = [_INF] * n
+    for cap, xm, ym in sorted((min(t + w, v + s), xm, ym)
+                              for (v, t), xm in xc.items()
+                              for (w, s), ym in yc.items()):
+        if not todo:
+            break
+        hit = todo & _sumset(xm, ym)
+        todo ^= hit
+        while hit:
+            low = hit & -hit
+            caps[low.bit_length() - 1] = cap
+            hit ^= low
+    return caps
+
+
+def _mask(flags) -> int:
+    return int("".join(map(str, reversed(flags))) or "0", 2)
+
+
+class _Dot:
+    """The sums of products x_i y_(k-i), each as the operator fold gives
+    it.  The part pairs are (a, a') over Q_p and (a, a'), (b, b'), (a, b'),
+    (b, a') over Q_p(sqrt(d)); x may grow between calls, as in a sequential
+    recursion."""
+
+    __slots__ = ("x", "y", "pairs")
+
+    def __init__(self, x: _Lanes, y: _Lanes):
+        self.x, self.y = x, y
+        if x.ext is None:
+            self.pairs = [(x.parts[0], y.parts[0])]
+        else:
+            (xa, xb), (ya, yb) = x.parts, y.parts
+            self.pairs = [(xa, ya), (xb, yb), (xa, yb), (xb, ya)]
+
+    def term(self, sums, caps, quad):
+        """The sum from the unit sums and caps of the part pairs: an
+        exact-zero PadicNumber when no pair has two nonzero factors, a
+        QuadExtNumber when such a pair has an extension factor, else a
+        PadicNumber."""
+        x = self.x
+        p, shift = x.prime, x.shift + self.y.shift
+        if x.ext is None:
+            return _term(p, shift, sums[0], caps[0])
+        d = x.ext.d
+        real = _term(p, shift, sums[0] + d * sums[1],
+                     min(caps[0], caps[1] + vp(d, p)))
+        if not quad:
+            return real
+        return QuadExtNumber(x.ext, real,
+                             _term(p, shift, sums[2] + sums[3], min(caps[2], caps[3])))
+
+    def at(self, k: int, i0: int, i1: int):
+        """The sum over i0 <= i < i1, walking its pairs on the lanes."""
+        x, y = self.x, self.y
+        j0 = k - i1 + 1
+        xs, ys = slice(i0, i1), slice(k - i0, j0 - 1 if j0 > 0 else None, -1)
+        sums, caps = [], []
+        for X, Y in self.pairs:
+            sums.append(sum(map(mul, X.u[xs], Y.u[ys])))
+            caps.append(min(min(map(add, X.top[xs], Y.v[ys]), default=_INF),
+                            min(map(add, X.v[xs], Y.top[ys]), default=_INF)))
+        quad = x.ext is not None and (any(map(and_, x.qz[xs], y.nz[ys]))
+                                      or any(map(and_, x.nz[xs], y.qz[ys])))
+        return self.term(sums, caps, quad)
+
+    def product(self, n: int):
+        """The sums of every degree k < n over all pairs, from one
+        Kronecker product of the unit lanes and the class caps per part
+        pair, so that no degree walks its pairs."""
+        x, y = self.x, self.y
+        if x.ext is None:
+            (X, Y), = self.pairs
+            return [_term(x.prime, x.shift + y.shift, s, cap) for s, cap
+                    in zip(_convolution(X.u, Y.u, n), _caps(X, Y, n))]
+        sums = list(zip(*(_convolution(X.u, Y.u, n) for X, Y in self.pairs)))
+        caps = list(zip(*(_caps(X, Y, n) for X, Y in self.pairs)))
+        quad = (_sumset(_mask(x.qz), _mask(y.nz))
+                | _sumset(_mask(x.nz), _mask(y.qz)))
+        return [self.term(sums[k], caps[k], quad >> k & 1) for k in range(n)]
 
 
 def series_mul(p: int, a, b, n: int):
     """The first n coefficients of a*b, for coefficient lists a and b."""
-    dot = _series_dot(p, a + b)
-    out = []
-    for k in range(n):
-        i0 = max(0, k - len(b) + 1)
-        out.append(dot(a[i0: k + 1], b[k - i0:: -1]))
-    return out
+    return _Dot(*_lanes(p, a, b)).product(n)
 
 
 def series_inv(p: int, a, n: int):
     """The first n coefficients of 1/a, for a coefficient list a whose
-    constant term is invertible."""
-    dot = _series_dot(p, a)
+    constant term is invertible: out_d = -out_0 sum_{0<=i<d} out_i a_(d-i)."""
     inv0 = a[0].inverse()
+    neg = -inv0
     out = [inv0]
+    a_lanes, out_lanes = _lanes(p, a, out)
+    dot = _Dot(out_lanes, a_lanes)
     for d in range(1, n):
-        out.append(-inv0 * dot(a[1: d + 1], out[d - 1:: -1]))
+        out.append(neg * dot.at(d, max(0, d - len(a) + 1), d))
+        out_lanes.append(out[d])
+    return out
+
+
+def series_sqrt(p: int, f, y0, n: int):
+    """The first n coefficients of the square root of the series f that
+    starts at y0, for f[0] = y0^2 and y0 a unit:
+    y_m = (f_m - sum_{0<i<m} y_i y_(m-i)) / (2 y0)."""
+    inv = (y0 * 2).inverse()
+    out = [y0]
+    _, y = _lanes(p, f, out)
+    dot = _Dot(y, y)
+    for m in range(1, n):
+        s = dot.at(m, 1, m)
+        out.append((f[m] - s if m < len(f) else -s) * inv)
+        y.append(out[m])
     return out
 
 

@@ -12,10 +12,24 @@ import os
 
 import pytest
 
-from g2points import cli
+from g2points import cli, coleman, jacobian
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = os.path.join(ROOT, "tests", "fixtures")
+
+
+# work counts of the traced golden job from cold caches, which are
+# deterministic; a change that raises one does more work, whatever the
+# timings on a noisy machine say
+WORK_CEILINGS = {
+    "jacobian.cantor_add_calls": 1943,
+    "polys.fq_mul_calls": 6856,
+    "polys.q_mul_calls": 6841,
+    "polys.qp_mul_calls": 786,
+    "padic.number_mul_calls": 8054,
+    "padic.number_add_calls": 2600,
+    "jacobian.scalar_mul_calls": 59,
+}
 
 
 @pytest.fixture
@@ -26,8 +40,11 @@ def bench(monkeypatch):
     return child, layers
 
 
-def test_traced_measurement_of_the_golden_job(bench):
+def test_traced_measurement_of_the_golden_job(bench, monkeypatch):
     child, layers = bench
+    # a cold job, whatever ran before in this process
+    monkeypatch.setattr(jacobian, "_enumeration_cache", {})
+    monkeypatch.setattr(coleman, "_DISC_LAMBDA_CACHE", {})
     with open(os.path.join(FIXTURES, "flynn.json"), encoding="utf-8") as fh:
         cfg = cli.parse_config(fh.read())
     tracer = layers.install()
@@ -45,3 +62,5 @@ def test_traced_measurement_of_the_golden_job(bench):
         assert json.dumps(report, sort_keys=True, indent=2) + "\n" == golden
     assert metrics["jacobian.cantor_add_calls"] > 0
     assert metrics["padic.series_mul_ms"] > 0
+    for name, ceiling in WORK_CEILINGS.items():
+        assert metrics[name] <= ceiling, (name, metrics[name])

@@ -600,6 +600,32 @@ class TestSharedFrame:
         assert len(expansions) == 1
 
 
+def frame_digits(frame):
+    """k, then the digits of every coefficient of each series, of a frame."""
+    k, xs, factors = frame
+    return k, [[coleman._field_key(c) for c in s.coeffs]
+               for s in (xs,) + tuple(f for f in factors
+                                      if isinstance(f, PadicPowerSeries))]
+
+
+class TestFrameCacheLimit:
+    def test_three_times_the_limit_and_a_rebuilt_frame(self, C, monkeypatch):
+        # frames at low precision over every disc of a few primes: 3x the
+        # limit of distinct keys leaves the newest, and the first frame,
+        # evicted, is rebuilt digit for digit
+        monkeypatch.setattr(coleman, "_DISC_LAMBDA_CACHE", {})
+        limit = coleman.DISC_LAMBDA_CACHE_LIMIT
+        keys = [(key, p, rel) for rel in (2, 3, 4) for p in (7, 11, 13, 29, 31, 37)
+                for key in fp_curve_points(C, p)][: 3 * limit]
+        assert len(keys) == 3 * limit
+        first = frame_digits(coleman._disc_frame(C, *keys[0])[1])
+        for key, p, rel in keys:
+            coleman._disc_frame(C, key, p, rel)
+            assert len(coleman._DISC_LAMBDA_CACHE) <= limit
+        assert len(coleman._DISC_LAMBDA_CACHE) == limit
+        assert frame_digits(coleman._disc_frame(C, *keys[0])[1]) == first
+
+
 def min_digits(s):
     return min(c.rel_precision for c in s.coeffs if not c.is_zeroish())
 

@@ -469,6 +469,21 @@ class TestSylowExponent:
         monkeypatch.setattr(jacobian, "jacobian_order", None)
         assert order_and_exponent(C, 23) == first == (528, 66)
 
+    def test_the_cache_keeps_its_limit_oldest_first(self, fresh_cache):
+        # y^2 = x^5 + c has good reduction at q = 3, 7, 11, 13 for c prime
+        # to them; 3x the limit of distinct (f, q) keys leaves the newest
+        limit = jacobian.ENUMERATION_CACHE_LIMIT
+        keys = []
+        for c in (c for c in range(1, 10 * limit) if math.gcd(c, 3003) == 1):
+            for q in (3, 7, 11, 13):
+                keys.append(([c, 0, 0, 0, 0, 1], q))
+        keys = keys[: 3 * limit]
+        for f, q in keys:
+            order_and_exponent(HyperellipticCurve(f), q)
+            assert len(jacobian._enumeration_cache) <= limit
+        assert list(jacobian._enumeration_cache) == \
+            [(tuple(f), q) for f, q in keys[-limit:]]
+
 
 class TestReduction:
     def test_identity_to_identity(self, C):

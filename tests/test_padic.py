@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2points.curve import CurvePoint, HyperellipticCurve
+from g2points.curve import (
+    CurvePoint,
+    HyperellipticCurve,
+    _affine_y_coeffs,
+    _taylor_coeffs,
+)
 from g2points.jacobian import embed_point
 from g2points.padic import (
     DEFAULT_PRECISION,
@@ -24,7 +29,6 @@ from g2points.padic import (
     legendre_symbol,
     lift,
     mahler_bound_holds,
-    padic_dot,
     padic_sqrt,
     series_inv,
     series_mul,
@@ -549,10 +553,14 @@ class TestHelpers:
 # -- the integer sum-of-products kernel ---------------------------------------
 
 def fold_dot(p, xs, ys):
-    """Reference: the left fold of PadicNumber operators from an exact zero."""
+    """Reference: the left fold of the operators from an exact zero over the
+    pairs whose factors are both nonzero.  A pair with an exact-zero factor
+    adds no digits, but over an extension its product would make the sum
+    an extension element; the fold skips it, as the series kernel must."""
     acc = PadicNumber.exact_zero(p)
     for x, y in zip(xs, ys):
-        acc = acc + x * y
+        if not (x.is_exact_zero() or y.is_exact_zero()):
+            acc = acc + x * y
     return acc
 
 
@@ -561,10 +569,11 @@ def fields(x):
 
 
 def ext_fields(x):
-    """fields of both parts of a + b sqrt(d); a base element x is x + 0 sqrt(d)."""
+    """The type, and the fields of both parts of a + b sqrt(d); a base
+    element x is x + 0 sqrt(d)."""
     if isinstance(x, QuadExtNumber):
-        return fields(x.a), fields(x.b)
-    return fields(x), fields(PadicNumber.exact_zero(x.prime))
+        return "ext", x.ext.kind, fields(x.a), fields(x.b)
+    return "base", None, fields(x), fields(PadicNumber.exact_zero(x.prime))
 
 
 @st.composite
@@ -593,13 +602,38 @@ def dot_inputs(draw):
 
 
 @st.composite
-def integral_series(draw, p, unit_constant=False):
-    n = draw(st.integers(1, 12))
-    cs = draw(st.lists(padics(p, 0, 6), min_size=n, max_size=n))
-    if unit_constant:
-        rel = draw(st.integers(1, 25))
-        cs[0] = PadicNumber._make(p, 0, draw(st.integers(1, p - 1))
-                                  + p * draw(st.integers(0, p ** rel)), rel)
+def series_lists(draw, p, max_size=12):
+    """Coefficient lists with negative valuations (antiderivatives make
+    them), zeroish entries with negative floors and runs of exact zeros;
+    some long, with few classes (valuation, absolute precision), some even
+    in t, as local expansions are."""
+    n = draw(st.integers(1, max_size))
+    if draw(st.booleans()):
+        cs = draw(st.lists(padics(p), min_size=n, max_size=n))
+    else:
+        kinds = draw(st.lists(st.tuples(st.integers(-3, 4), st.integers(0, 12)),
+                              min_size=1, max_size=3))
+        cs = []
+        for _ in range(n):
+            v, rel = draw(st.sampled_from(kinds))
+            if rel == 0:
+                cs.append(PadicNumber.zeroish(p, v))
+            else:
+                u = draw(st.integers(1, p ** rel - 1))
+                cs.append(PadicNumber(p, v, u + (u % p == 0), rel))
+    zero = PadicNumber.exact_zero(p)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n))
+        cs[i:i] = [zero] * draw(st.integers(1, 6))
+    if draw(st.integers(0, 3)) == 0:
+        cs = [c if i % 2 == 0 else zero for i, c in enumerate(cs)]
+    return cs
+
+
+def unit_constant(draw, p, cs):
+    rel = draw(st.integers(1, 25))
+    cs[0] = PadicNumber._make(p, 0, draw(st.integers(1, p - 1))
+                              + p * draw(st.integers(0, p ** rel)), rel)
     return cs
 
 
@@ -607,7 +641,7 @@ def ref_mul(p, a, b, n):
     out = [PadicNumber.exact_zero(p) for _ in range(n)]
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            if i + j < n:
+            if i + j < n and not (x.is_exact_zero() or y.is_exact_zero()):
                 out[i + j] = out[i + j] + x * y
     return out
 
@@ -618,9 +652,32 @@ def ref_inv(p, a, n):
     for d in range(1, n):
         s = PadicNumber.exact_zero(p)
         for j in range(1, min(d, len(a) - 1) + 1):
-            s = s + a[j] * out[d - j]
+            if not (a[j].is_exact_zero() or out[d - j].is_exact_zero()):
+                s = s + a[j] * out[d - j]
         out.append(-inv0 * s)
     return out
+
+
+def ref_affine_y(fc, x0, y0, T):
+    """y(t) on y^2 = f(x0 + t) by the operator fold of the coefficient
+    recursion 2 y0 y_m = F_m - sum_{0<i<m} y_i y_(m-i)."""
+    taylor = _taylor_coeffs(fc, x0)
+    inv = (y0 * 2).inverse()
+    ys = [y0]
+    for m in range(1, T + 1):
+        s = fold_dot(fc[5].prime, ys[1: m], ys[m - 1: 0: -1])
+        ys.append((taylor[m] - s if m < len(taylor) else -s) * inv)
+    return ys
+
+
+def one_degree(p, xs, ys):
+    """sum x_i y_i as the top coefficient of a series product."""
+    n = max(len(xs), 1)
+    return series_mul(p, xs, ys[::-1], n)[n - 1]
+
+
+EXTENSION_KINDS = (QuadExtension.UNRAMIFIED, QuadExtension.RAMIFIED,
+                   QuadExtension.RAMIFIED_TWIST)
 
 
 class TestDotKernel:
@@ -628,45 +685,50 @@ class TestDotKernel:
     @given(dot_inputs())
     def test_matches_operator_fold(self, args):
         p, xs, ys = args
-        assert fields(padic_dot(p, xs, ys)) == fields(fold_dot(p, xs, ys))
+        assert fields(one_degree(p, xs, ys)) == fields(fold_dot(p, xs, ys))
 
     def test_full_cancellation_is_zeroish_at_min_abs_precision(self):
         x, y = N(3, rel=10), N(5, rel=4)
-        got = padic_dot(7, [x, x], [y, -y])
+        got = one_degree(7, [x, x], [y, -y])
         assert fields(got) == fields(PadicNumber.zeroish(7, 4))
         assert fields(got) == fields(fold_dot(7, [x, x], [y, -y]))
 
     def test_empty_and_exact_zero_products(self):
         z = PadicNumber.exact_zero(5)
-        assert padic_dot(5, [], []).is_exact_zero()
-        assert padic_dot(5, [z, N(1, 5)], [N(2, 5), z]).is_exact_zero()
+        assert one_degree(5, [], []).is_exact_zero()
+        assert one_degree(5, [z, N(1, 5)], [N(2, 5), z]).is_exact_zero()
+        assert [c.is_exact_zero() for c in series_mul(5, [N(1, 5), z], [z, N(1, 5)], 4)] \
+            == [True, False, True, True]
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_series_products_and_inverses(self, data):
         p = data.draw(st.sampled_from([3, 5, 7]))
-        a = data.draw(integral_series(p, unit_constant=True))
-        b = data.draw(integral_series(p))
-        n = len(a) + len(b) - 1
-        want = [fields(c) for c in ref_mul(p, a, b, n)]
+        a = unit_constant(data.draw, p, data.draw(series_lists(p, 40)))
+        b = data.draw(series_lists(p, 40))
+        full = len(a) + len(b) - 1
+        want = [fields(c) for c in ref_mul(p, a, b, full + 3)]
+        for n in (full + 3, full, data.draw(st.integers(1, full))):
+            assert [fields(c) for c in series_mul(p, a, b, n)] == want[:n]
         prod = PadicPowerSeries(p, a) * PadicPowerSeries(p, b)
-        assert [fields(c) for c in prod.coeffs] == want
-        assert [fields(c) for c in series_mul(p, a, b, n)] == want
-        m = data.draw(st.integers(1, n))
-        assert [fields(c) for c in series_mul(p, a, b, m)] == want[:m]
-        inv = PadicPowerSeries(p, a, tail_valuation_bound=0).inverse()
-        assert [fields(c) for c in inv.coeffs] == \
-            [fields(c) for c in ref_inv(p, a, len(a))]
+        assert [fields(c) for c in prod.coeffs] == want[:full]
+        if all(c.valuation >= 0 for c in a):
+            inv = PadicPowerSeries(p, a, tail_valuation_bound=0).inverse()
+            assert [fields(c) for c in inv.coeffs] == \
+                [fields(c) for c in ref_inv(p, a, len(a))]
+        n = data.draw(st.integers(1, full + 3))
         assert [fields(c) for c in series_inv(p, a, n)] == \
             [fields(c) for c in ref_inv(p, a, n)]
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_series_kernel_over_an_extension(self, data):
-        # Q_p(sqrt(c)) lists, alone or mixed with base elements, take the
-        # object fold; it must agree with the plain operator fold
+        # Q_p(sqrt(d)) lists of each kind, alone or mixed with base
+        # elements; the kernel must give the operator fold's digits and
+        # type: a base element where no pair of nonzero factors has an
+        # extension factor
         p = data.draw(st.sampled_from([3, 5, 7]))
-        ext = QuadExtension(p, QuadExtension.UNRAMIFIED)
+        ext = QuadExtension(p, data.draw(st.sampled_from(EXTENSION_KINDS)))
         mixed = data.draw(st.booleans())
 
         def lift(cs):
@@ -675,20 +737,58 @@ class TestDotKernel:
                 if mixed and data.draw(st.booleans()):
                     out.append(c)
                 else:
-                    b = data.draw(padics(p, 0, 6))
-                    out.append(QuadExtNumber(ext, c, b))
+                    out.append(QuadExtNumber(ext, c, data.draw(padics(p))))
             return out
 
-        a = lift(data.draw(integral_series(p, unit_constant=True)))
-        b = lift(data.draw(integral_series(p)))
-        if isinstance(a[0], QuadExtNumber) and a[0].norm().is_zeroish():
-            # a sqrt(c) part with no digits at valuation 0 hides the norm
-            a[0] = QuadExtNumber.from_base(ext, a[0].a)
-        n = len(a) + len(b) - 1
+        a = lift(unit_constant(data.draw, p, data.draw(series_lists(p, 30))))
+        b = lift(data.draw(series_lists(p, 30)))
+        if isinstance(a[0], QuadExtNumber):
+            # a sqrt(d) part with no digits hides the norm
+            a[0] = QuadExtNumber(ext, a[0].a, data.draw(padics(p, 1, 12)))
+            if a[0].norm().is_zeroish():
+                a[0] = QuadExtNumber.from_base(ext, a[0].a)
+        full = len(a) + len(b) - 1
+        n = data.draw(st.sampled_from([full, full + 2, max(1, full // 2)]))
         assert [ext_fields(c) for c in series_mul(p, a, b, n)] == \
             [ext_fields(c) for c in ref_mul(p, a, b, n)]
         assert [ext_fields(c) for c in series_inv(p, a, n)] == \
             [ext_fields(c) for c in ref_inv(p, a, n)]
+
+    def test_a_base_sum_stays_in_the_base_field(self):
+        # degree 0 has no pair of nonzero factors, degree 1 only base x base
+        # (its extension factor meets an exact zero), degree 2 ext x base
+        ext = QuadExtension(7, QuadExtension.UNRAMIFIED)
+        z = PadicNumber.exact_zero(7)
+        got = series_mul(7, [N(2), QuadExtNumber(ext, N(1), N(3))], [z, N(5)], 3)
+        assert [type(c) for c in got] == [PadicNumber, PadicNumber, QuadExtNumber]
+        assert got[0].is_exact_zero()
+        assert fields(got[1]) == fields(N(10))
+
+    def test_mixing_two_extensions_raises(self):
+        u = QuadExtNumber(QuadExtension(7, QuadExtension.UNRAMIFIED), N(1), N(1))
+        r = QuadExtNumber(QuadExtension(7, QuadExtension.RAMIFIED), N(1), N(1))
+        with pytest.raises(ValueError, match="mixing distinct quadratic extensions"):
+            series_mul(7, [u], [r], 1)
+        with pytest.raises(ValueError, match="mixing distinct quadratic extensions"):
+            series_inv(7, [u, r], 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_affine_y_coeffs_matches_operator_fold(self, data):
+        p = data.draw(st.sampled_from([3, 5, 7]))
+        ext = QuadExtension(p, data.draw(st.sampled_from(EXTENSION_KINDS)))
+        fc = [data.draw(padics(p, -2, 6)) for _ in range(5)] + [N(1, p)]
+        x0 = data.draw(padics(p, 0, 6))
+        y0 = PadicNumber._make(p, 0, data.draw(st.integers(1, p - 1))
+                               + p * data.draw(st.integers(0, p ** 12)),
+                               data.draw(st.integers(1, 20)))
+        if data.draw(st.booleans()):
+            # an extension disc: the center and y(0) in Q_p(sqrt(d))
+            x0 = QuadExtNumber(ext, x0, data.draw(padics(p, 0, 6)))
+            y0 = QuadExtNumber(ext, y0, data.draw(padics(p, 1, 6)))
+        T = data.draw(st.integers(1, 40))
+        assert [ext_fields(c) for c in _affine_y_coeffs(fc, x0, y0, T)] == \
+            [ext_fields(c) for c in ref_affine_y(fc, x0, y0, T)]
 
 
 # -- tail cap of a log-penalized series ---------------------------------------
