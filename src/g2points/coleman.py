@@ -19,8 +19,11 @@ from .curve import (
     Differential,
     HyperellipticCurve,
     _taylor_coeffs,
+    centers_a_frame,
     disc_center,
+    disc_parameter,
     expand_on_frame,
+    is_branch_point,
     lift_anchor,
     local_frame,
     reduce_point,
@@ -30,7 +33,7 @@ from .jacobian import (
     divisor_support,
     element_order,
     embed_point,
-    jacobian_order,
+    order_and_exponent,
     reduce_divisor,
     scalar_mul,
 )
@@ -67,21 +70,6 @@ class LogVector:
 
     def __repr__(self):
         return "LogVector(%r, %r)" % (self.l1, self.l2)
-
-
-# -- residue-disc bookkeeping ----------------------------------------------
-
-def _disc_param(P: CurvePoint, center: CurvePoint, p: int, rel: int):
-    """Disc parameter of P w.r.t. the center's expansion: t = x^2/y on the
-    disc at infinity, t = y on a branch-point disc, t = x - x0 elsewhere."""
-    if center.at_infinity:
-        if P.at_infinity:
-            return PadicNumber.exact_zero(p)
-        x = lift(P.x, p, rel)
-        return x * x / lift(P.y, p, rel)
-    if center.y.is_exact_zero():
-        return lift(P.y, p, rel)
-    return lift(P.x, p, rel) - center.x
 
 
 # -- tiny integrals within one residue disc --------------------------------
@@ -132,8 +120,8 @@ def _field_key(c):
 
 def _anchor_frame(C: HyperellipticCurve, anchor: CurvePoint, p: int, rel: int):
     """(center, local frame) at an anchor point at truncation order
-    TRUNCATION_FACTOR * rel, the center being the anchor as the local
-    expansions lift it.  Cached per curve and precision by those lifted
+    TRUNCATION_FACTOR * rel, the center being the anchor as local_frame
+    lifts it.  Cached per curve and precision by those lifted
     coordinates, so a rational point that is its disc's center shares the
     disc's frame; up to DISC_LAMBDA_CACHE_LIMIT frames are kept."""
     center = lift_anchor(anchor, p, rel)
@@ -155,20 +143,13 @@ def _disc_frame(C: HyperellipticCurve, disc_key, p: int, rel: int):
     return _anchor_frame(C, disc_center(C, disc_key, p, rel), p, rel)
 
 
-def _basis_lambdas(C: HyperellipticCurve, disc_key, p: int, rel: int):
-    """(center, (antiderivative of dx/2y, antiderivative of x dx/2y)) for a
-    residue disc, formed on its cached frame."""
-    center, frame = _disc_frame(C, disc_key, p, rel)
-    return center, tuple(expand_on_frame(w, frame).antiderivative()
-                         for w in _basis(p, rel))
-
-
 def _disc_sums(C: HyperellipticCurve, key, terms, p: int, rel: int):
     """The sums of s * lambda(t(P)) over the pairs (P, s) of terms, for the
-    two basis antiderivatives lambda of the residue disc labeled key; each
-    P lies in that disc and each sign s is +1 or -1."""
-    center, lams = _basis_lambdas(C, key, p, rel)
-    ts = [(_disc_param(P, center, p, rel), s) for P, s in terms]
+    antiderivatives lambda of dx/2y and x dx/2y on the cached frame of the
+    residue disc labeled key; each P lies in that disc, each s is +1 or -1."""
+    center, frame = _disc_frame(C, key, p, rel)
+    lams = [expand_on_frame(w, frame).antiderivative() for w in _basis(p, rel)]
+    ts = [(disc_parameter(P, center, p, rel), s) for P, s in terms]
     out = []
     for lam in lams:
         acc = PadicNumber.exact_zero(p)
@@ -186,10 +167,11 @@ def _base_value(val):
 def log_jacobian(C: HyperellipticCurve, D: MumfordDivisor, p: int,
                  rel: int = DEFAULT_PRECISION) -> LogVector:
     """Logarithm of the class of D: (1/m) * tiny integrals along m*D, where
-    m is the order of the reduction of D in J(F_p)."""
+    m is the order of the reduction of D in J(F_p), walked up to its exponent."""
     if not C.good_reduction(p):
         raise ValueError("the logarithm needs a prime of good reduction")
-    m = element_order(C, reduce_divisor(C, D, p, rel), jacobian_order(C, p))
+    exponent = order_and_exponent(C, p)[1]
+    m = element_order(C, reduce_divisor(C, D, p, rel), exponent)
     # a rational D keeps the exact ladder: no capped-precision pivots, and
     # a torsion class dies to the exact identity, not an uncertifiable zero
     l1, l2 = _kernel_log(C, scalar_mul(C, m, D), p, rel)
@@ -320,7 +302,7 @@ def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
         raise ValueError("zero counts need a prime of good reduction")
     w = w.normalized()
     center, frame = _disc_frame(C, fp_point, p, rel)
-    if center.at_infinity or center.y.is_exact_zero():
+    if center.at_infinity or is_branch_point(center):
         # [center - infinity] is trivial or 2-torsion: kappa = 0 exactly
         kappa = PadicNumber.exact_zero(p)
     else:
@@ -338,7 +320,7 @@ def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
     for Q in known_points:
         if reduce_point(C, Q, p) != fp_point:
             continue
-        t = _disc_param(Q, center, p, rel)
+        t = disc_parameter(Q, center, p, rel)
         if t.valuation_p() >= n:
             inside += 1
     if count < inside:
@@ -357,17 +339,15 @@ def point_anchored_series(C: HyperellipticCurve, w, Q: CurvePoint, p: int,
                           n: int = 1, rel: int = DEFAULT_PRECISION) -> PadicPowerSeries:
     """Antiderivative of w as a series in t/p^n, anchored at Q itself with
     constant term exactly 0 (so r = 0 is the zero at Q)."""
-    y0 = None if Q.at_infinity else lift(Q.y, p, rel)
-    if y0 is None or y0.is_exact_zero() or y0.valuation == 0:
-        # Q anchors its own expansion: infinity (t = x^2/y), branch point
-        # (t = y) or ordinary disc
+    if centers_a_frame(lift_anchor(Q, p, rel)):
         _, frame = _anchor_frame(C, Q, p, rel)
         return expand_on_frame(w, frame).antiderivative().rescale_argument(n)
-    # Q sits above a Weierstrass point without being one: recenter the disc
-    # series t = y at t0 = y(Q)
-    _, frame = _disc_frame(C, reduce_point(C, Q, p), p, rel)
+    # Q centers no frame (a point above a branch point, or of the disc at
+    # infinity): recenter its disc's series at t0 = t(Q)
+    center, frame = _disc_frame(C, reduce_point(C, Q, p), p, rel)
     lam = expand_on_frame(w, frame).antiderivative()
-    return _recentered_series(lam, y0).rescale_argument(n)
+    t0 = disc_parameter(Q, center, p, rel)
+    return _recentered_series(lam, t0).rescale_argument(n)
 
 
 def _recentered_series(lam: PadicPowerSeries, t0: PadicNumber) -> PadicPowerSeries:

@@ -1,9 +1,11 @@
 """Genus-2 curves y^2 = f(x), f monic quintic over Z.
 
 Covers the geometric side of the pipeline: point reduction mod good
-primes, canonical residue-disc centers, local power-series expansions of
-the coordinates in a disc parameter, and expansion of regular 1-forms
-w = (c1 + c2 x) dx/(2y) into a0 + a1 t + ... with integral coefficients.
+primes, canonical residue-disc centers, and one local frame per disc
+(local_frame), which expands every regular 1-form w = (c1 + c2 x) dx/(2y)
+into a0 + a1 t + ... with integral coefficients.  local_frame tells the
+three disc shapes apart (infinity, branch point, affine), and
+disc_parameter reads a point's t by the same test, is_branch_point.
 """
 
 from __future__ import annotations
@@ -350,7 +352,7 @@ def _lpolyval(p, poly_coeffs, s, n):
 
 
 def _affine_y_coeffs(fc, x0, y0, T):
-    """y(t) on y^2 = f(x0 + t) to T coefficients, y(0) = y0 a unit."""
+    """y(t) on y^2 = f(x0 + t) to T + 1 coefficients, y(0) = y0 a unit."""
     return series_sqrt(fc[5].prime, _taylor_coeffs(fc, x0), y0, T + 1)
 
 
@@ -390,44 +392,10 @@ def _weierstrass_x_coeffs(fc, x0, T):
 
 def lift_anchor(center: CurvePoint, p: int, rel: int) -> CurvePoint:
     """center with its coordinates read by padic.lift at rel digits, as the
-    local expansions read it."""
+    local frames read it."""
     if center.at_infinity:
         return center
     return CurvePoint(lift(center.x, p, rel), lift(center.y, p, rel), False)
-
-
-def local_expansion(C: HyperellipticCurve, center: CurvePoint, p: int, T: int,
-                    rel: int):
-    """(x(t), y(t)) in the disc parameter t at the given center.
-
-    t = x - x0 off the Weierstrass locus, t = y at a Weierstrass center.  At
-    infinity t = x^2/y, and the pair is the pole-free (t^2 x(t), t^5 y(t)).
-    x(t) at a branch point and both series at infinity are even in t, so
-    they are solved in u = t^2 and their odd coefficients are exact zeros.
-    Coefficients are p-adically integral; tail bounds reflect that.  They
-    lie in the field of the center's x-coordinate: Q_p, or its unramified
-    quadratic extension for a disc with no Q_p-rational center.
-    """
-    fc = [lift(k, p, rel) for k in C.f_coeffs]
-    if center.at_infinity:
-        return _expansion_at_infinity(fc, T)
-    center = lift_anchor(center, p, rel)
-    x0, y0 = center.x, center.y
-    ybar_zero = y0.is_zeroish() or y0.valuation >= 1
-    if ybar_zero:
-        if not y0.is_zeroish():
-            raise ValueError("Weierstrass-disc center must have y = 0")
-        return _expansion_at_weierstrass(fc, x0, T)
-    return _expansion_at_affine(fc, x0, y0, T)
-
-
-def _expansion_at_affine(fc, x0, y0, T):
-    # y(t)^2 = f(x0 + t): coefficient recursion off 2 y0 y_m = F_m - cross terms
-    ys = _affine_y_coeffs(fc, x0, y0, T)
-    p = fc[5].prime
-    x_series = PadicPowerSeries(p, [x0, fc[5]])
-    y_series = PadicPowerSeries(p, ys, 0)
-    return x_series, y_series
 
 
 def _taylor_coeffs(fc, x0):
@@ -444,15 +412,6 @@ def _taylor_coeffs(fc, x0):
         qs.reverse()
         cs = qs[1:]
     return out
-
-
-def _expansion_at_weierstrass(fc, x0, T):
-    # solve f(x(t)) = t^2 by series Newton in u = t^2
-    xs = _weierstrass_x_coeffs(fc, x0, T)
-    p = fc[5].prime
-    x_series = PadicPowerSeries(p, xs, 0)
-    y_series = PadicPowerSeries(p, [PadicNumber.exact_zero(p), fc[5]])
-    return x_series, y_series
 
 
 def _expansion_at_infinity(fc, T):
@@ -477,9 +436,8 @@ def _expansion_at_infinity(fc, T):
     v = xi[1: k + 1]  # xi = u * v(u), v(0) = 1
     vinv = series_inv(p, v, k)
     # t^2 x = 1/v, and t^5 y = (t^2 x)^2 since t = x^2/y; both even in t
-    X = PadicPowerSeries(p, _even_in_t(p, vinv, T + 1), 0)
-    Y = PadicPowerSeries(p, _even_in_t(p, series_mul(p, vinv, vinv, k), T + 1), 0)
-    return X, Y
+    return (_even_in_t(p, vinv, T + 1),
+            _even_in_t(p, series_mul(p, vinv, vinv, k), T + 1))
 
 
 class Differential:
@@ -516,6 +474,18 @@ class Differential:
         return "Differential((%r) + (%r) x) dx/2y" % (self.c1, self.c2)
 
 
+def is_branch_point(P: CurvePoint) -> bool:
+    """y(P) is zero at precision, P lifted: the one test of the disc shape
+    where t = y."""
+    return not P.at_infinity and P.y.is_zeroish()
+
+
+def centers_a_frame(P: CurvePoint) -> bool:
+    """P, lifted, may center a local frame: infinity, a branch point, or y a
+    unit.  Other points of a branch-point disc are read at t = y."""
+    return P.at_infinity or is_branch_point(P) or P.y.valuation == 0
+
+
 def local_frame(C: HyperellipticCurve, center: CurvePoint, p: int, T: int,
                 rel: int):
     """The form-independent part of an expansion at center: (k, X, factors)
@@ -524,20 +494,41 @@ def local_frame(C: HyperellipticCurve, center: CurvePoint, p: int, T: int,
 
     k = 0, with h = 1/(2y) on an affine disc (t = x - x0) and x'(t)/(2t) at a
     branch point (t = y).  At infinity (t = x^2/y) k = 2, and h is t^3 x'(t),
-    (t^5 y)^-1, 1/2, all power series.
+    (t^5 y)^-1, 1/2, all power series.  Coefficients are integral, in the
+    field of the center's x: Q_p, or its unramified quadratic extension.
     """
-    center = lift_anchor(center, p, rel)
-    xs, ys = local_expansion(C, center, p, T + 6, rel)
+    fc = [lift(k, p, rel) for k in C.f_coeffs]
+    n = T + 6
     if center.at_infinity:
+        X, Y = _expansion_at_infinity(fc, n)
         # t^3 x'(t) = sum (i - 2) X_i t^i
-        dX = [c * (i - 2) for i, c in enumerate(xs.coeffs)]
-        return 2, xs, (PadicPowerSeries(p, dX, xs.tail_valuation_bound),
-                       ys.inverse(), Fraction(1, 2))
-    if center.y.is_zeroish():
-        half_dxdt = [xs.coeffs[j + 2] * Fraction(j + 2, 2)
-                     for j in range(len(xs.coeffs) - 2)]
-        return 0, xs, (PadicPowerSeries(p, half_dxdt, 0),)
-    return 0, xs, (PadicPowerSeries(p, [c * 2 for c in ys.coeffs], 0).inverse(),)
+        dX = [c * (i - 2) for i, c in enumerate(X)]
+        return 2, PadicPowerSeries(p, X, 0), (PadicPowerSeries(p, dX, 0),
+                                              PadicPowerSeries(p, Y, 0).inverse(),
+                                              Fraction(1, 2))
+    center = lift_anchor(center, p, rel)
+    if is_branch_point(center):
+        xs = _weierstrass_x_coeffs(fc, center.x, n)
+        half_dxdt = [xs[j] * Fraction(j, 2) for j in range(2, len(xs))]
+        return 0, PadicPowerSeries(p, xs, 0), (PadicPowerSeries(p, half_dxdt, 0),)
+    if not centers_a_frame(center):
+        raise ValueError("a frame centers at infinity, a branch point or a unit y")
+    ys = _affine_y_coeffs(fc, center.x, center.y, n)
+    return 0, PadicPowerSeries(p, [center.x, fc[5]]), (
+        PadicPowerSeries(p, [c * 2 for c in ys], 0).inverse(),)
+
+
+def disc_parameter(P: CurvePoint, center: CurvePoint, p: int, rel: int):
+    """t(P) in the frame at center, lifted: t = x^2/y on the disc at
+    infinity, t = y on a branch-point disc, t = x - x0 elsewhere."""
+    if center.at_infinity:
+        if P.at_infinity:
+            return PadicNumber.exact_zero(p)
+        x = lift(P.x, p, rel)
+        return x * x / lift(P.y, p, rel)
+    if is_branch_point(center):
+        return lift(P.y, p, rel)
+    return lift(P.x, p, rel) - center.x
 
 
 def expand_on_frame(w: Differential, frame) -> PadicPowerSeries:

@@ -11,7 +11,9 @@ generic composition.
 
 The sieve reads J(F_q) without listing it (order_and_exponent): the order
 from the zeta identity, and the exponent one Sylow subgroup at a time
-(_sylow_exponent).  Full listing, enumerate_Fp_jacobian, is for the tests.
+(_sylow_exponent), cached per (f, q): the one record of J(F_q) that the
+torsion bound, the sieve and the logarithm read.  Full listing,
+enumerate_Fp_jacobian, is for the tests.
 """
 
 from __future__ import annotations
@@ -425,7 +427,7 @@ def _sylow_exponent(C: HyperellipticCurve, q: int, order: int, ell: int,
 
 
 #: most (order, exponent) records _enumeration_cache keeps, the oldest
-#: dropped first; a job reads one per auxiliary prime
+#: dropped first; a job reads one per prime, Chabauty or auxiliary
 ENUMERATION_CACHE_LIMIT = 32
 _enumeration_cache: dict = {}
 
@@ -556,4 +558,4 @@ def torsion_multiple_bound(C: HyperellipticCurve, primes) -> int:
     primes = list(primes)
     if not primes:
         raise ValueError("need at least one good odd prime")
-    return math.gcd(*(jacobian_order(C, q) for q in primes))
+    return math.gcd(*(order_and_exponent(C, q)[0] for q in primes))

@@ -20,8 +20,8 @@ from g2points.coleman import (DecompositionFailureError, LogVector,
                               single_point_criterion, tiny_integral,
                               transversality_certificate)
 from g2points.curve import (CurvePoint, Differential, HyperellipticCurve,
-                            disc_center, expand_differential, fp_curve_points,
-                            local_expansion, reduce_point)
+                            disc_center, disc_parameter, expand_differential,
+                            fp_curve_points, local_frame, reduce_point)
 from g2points.jacobian import (MumfordDivisor, cantor_add, divisor_support,
                                embed_point, reduce_divisor, scalar_mul)
 from g2points.padic import (TRUNCATION_FACTOR, PadicNumber,
@@ -53,6 +53,16 @@ def retry_log(C, D, p):
 def vec_agree(A, B, k=1):
     """A agrees with k * B, component by component."""
     return padic_agree(A.l1, B.l1 * k) and padic_agree(A.l2, B.l2 * k)
+
+
+def frame_point(C, label, p, t, rel=20):
+    """The point at parameter t of the disc labeled label, read off its
+    frame: x = X(t), and y = t at a branch point, y = 1/(2 h(t)) on an
+    affine disc."""
+    center = disc_center(C, label, p, rel)
+    _, X, (h,) = local_frame(C, center, p, 2 * rel, rel)
+    y = t if center.y.is_zeroish() else (h.evaluate(t) * 2).inverse()
+    return CurvePoint(X.evaluate(t), y, False)
 
 
 def infinity_disc_point(C, xval, p):
@@ -107,13 +117,12 @@ class TestTinyIntegral:
     def test_path_additivity_on_random_triples(self, C):
         # p-adic points of the (3,6) disc built from the local series
         rng = random.Random(11)
-        xs, ys = local_expansion(C, disc_center(C, (3, 6), 7), 7, 40, 20)
         w = Differential(1, 5, 7)
         for _ in range(5):
             pts = []
             for _ in range(3):
                 t = PadicNumber.from_int(7 * rng.randrange(1, 7 ** 6), 7)
-                pts.append(CurvePoint(xs.evaluate(t), ys.evaluate(t), False))
+                pts.append(frame_point(C, (3, 6), 7, t))
             a01 = tiny_integral(C, w, pts[0], pts[1], 7)
             a12 = tiny_integral(C, w, pts[1], pts[2], 7)
             a02 = tiny_integral(C, w, pts[0], pts[2], 7)
@@ -332,14 +341,13 @@ class TestExtensionSupport:
     def test_tiny_integral_on_extension_disc(self, f_coeffs, label, w):
         Cx = HyperellipticCurve(f_coeffs)
         ext = QuadExtension(7, QuadExtension.UNRAMIFIED)
-        xs, ys = local_expansion(Cx, disc_center(Cx, label, 7), 7, 40, 20)
         rng = random.Random(5)
         pts = []
         for _ in range(3):
             t = QuadExtNumber(
                 ext, PadicNumber.from_int(7 * rng.randrange(1, 7 ** 5), 7),
                 PadicNumber.from_int(7 * rng.randrange(1, 7 ** 5), 7))
-            pts.append(CurvePoint(xs.evaluate(t), ys.evaluate(t), False))
+            pts.append(frame_point(Cx, label, 7, t))
         a01 = tiny_integral(Cx, w, pts[0], pts[1], 7, rel=10)
         a12 = tiny_integral(Cx, w, pts[1], pts[2], 7, rel=10)
         a02 = tiny_integral(Cx, w, pts[0], pts[2], 7, rel=10)
@@ -473,7 +481,7 @@ def test_infinity_parameter_of_a_rational_point(rel):
     P = aff(Fraction(2, 49), Fraction(w, 7 ** 5))
     assert curve.is_on_curve(Cx, P)
     assert reduce_point(Cx, P, 7) == curve.FP_INFINITY
-    t = coleman._disc_param(P, INF, 7, rel)
+    t = disc_parameter(P, INF, 7, rel)
     want = PadicNumber.from_rational(P.x ** 2 / P.y, 7, rel)
     assert ((t.valuation, t.unit_part(), t.rel_precision)
             == (want.valuation, want.unit_part(), want.rel_precision))
@@ -575,13 +583,13 @@ class TestSharedFrame:
     @pytest.fixture
     def expansions(self, monkeypatch):
         calls = []
-        real = curve.local_expansion
+        real = coleman.local_frame
 
         def counted(*args, **kwargs):
             calls.append(args[1])
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(curve, "local_expansion", counted)
+        monkeypatch.setattr(coleman, "local_frame", counted)
         monkeypatch.setattr(coleman, "_DISC_LAMBDA_CACHE", {})
         return calls
 
@@ -716,6 +724,26 @@ class TestDiscZeroCounts:
         # the constant is the pairing against a 2-torsion class: exactly 0
         assert cert.lambda_coefficients[0].is_exact_zero()
 
+    def test_a_center_whose_y_has_no_known_digits_pairs_to_zero(
+            self, C, form7, monkeypatch):
+        # the branch point of (0, 0) with y = O(7^20) in place of an exact
+        # zero: kappa is the same exact 0, and the count and its known
+        # points are read on the same t = y
+        want = disc_zero_count(C, form7, (0, 0), 7, known_points=KNOWN)
+        real = coleman.disc_center
+
+        def zeroish_y(curve, label, p, rel):
+            center = real(curve, label, p, rel)
+            return CurvePoint(center.x, PadicNumber.zeroish(p, rel), False)
+
+        monkeypatch.setattr(coleman, "disc_center", zeroish_y)
+        monkeypatch.setattr(coleman, "_DISC_LAMBDA_CACHE", {})
+        got = disc_zero_count(C, form7, (0, 0), 7, known_points=KNOWN)
+        assert got.lambda_coefficients[0].is_exact_zero()
+        assert [coleman._field_key(c) for c in got.lambda_coefficients] == \
+            [coleman._field_key(c) for c in want.lambda_coefficients]
+        assert (got.zero_count, got.known_count) == (1, 1)
+
     def test_deeper_level_separates_paired_disc(self, C, form7):
         # at level 2 the sub-disc around the center of (3,6) keeps only the
         # center itself; (10,-120) sits at parameter valuation 1
@@ -749,9 +777,7 @@ class TestAnchoredSeries:
     def test_anchored_value_matches_tiny_integral(self, C, form7):
         # evaluate the series anchored at (3,6) at the point x = 52 of the
         # same disc (parameter t = 49, so r = 7 at level 1)
-        xs, ys = local_expansion(C, disc_center(C, (3, 6), 7), 7, 40, 20)
-        t = PadicNumber.from_int(49, 7)
-        P = CurvePoint(xs.evaluate(t), ys.evaluate(t), False)
+        P = frame_point(C, (3, 6), 7, PadicNumber.from_int(49, 7))
         s = point_anchored_series(C, form7, aff(3, 6), 7, n=1)
         got = s.evaluate(PadicNumber.from_int(7, 7))
         want = tiny_integral(C, form7, aff(3, 6), P, 7)
@@ -779,6 +805,23 @@ class TestAnchoredSeries:
         s = point_anchored_series(C2, w, aff(1, 7), 7, n=1)
         assert s.coeffs[0].is_exact_zero()
         assert not s.coeff_of_degree(1).is_zeroish()
+
+    def test_recentered_anchor_in_the_disc_at_infinity(self):
+        # P = (4/7^4, (32 + 7^20)/7^10) on y^2 = x^5 + 64 + 7^20 lies in
+        # the disc at infinity without being infinity, so it centers no
+        # frame: the disc series in t = x^2/y is recentered at t0 = t(P),
+        # and at s = -t0 it reads the integral from P to infinity
+        Cx = HyperellipticCurve([64 + 7 ** 20, 0, 0, 0, 0, 1])
+        P = aff(Fraction(4, 7 ** 4), Fraction(32 + 7 ** 20, 7 ** 10))
+        assert curve.is_on_curve(Cx, P)
+        form = Differential(2, 3, 7)
+        s = point_anchored_series(Cx, form, P, 7, n=1)
+        assert s.coeffs[0].is_exact_zero()
+        t0 = disc_parameter(P, INF, 7, 20)
+        assert t0.valuation == 2
+        got = s.evaluate(t0 * Fraction(-1, 7))
+        assert padic_agree(got, tiny_integral(Cx, form, P, INF, 7))
+        assert not got.is_zeroish()
 
 
 class TestFiltrationLevel:

@@ -11,20 +11,26 @@ from g2points.curve import (
     CurvePoint,
     Differential,
     HyperellipticCurve,
+    _expansion_at_infinity,
     _lpolyval,
     _lsub,
+    _weierstrass_x_coeffs,
+    centers_a_frame,
     count_Fp2_points,
     count_Fp_points,
     disc_center,
+    disc_parameter,
     expand_differential,
     fp_curve_points,
+    is_branch_point,
     is_on_curve,
     is_prime,
     lift_anchor,
-    local_expansion,
+    local_frame,
     reduce_point,
 )
 from g2points.padic import (
+    TRUNCATION_FACTOR,
     PadicNumber,
     PadicPowerSeries,
     PrecisionLossError,
@@ -35,6 +41,8 @@ from g2points.padic import (
 )
 
 FLYNN = [0, 60, -112, 65, -14, 1]  # x(x-1)(x-2)(x-5)(x-6)
+FLYNN_T = tuple(FLYNN)
+CURVE2_T = (1, 2, 0, 0, 0, 1)  # x^5 + 2x + 1, a root 5 mod 7^2
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +67,19 @@ def curve_eq_residual(C, xs, ys, p, upto, k=0):
             if not (c := d.coeff_of_degree(deg)).is_zeroish()]
 
 
+def frame_pair(C, center, p, T, rel=20):
+    """(x(t), y(t)) read back off the frame at center: x = X and
+    y = 1/(2h) on an affine disc, x = X and y = t at a branch point, and at
+    infinity the pole-free pair (X, t^5 y) with t^5 y the inverse of the
+    second factor."""
+    k, X, factors = local_frame(C, center, p, T, rel)
+    if k == 2:
+        return X, factors[1].inverse()
+    if center.y.is_zeroish():
+        return X, PadicPowerSeries(p, [PadicNumber.exact_zero(p), lift(1, p, rel)])
+    return X, factors[0].inverse() * Fraction(1, 2)
+
+
 def coefficient_digits(c):
     """(v, unit, rel) of a coefficient, per part over an extension."""
     if isinstance(c, QuadExtNumber):
@@ -67,7 +88,7 @@ def coefficient_digits(c):
 
 
 def t_newton_reference(fc, T, x0=None):
-    """The series Newton loops in t that local_expansion runs in u = t^2:
+    """The series Newton loops in t that local_frame runs in u = t^2:
     x(t) with f(x(t)) = t^2 from the branch point x0, or, for x0 None, the
     pair (t^2 x, t^5 y) at infinity from xi = 1/x = t^2 g(xi)."""
     one, p = fc[5], fc[5].prime
@@ -205,7 +226,7 @@ class TestExpansions:
         ctr = disc_center(C, (3, 6), 7)
         assert (ctr.x - 3).is_zeroish()
         assert (ctr.y - 6).is_zeroish()
-        xs, ys = local_expansion(C, ctr, 7, 12, 20)
+        xs, ys = frame_pair(C, ctr, 7, 12)
         assert curve_eq_residual(C, xs, ys, 7, 10) == []
         assert (xs.coeff_of_degree(1) - 1).is_zeroish()
         # y'(0) = f'(3)/12
@@ -215,7 +236,7 @@ class TestExpansions:
     def test_weierstrass_expansion(self, C):
         ctr = disc_center(C, (0, 0), 7)
         assert ctr.y.is_exact_zero()
-        xs, ys = local_expansion(C, ctr, 7, 12, 20)
+        xs, ys = frame_pair(C, ctr, 7, 12)
         assert curve_eq_residual(C, xs, ys, 7, 10) == []
         # x(t) = r + t^2/f'(r) + O(t^4)
         fpr = C.fprime_coeffs()[0]  # f'(0)
@@ -225,7 +246,7 @@ class TestExpansions:
 
     def test_infinity_expansion(self, C):
         # the pole-free pair (t^2 x, t^5 y), both with constant term 1
-        X, Y = local_expansion(C, CurvePoint.infinity(), 7, 12, 20)
+        X, Y = frame_pair(C, CurvePoint.infinity(), 7, 12)
         assert (X.coeffs[0] - 1).is_zeroish()
         assert (Y.coeffs[0] - 1).is_zeroish()
         assert curve_eq_residual(C, X, Y, 7, 11, k=2) == []
@@ -248,14 +269,17 @@ class TestExpansions:
     @pytest.mark.parametrize("p", [7, 11, 13])
     def test_even_series_have_exact_zero_odd_coefficients(self, C, p):
         # x(t) at a branch point and (t^2 x, t^5 y) at infinity are even in t
+        fc = [lift(k, p, 20) for k in C.f_coeffs]
         for label in [FP_INFINITY] + [(r % p, 0) for r in (0, 1, 2, 5, 6)]:
-            ctr = disc_center(C, label, p, 20)
-            xs, ys = local_expansion(C, ctr, p, 21, 20)
-            series = (xs, ys) if label == FP_INFINITY else (xs,)
+            if label == FP_INFINITY:
+                series = _expansion_at_infinity(fc, 21)
+            else:
+                x0 = disc_center(C, label, p, 20).x
+                series = (_weierstrass_x_coeffs(fc, x0, 21),)
             for s in series:
-                assert len(s.coeffs) == 22
-                assert all(c.is_exact_zero() for c in s.coeffs[1::2]), label
-                assert not s.coeffs[2].is_zeroish(), label
+                assert len(s) == 22
+                assert all(c.is_exact_zero() for c in s[1::2]), label
+                assert not s[2].is_zeroish(), label
 
     @pytest.mark.parametrize("T", [1, 2, 9, 10, 80, 81])
     @pytest.mark.parametrize("rel", [4, 20, 40])
@@ -274,21 +298,75 @@ class TestExpansions:
         cases.append((HyperellipticCurve([1, 2, 0, 0, 0, 1]), 7, rough))
         for curve, p, ctr in cases:
             fc = [lift(k, p, rel) for k in curve.f_coeffs]
-            xs, ys = local_expansion(curve, ctr, p, T, rel)
             if ctr.at_infinity:
-                got, want = (xs, ys), t_newton_reference(fc, T)
+                got, want = _expansion_at_infinity(fc, T), t_newton_reference(fc, T)
             else:
-                got, want = (xs,), t_newton_reference(fc, T, lift_anchor(ctr, p, rel).x)
-            assert [[coefficient_digits(c) for c in s.coeffs] for s in got] == \
+                x0 = lift_anchor(ctr, p, rel).x
+                got = (_weierstrass_x_coeffs(fc, x0, T),)
+                want = t_newton_reference(fc, T, x0)
+            assert [[coefficient_digits(c) for c in s] for s in got] == \
                 [[coefficient_digits(c) for c in s] for s in want], (p, ctr)
 
     def test_integrality_of_expansions(self, C):
+        # the pair and every series of the frame
         for fp_pt in [(3, 6), (0, 0), FP_INFINITY]:
             ctr = disc_center(C, fp_pt, 7)
-            xs, ys = local_expansion(C, ctr, 7, 16, 20)
-            for s in (xs, ys):
+            _, X, factors = local_frame(C, ctr, 7, 16, 20)
+            for s in frame_pair(C, ctr, 7, 16) + (X,) + tuple(
+                    h for h in factors if isinstance(h, PadicPowerSeries)):
                 for c in s.coeffs:
                     assert c.is_zeroish() or c.valuation >= 0, (fp_pt, str(c))
+
+
+class TestDiscParameter:
+    """disc_parameter reads a point at the t of the frame it lies on, and
+    one predicate, is_branch_point, tells both of them when t = y."""
+
+    @pytest.mark.parametrize("label", [(3, 6), (0, 0), FP_INFINITY])
+    def test_the_point_at_t_has_parameter_t(self, C, label):
+        # the point at t = 21 of an affine disc, a branch point and the
+        # disc at infinity, where x = X/t^2 and y = Y/t^5
+        center = lift_anchor(disc_center(C, label, 7, 20), 7, 20)
+        t = PadicNumber.from_int(21, 7, 20)
+        xs, ys = frame_pair(C, center, 7, 40)
+        x, y = xs.evaluate(t), ys.evaluate(t)
+        if center.at_infinity:
+            x, y = x / (t * t), y / (t * t * t * t * t)
+        P = CurvePoint(x, y, False)
+        assert is_on_curve(C, P)
+        assert reduce_point(C, P, 7) == label
+        got = disc_parameter(P, center, 7, 20)
+        assert got.valuation == 1 and (got - t).is_zeroish()
+
+    def test_a_branch_center_whose_y_has_no_known_digits(self):
+        # y = O(7^20) without being an exact zero: the frame is the
+        # branch-point frame, even in t, and the disc parameter is t = y
+        # on it too, not x - x0
+        C2 = HyperellipticCurve(CURVE2_T)
+        root = disc_center(C2, (5, 0), 7, 20).x
+        center = CurvePoint(root, PadicNumber.zeroish(7, 20), False)
+        assert is_branch_point(center) and centers_a_frame(center)
+        k, xs, _ = local_frame(C2, center, 7, 40, 20)
+        assert k == 0 and all(c.is_exact_zero() for c in xs.coeffs[1::2])
+        t = PadicNumber.from_int(21, 7, 20)
+        P = CurvePoint(xs.evaluate(t), t, False)
+        assert is_on_curve(C2, P)
+        got = disc_parameter(P, center, 7, 20)
+        assert got.valuation == 1 and (got - t).is_zeroish()
+
+    def test_a_point_above_a_branch_point_centers_no_frame(self):
+        # (1, 7) on y^2 = x^5 + 48 lies in the disc of the branch point
+        # above x = 1 without being it: t = x - 1 is no parameter there,
+        # and the branch point's frame reads the point at t = y = 7
+        C2 = HyperellipticCurve([48, 0, 0, 0, 0, 1])
+        Q = lift_anchor(CurvePoint.affine(1, 7), 7, 20)
+        assert not is_branch_point(Q) and not centers_a_frame(Q)
+        with pytest.raises(ValueError, match="branch point"):
+            local_frame(C2, Q, 7, 8, 20)
+        center = disc_center(C2, reduce_point(C2, Q, 7), 7, 20)
+        assert is_branch_point(center) and centers_a_frame(center)
+        assert coefficient_digits(disc_parameter(Q, center, 7, 20)) == \
+            coefficient_digits(lift(7, 7, 20))
 
 
 class TestDifferentials:
@@ -343,6 +421,66 @@ class TestDifferentials:
                          a.tail_valuation_bound))
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == self.EXPANSION_DIGESTS[label, rel]
+
+    # sha256 of k and, per series of the frame, the (v, unit, rel)
+    # coefficients, the tail bound and the log-penalty flag, at the
+    # pipeline's truncation order TRUNCATION_FACTOR * rel
+    FRAME_DIGESTS = {
+        (FLYNN_T, FP_INFINITY, 20):
+            "2ee074fcc988c118572f0e2bb4e3e0047d07d40d87781a7bc57b80995af010e0",
+        (FLYNN_T, FP_INFINITY, 40):
+            "92415b25dba44c63cc6277850196cf6713abf690e500baf7ce38487645d6a742",
+        (FLYNN_T, (0, 0), 20):
+            "907dd1d2614a84401add3866370c135e947674aede3f7cd37133f7ebe614427d",
+        (FLYNN_T, (0, 0), 40):
+            "abc6c82018eb93d84f64fa8c76a8824ea572c484aefb304228249aaded623b54",
+        (FLYNN_T, (1, 0), 20):
+            "c513216f69f0663a6ff3498b2ce9854dbbded8372f248dfc9feed930bf5b56e0",
+        (FLYNN_T, (1, 0), 40):
+            "f069b2821fb166ffe4b419fcde32ad1ccb660752a3752a5fcfd3181b30cffa26",
+        (FLYNN_T, (2, 0), 20):
+            "4b17871311d6b24e40d12e52b6bcce012941cc4b5560abf64011795a9f4b326b",
+        (FLYNN_T, (2, 0), 40):
+            "c5771643c5ea83e09694e8b7bd1c34c6d0e78dce03efeb3401d6c75ed6c3bce1",
+        (FLYNN_T, (3, 1), 20):
+            "e0108eae86fc0d250517da5b505d1e078efe35fc834f8f3b96c8f72ec26e00ac",
+        (FLYNN_T, (3, 1), 40):
+            "69563df7183359455055f9e7a124bc4e84d407f11cd01a03eda01dbf34ccc64b",
+        (FLYNN_T, (3, 6), 20):
+            "45c0a22aa5ba90344b03aa708745679365cec1799308b269bf653cf6720a88e6",
+        (FLYNN_T, (3, 6), 40):
+            "bc479eccd5e7b5e660a50b18decdb3c24f2d33bad234eb249133931e4b35d608",
+        (FLYNN_T, (5, 0), 20):
+            "a24bcacef6ce4c56641b35248df7d505224b3affa40b9f8634fd47fd873aab2b",
+        (FLYNN_T, (5, 0), 40):
+            "fb92c194a5838677a716985358621edd5f5f367311da4e2c24e03df80b1b3f66",
+        (FLYNN_T, (6, 0), 20):
+            "0016c74a5955b07daa0c8c3c225d1f8d199113ce5d30a16297c39300187d8920",
+        (FLYNN_T, (6, 0), 40):
+            "002d20ffb6a7c7118661d374277e6464ec2f4c0fd24c24e3fa317c9a96c67b0a",
+        (FLYNN_T, ("ext", "unramified", 0, 1, 3, 2), 20):
+            "ad6b3701d884a4c6eb933b908bc01b241916a536624280f82426397b67fe1685",
+        (FLYNN_T, ("ext", "unramified", 0, 1, 3, 2), 40):
+            "ed530dd4d83e593e888dd63ce75d15b325fcd164c10f8dead52ab371b7e1dbac",
+        (CURVE2_T, (5, 0), 20):
+            "31f05bc1253e70f6bfa8ae033b404b284b8b0dd5810dd2af9fd0bb0a52b03492",
+        (CURVE2_T, (5, 0), 40):
+            "5e3f879f821f70fd53d9bce4c364b192d26250e82660934289ff72d5d3391626",
+    }
+
+    @pytest.mark.parametrize("f_coeffs, label, rel", list(FRAME_DIGESTS))
+    def test_frame_digits_are_pinned(self, f_coeffs, label, rel):
+        # Flynn's eight discs at p = 7, a disc with no Q_7-rational center,
+        # and the branch point of x^5 + 2x + 1 that Hensel lifts off 5
+        Cf = HyperellipticCurve(f_coeffs)
+        center = disc_center(Cf, label, 7, rel)
+        k, xs, factors = local_frame(Cf, center, 7, TRUNCATION_FACTOR * rel, rel)
+        rows = [k] + [repr(h) if isinstance(h, Fraction) else
+                      ([coefficient_digits(c) for c in h.coeffs],
+                       h.tail_valuation_bound, h.tail_log_penalty)
+                      for h in (xs,) + tuple(factors)]
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == self.FRAME_DIGESTS[f_coeffs, label, rel]
 
     def test_w1_vanishes_to_order_2_at_infinity(self, C):
         w = Differential(1, 0, p=7)

@@ -10,6 +10,7 @@ the oracle and against the lcm of walk lengths over the listed group.
 
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2points import jacobian
+from g2points import cli, coleman, jacobian
 from g2points.curve import (CurvePoint, HyperellipticCurve, fp_curve_points,
                             reduce_point)
 from g2points.jacobian import (MumfordDivisor, cantor_add, curve_preimage,
@@ -37,6 +38,7 @@ CURVE2 = [1, 2, 0, 0, 0, 1]  # good reduction at 3, 5, 7, 11
 X5_PLUS_4 = [4, 0, 0, 0, 0, 1]  # good reduction at 3, 7
 
 QDOM = RationalDomain()
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 
 @pytest.fixture(scope="module")
@@ -468,6 +470,27 @@ class TestSylowExponent:
         monkeypatch.setattr(jacobian, "_fq_classes", None)
         monkeypatch.setattr(jacobian, "jacobian_order", None)
         assert order_and_exponent(C, 23) == first == (528, 66)
+
+    def test_a_golden_job_scans_each_q_squared_field_once(self, monkeypatch,
+                                                          fresh_cache):
+        # the torsion bound, the sieve modulus and the logarithms all read
+        # the one (order, exponent) record per prime: a cold job counts
+        # C(F_{q^2}) once for each of its 5 primes, and a rerun not at all
+        monkeypatch.setattr(coleman, "_DISC_LAMBDA_CACHE", {})
+        scans = []
+        count = jacobian.count_Fp2_points
+
+        def counted(curve, q):
+            scans.append(q)
+            return count(curve, q)
+
+        monkeypatch.setattr(jacobian, "count_Fp2_points", counted)
+        with open(os.path.join(FIXTURES, "flynn.json"), encoding="utf-8") as fh:
+            cfg = cli.parse_config(fh.read())
+        assert cli.run_job(cfg).status == "complete"
+        assert sorted(scans) == [7, 11, 13, 17, 23]
+        assert cli.run_job(cfg).status == "complete"
+        assert len(scans) == 5
 
     def test_the_cache_keeps_its_limit_oldest_first(self, fresh_cache):
         # y^2 = x^5 + c has good reduction at q = 3, 7, 11, 13 for c prime
