@@ -5,9 +5,11 @@ about the rational points: classes of the Mordell-Weil group modulo N
 are matched against the curve's images inside J(F_q) for several primes
 q, the survivors are searched for actual rational points, and the
 p-adic machinery excises the class of every found point once its
-residue disc is certified to hold no further zeros.  A success is
-always conditional on the stated hypotheses; an exhausted budget
-reports inconclusive rather than guessing.
+residue disc is certified to hold no further zeros.  A run is one such
+round: each disc certificate depends only on the annihilating form and
+the found points, so a second round would repeat the first.  A success
+is always conditional on the stated hypotheses; classes left after the
+round are reported inconclusive rather than guessed at.
 """
 
 from __future__ import annotations
@@ -293,15 +295,6 @@ def _with_budget(ctx: SieveContext, state: SieveState, fn):
     return with_precision_retry(attempt, ctx.rel, ctx.max_escalations)
 
 
-def _ensure_form(ctx: SieveContext, state: SieveState) -> None:
-    if state.form is not None:
-        return
-    state.gamma_log = _with_budget(
-        ctx, state,
-        lambda r: log_jacobian(ctx.curve, ctx.gamma, ctx.prime, rel=r))
-    state.form = annihilating_form(state.gamma_log)
-
-
 def _certify_transversality(ctx, state, Q):
     def attempt(rel):
         ok, v = transversality_certificate(ctx.curve, state.form, Q,
@@ -381,28 +374,30 @@ def deepen(ctx: SieveContext, state: SieveState) -> SieveState:
         state.trace.append({"step": "deepen", "skipped": "nothing found"})
         return state
     C, p = ctx.curve, ctx.prime
-    _ensure_form(ctx, state)
+    state.gamma_log = _with_budget(
+        ctx, state, lambda r: log_jacobian(C, ctx.gamma, p, rel=r))
+    state.form = annihilating_form(state.gamma_log)
     vmax = 0
     for rec in state.found:
+        rec.v_w = _certify_transversality(ctx, state, rec.point)
         if rec.v_w is None:
-            rec.v_w = _certify_transversality(ctx, state, rec.point)
-            if rec.v_w is None:
-                state.notes.append("transversality unresolved at %r within "
-                                   "the precision budget" % (rec.point,))
-                state.trace.append({"step": "deepen",
-                                    "skipped": "transversality"})
-                return state
+            state.notes.append("transversality unresolved at %r within "
+                               "the precision budget" % (rec.point,))
+            state.trace.append({"step": "deepen",
+                                "skipped": "transversality"})
+            return state
         vmax = max(vmax, rec.v_w)
-    n = max(state.level, vmax + 1)
-    state.level = n
+    n = state.level = vmax + 1
     for rec in state.found:
-        if rec.n != n or rec.zero_count is None:
-            _certify_point(ctx, state, rec, n)
+        _certify_point(ctx, state, rec, n)
     pts = [rec.point for rec in state.found]
     unresolved = []
     for disc in fp_curve_points(C, p):
+        # an unresolved disc gets no certificate; the trace and the notes
+        # name it
         cert = _certify_disc(ctx, state, disc, pts)
-        state.disc_certs[disc] = cert
+        if cert is not None:
+            state.disc_certs[disc] = cert
         if cert is None or not cert.resolved:
             unresolved.append(disc)
     state.N = math.lcm(state.N, state.images[p].exponent * p ** (n - 1))
@@ -449,34 +444,26 @@ class SieveResult:
         return self.status == "complete"
 
 
-def _snapshot(state: SieveState):
-    return (state.survivor_count(), len(state.found), state.level, state.N,
-            len(state.notes))
-
-
 def run(ctx: SieveContext) -> SieveResult:
-    """The full loop: sieve passes, point search, deepening; repeats
-    until the class set empties (complete) or budgets run out."""
+    """One round: sieve passes at every prime, then, if classes survive,
+    the point search and one deepening.  A second round could change
+    nothing: every pass's modulus already divides M, the search would
+    read a subset of the classes it read, and deepening would meet the
+    same form and found points.  A zero iteration budget runs no
+    round."""
     state = initial_state(ctx)
-    status, closing = "inconclusive", "iteration budget exhausted"
-    if ctx.max_iterations <= 0:
-        closing = "iteration budget is zero"
-    for _ in range(ctx.max_iterations):
-        state.iterations += 1
-        before = _snapshot(state)
+    status, closing = "inconclusive", "iteration budget is zero"
+    if ctx.max_iterations > 0:
+        state.iterations = 1
         for q in (ctx.prime,) + ctx.aux_primes:
             sieve_pass(ctx, state, q)
-        if state.survivor_count() == 0:
-            status, closing = "complete", "surviving class set is empty"
-            break
-        search_points(ctx, state)
-        deepen(ctx, state)
-        if state.survivor_count() == 0:
-            status, closing = "complete", "surviving class set is empty"
-            break
-        if _snapshot(state) == before:
+        if state.survivor_count():
+            search_points(ctx, state)
+            deepen(ctx, state)
+        if state.survivor_count():
             closing = "no further progress within the configured data"
-            break
+        else:
+            status, closing = "complete", "surviving class set is empty"
     return SieveResult(
         status=status, closing=closing, points=list(state.found),
         disc_certificates=dict(state.disc_certs),

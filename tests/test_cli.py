@@ -324,6 +324,30 @@ class TestMain:
         assert json.loads(captured.out)["status"] == "error"
         assert "not minimal" in captured.err
 
+    def test_unresolved_discs_are_reported(self, tmp_path, capsys):
+        # at precision 4 with no escalation the two-point discs (3, 1) and
+        # (3, 6) stay unresolved: they get no certificate, and both report
+        # formats still render
+        job = json.loads(_fixture("flynn.json"))
+        job.update(precision=4,
+                   budgets={"iterations": 10, "precision_escalations": 0})
+        path = tmp_path / "prec4.json"
+        path.write_text(json.dumps(job))
+        rc = main(["run", str(path), "--format", "machine"])
+        assert rc == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "inconclusive"
+        assert out["iterations"] == 1
+        assert out["surviving_classes"]["count"] == 144
+        assert len(out["disc_certificates"]) == 6
+        deepened = [e for e in out["sieve_trace"] if e["step"] == "deepen"]
+        assert [e["unresolved_discs"] for e in deepened] == [[[3, 1], [3, 6]]]
+        assert out["notes"] == ["zero count unresolved on disc (3, 1)",
+                                "zero count unresolved on disc (3, 6)"]
+        assert main(["run", str(path)]) == 2
+        human = capsys.readouterr().out
+        assert "residue discs: 6 certified, 6 resolved" in human
+
     def test_max_iter_override(self, capsys):
         rc = main(["run", str(FIXTURES / "flynn.json"), "--max-iter", "0",
                    "--format", "machine"])

@@ -90,16 +90,17 @@ def test_inconclusive_chabauty_primes():
     # aux primes: the other primes of {7, 11, 13, 17, 23}.  At 19 and 23
     # the surviving classes outlive a deepen that raises the modulus, so
     # their count and sample are read at the new N; 31 is the only
-    # Chabauty prime up to 37 whose run escalates
+    # Chabauty prime up to 37 whose run escalates: discs (11, 8) and
+    # (11, 23) each need 40 digits
     for p, left, digest, escalations in (
-            (17, 2, "99a3b98ea7979313099bdfaa9be1593b"
-                    "e9c10f1debf25f12e7f3107a25050de5", 0),
-            (19, 10, "7ff6a76c8e98382119dc985aae361147"
-                     "1f965bf3597c1bddad1b4a09cd5c6449", 0),
-            (23, 528, "68f3692db643dbb649109312195e4412"
-                      "87047a0787f8d9a4fc28800a6fe47b1a", 0),
-            (31, 4, "7a81a4395158c6dabdf78c1e80587440"
-                    "ed8da4db659006ddff635c5c44e2a27b", 4)):
+            (17, 2, "c4da5c5689c16bdf71dccd2eca0c2b86"
+                    "920b023b31ab72f13e2f8f3e69df93a0", 0),
+            (19, 10, "b03f329f166307c980b894b8b079b9c5"
+                     "6638ef8a54b2c15693bf5963f3fcbd45", 0),
+            (23, 528, "d4e91536417b463851d89dfef0a0d6b4"
+                      "09f004bf9cc731c7d390c5ce3ac5f2f8", 0),
+            (31, 4, "bd07031426691a08071f358bce65bf86"
+                    "b0b86b4a6068dae3aca5512965f9a9af", 2)):
         aux = [q for q in (7, 11, 13, 17, 23) if q != p]
         job = dict(FLYNN_JOB, chabauty_prime=p, aux_primes=aux)
         rep, report, got = _run(job)
@@ -107,6 +108,10 @@ def test_inconclusive_chabauty_primes():
         assert report["surviving_classes"]["count"] == left
         assert got == digest, p
         assert rep.result.escalations == escalations
+        # a run is one round: one search and one deepening
+        assert report["iterations"] == 1
+        steps = [e["step"] for e in report["sieve_trace"]]
+        assert steps.count("search") == steps.count("deepen") == 1
 
 
 def test_every_good_aux_prime_up_to_47():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from g2points.cli import _disc_cert_json
 from g2points.coleman import single_point_criterion
 from g2points.curve import CurvePoint, HyperellipticCurve, fp_curve_points
 from g2points.jacobian import (MumfordDivisor, cantor_add, reduce_divisor,
@@ -404,3 +405,56 @@ class TestRun:
         assert r.status == "inconclusive"
         assert r.closing == "iteration budget is zero"
         assert not r.complete
+
+
+def _round_state(state):
+    """Everything a further round could change, copied out of state."""
+    return ({label: frozenset(res) for label, res in state.survivors.items()},
+            state.M, state.N, state.level,
+            [(_point_key(r.point), r.s, r.label, r.v_w, r.n, r.zero_count,
+              r.criterion) for r in state.found],
+            {disc: _disc_cert_json(cert)
+             for disc, cert in state.disc_certs.items()})
+
+
+class TestOneRound:
+    """A run is one round: passes, search, deepening.  Should a change make
+    a second round productive, these tests fail and the run needs its
+    loop back, with a real progress test."""
+
+    @pytest.mark.parametrize("bound", (0, 1))
+    def test_a_second_round_changes_nothing(self, curve, monkeypatch, bound):
+        # search bound 0 or 1 hides points, so classes outlive the round
+        states = []
+
+        def capture(c):
+            states.append(initial_state(c))
+            return states[-1]
+
+        monkeypatch.setattr(sieve, "initial_state", capture)
+        c = SieveContext(curve, _gamma(), torsion=_torsion(), prime=7,
+                         aux_primes=AUX, bound=bound)
+        result = run(c)
+        state, = states
+        assert result.status == "inconclusive" and result.iterations == 1
+        before = _round_state(state)
+        for q in (7,) + AUX:
+            sieve_pass(c, state, q)
+        search_points(c, state)
+        deepen(c, state)
+        assert _round_state(state) == before
+
+    @pytest.mark.parametrize("prime, bound, left", (
+        (7, 0, 16), (7, 1, 152), (11, 0, 16), (11, 1, 8), (13, 0, 16),
+        (13, 1, 8)))
+    def test_hidden_point_jobs_stay_inconclusive(self, curve, prime, bound,
+                                                 left):
+        aux = [q for q in (7, 11, 13, 17, 23) if q != prime]
+        c = SieveContext(curve, _gamma(), torsion=_torsion(), prime=prime,
+                         aux_primes=aux, bound=bound)
+        result = run(c)
+        assert result.status == "inconclusive"
+        assert result.closing == ("no further progress within the "
+                                  "configured data")
+        assert result.survivor_count == left
+        assert result.iterations == 1
