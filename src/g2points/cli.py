@@ -365,6 +365,10 @@ def _poly_str(coeffs) -> str:
     return " ".join([head] + terms[1:])
 
 
+def _disc_str(disc) -> str:
+    return "infinity" if disc == FP_INFINITY else "(%d,%d)" % disc
+
+
 def _human_text(rep: RunReport) -> str:
     cfg = rep.config
     lines = ["status: %s (%s)" % (rep.status, rep.closing),
@@ -386,8 +390,7 @@ def _human_text(rep: RunReport) -> str:
         for rec in r.points:
             P = rec.point
             pt = "infinity" if P.at_infinity else "(%s, %s)" % (P.x, P.y)
-            disc = ("infinity" if rec.disc == FP_INFINITY
-                    else "(%d,%d)" % rec.disc)
+            disc = _disc_str(rec.disc)
             label = ",".join(str(t) for t in rec.label)
             spc = {True: "yes", False: "no", None: "-"}[rec.criterion]
             lines.append("  %-14s %4d  %-9s %-9s %4s %2s %5s %4s"
@@ -397,8 +400,16 @@ def _human_text(rep: RunReport) -> str:
                             "-" if rec.zero_count is None else rec.zero_count,
                             spc))
         resolved = sum(1 for c in r.disc_certificates.values() if c.resolved)
-        lines.append("residue discs: %d certified, %d resolved"
-                     % (len(r.disc_certificates), resolved))
+        discs = "residue discs: %d certified, %d resolved" % (
+            len(r.disc_certificates), resolved)
+        # the deepening names the discs it left without a resolved
+        # certificate; a run that never deepened names none
+        unresolved = [d for e in r.trace if e["step"] == "deepen"
+                      for d in e.get("unresolved_discs", ())]
+        if unresolved:
+            discs += "; unresolved: %s" % ", ".join(map(_disc_str,
+                                                        unresolved))
+        lines.append(discs)
         lines.append("surviving classes: %d" % r.survivor_count)
         for s, lab in r.survivors_sample:
             lines.append("  class %d mod %d, torsion label %s"

@@ -255,30 +255,39 @@ def sieve_pass(ctx: SieveContext, state: SieveState, q: int) -> SieveState:
 
 
 def search_points(ctx: SieveContext, state: SieveState) -> SieveState:
-    """Scan representatives s*gamma + t, |s| <= bound, of surviving
-    classes for actual rational points."""
-    C = ctx.curve
-    labels = ctx.torsion_labels()
-    D = scalar_mul(C, -ctx.bound, ctx.gamma)
+    """Test the representatives s*gamma + t, |s| <= bound, of surviving
+    classes for actual rational points, in (s, label) order.
+
+    s*gamma is walked from the identity only up to the largest surviving
+    |s|, and (-s)*gamma is its involution inverse, so the search costs
+    that |s| plus one rational group operation per candidate, whatever
+    the bound.  Mumford representatives are canonical, so these are the
+    classes a walk over all of [-bound, bound] builds."""
+    C, M, bound = ctx.curve, state.M, ctx.bound
+    # each residue r mod M from the first s >= -bound with s = r mod M
+    candidates = sorted((s, label)
+                        for label, res in state.survivors.items()
+                        for r in res
+                        for s in range(-bound + (r + bound) % M, bound + 1, M))
+    multiples = [MumfordDivisor.identity(ctx.gamma.domain)]
+    for _ in range(max((abs(s) for s, _ in candidates), default=0)):
+        multiples.append(cantor_add(C, multiples[-1], ctx.gamma))
     found_before = len(state.found)
-    for s in range(-ctx.bound, ctx.bound + 1):
-        for label in labels:
-            if (s % state.M) not in state.survivors[label]:
-                continue
-            E = cantor_add(C, D, state.torsion_sums[label])
-            Q = curve_preimage(C, E, CurvePoint.infinity())
-            if Q is None:
-                continue
-            key = "infinity" if Q.at_infinity else (Q.x, Q.y)
-            if key in state.found_keys:
-                continue
-            if not is_on_curve(C, Q):
-                raise ArithmeticError("preimage %r fails the curve equation"
-                                      % (Q,))
-            state.found_keys.add(key)
-            state.found.append(PointRecord(Q, s, label,
-                                           reduce_point(C, Q, ctx.prime)))
-        D = cantor_add(C, D, ctx.gamma)
+    for s, label in candidates:
+        D = multiples[s] if s >= 0 else multiples[-s].neg()
+        E = cantor_add(C, D, state.torsion_sums[label])
+        Q = curve_preimage(C, E, CurvePoint.infinity())
+        if Q is None:
+            continue
+        key = "infinity" if Q.at_infinity else (Q.x, Q.y)
+        if key in state.found_keys:
+            continue
+        if not is_on_curve(C, Q):
+            raise ArithmeticError("preimage %r fails the curve equation"
+                                  % (Q,))
+        state.found_keys.add(key)
+        state.found.append(PointRecord(Q, s, label,
+                                       reduce_point(C, Q, ctx.prime)))
     state.trace.append({"step": "search", "bound": ctx.bound,
                         "found": len(state.found) - found_before,
                         "total": len(state.found)})

@@ -22,13 +22,13 @@ FIXTURES = os.path.join(ROOT, "tests", "fixtures")
 # deterministic; a change that raises one does more work, whatever the
 # timings on a noisy machine say
 WORK_CEILINGS = {
-    "jacobian.cantor_add_calls": 1943,
+    "jacobian.cantor_add_calls": 1898,
     "polys.fq_mul_calls": 6856,
-    "polys.q_mul_calls": 6841,
+    "polys.q_mul_calls": 2091,
     "polys.qp_mul_calls": 786,
     "padic.number_mul_calls": 8054,
     "padic.number_add_calls": 2600,
-    "jacobian.scalar_mul_calls": 59,
+    "jacobian.scalar_mul_calls": 57,
 }
 
 

@@ -347,6 +347,8 @@ class TestMain:
         assert main(["run", str(path)]) == 2
         human = capsys.readouterr().out
         assert "residue discs: 6 certified, 6 resolved" in human
+        assert ("residue discs: 6 certified, 6 resolved; unresolved: "
+                "(3,1), (3,6)\n") in human
 
     def test_max_iter_override(self, capsys):
         rc = main(["run", str(FIXTURES / "flynn.json"), "--max-iter", "0",

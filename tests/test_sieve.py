@@ -254,6 +254,41 @@ class TestClassSet:
         assert state.survivor_count() == 16 * ctx.N
 
 
+def _full_walk_search(ctx, state):
+    """The reference search: every s in [-bound, bound] from
+    (-bound)*gamma, one step at a time, and every label at each s."""
+    C = ctx.curve
+    D = scalar_mul(C, -ctx.bound, ctx.gamma)
+    for s in range(-ctx.bound, ctx.bound + 1):
+        for label in ctx.torsion_labels():
+            if s % state.M not in state.survivors[label]:
+                continue
+            E = cantor_add(C, D, state.torsion_sums[label])
+            Q = sieve.curve_preimage(C, E, CurvePoint.infinity())
+            if Q is None or _point_key(Q) in state.found_keys:
+                continue
+            state.found_keys.add(_point_key(Q))
+            state.found.append(sieve.PointRecord(
+                Q, s, label, sieve.reduce_point(C, Q, ctx.prime)))
+        D = cantor_add(C, D, ctx.gamma)
+
+
+def _fresh_copy(state, M=None, survivors=None):
+    """A state with nothing found, holding state's residues or the given
+    ones mod M."""
+    copy = SieveState(state.N, list(state.survivors), state.images,
+                      state.torsion_sums)
+    copy.M = state.M if M is None else M
+    copy.survivors = {label: set(res) for label, res in
+                      (survivors or state.survivors).items()}
+    return copy
+
+
+def _records(state):
+    return ([(_point_key(r.point), r.s, r.label, r.disc)
+             for r in state.found], state.found_keys)
+
+
 class TestSearch:
     def test_finds_exactly_the_known_points(self, ctx, sieved):
         search_points(ctx, sieved)
@@ -271,6 +306,77 @@ class TestSearch:
         assert keys == {"infinity"} | {(Fraction(x), Fraction(0))
                                        for x in (0, 1, 2, 5, 6)}
         assert all(r.s == 0 for r in state.found)
+
+    def _states(self, ctx, sieved):
+        base = initial_state(ctx)
+        only = {label: set() for label in base.survivors}
+        # 6 mod 9 meets [-5, 5] only at s = -3
+        only[(0, 0, 0, 0)] = {6}
+        return {"sieved": (ctx, sieved),
+                "before passes": (SieveContext(
+                    ctx.curve, ctx.gamma, torsion=ctx.torsion,
+                    prime=7, aux_primes=AUX, bound=4), base),
+                "only -3": (SieveContext(
+                    ctx.curve, ctx.gamma, torsion=ctx.torsion,
+                    prime=7, aux_primes=AUX, bound=5),
+                    _fresh_copy(base, M=9, survivors=only))}
+
+    @staticmethod
+    def _rational_adds(monkeypatch):
+        calls = []
+
+        def counted(C, a, b):
+            if isinstance(a.domain, RationalDomain):
+                calls.append(a)
+            return cantor_add(C, a, b)
+
+        monkeypatch.setattr(sieve, "cantor_add", counted)
+        return calls
+
+    @staticmethod
+    def _candidates(ctx, state):
+        return [(s, label) for s in range(-ctx.bound, ctx.bound + 1)
+                for label in ctx.torsion_labels()
+                if s % state.M in state.survivors[label]]
+
+    def test_same_records_as_the_full_walk(self, ctx, sieved):
+        for name, (c, state) in self._states(ctx, sieved).items():
+            expected, got = _fresh_copy(state), _fresh_copy(state)
+            _full_walk_search(c, expected)
+            search_points(c, got)
+            assert _records(got) == _records(expected), name
+            assert got.trace == [{"step": "search", "bound": c.bound,
+                                  "found": len(expected.found),
+                                  "total": len(expected.found)}], name
+
+    def test_walk_to_largest_surviving_s_plus_one_add_each(
+            self, ctx, sieved, monkeypatch):
+        # (candidates, largest |s|) of each state
+        sizes = {"sieved": (10, 2), "before passes": (144, 4),
+                 "only -3": (1, 3)}
+        states = self._states(ctx, sieved)
+        calls = self._rational_adds(monkeypatch)
+        for name, (c, state) in states.items():
+            cands = self._candidates(c, state)
+            top = max(abs(s) for s, _ in cands)
+            assert (len(cands), top) == sizes[name]
+            del calls[:]
+            search_points(c, _fresh_copy(state))
+            assert len(calls) == top + len(cands), name
+
+    def test_cost_does_not_follow_the_bound(self, ctx, sieved, monkeypatch):
+        calls = self._rational_adds(monkeypatch)
+        counts = []
+        for bound in (20, 200):
+            c = SieveContext(ctx.curve, ctx.gamma, torsion=ctx.torsion,
+                             prime=7, aux_primes=AUX, bound=bound)
+            del calls[:]
+            got = _fresh_copy(sieved)
+            search_points(c, got)
+            counts.append(len(calls))
+            assert _point_key(got.found[-1].point) == (Fraction(10),
+                                                      Fraction(120))
+        assert counts == [2 + 10, 2 + 10]
 
 
 class TestDeepen:
