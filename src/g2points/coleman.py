@@ -77,7 +77,8 @@ class LogVector:
 def tiny_integral(C: HyperellipticCurve, w, frm: CurvePoint, to: CurvePoint,
                   p: int, rel: int = DEFAULT_PRECISION):
     """Integral of w from frm to to, both in one residue disc, combined
-    from the disc's cached basis antiderivatives.
+    from the antiderivatives of the basis forms, which are expanded afresh
+    on each call from the disc's cached frame.
 
     Endpoints may have rational, p-adic, or quadratic-extension coordinates;
     the value lies in the same field (a conjugate-symmetric extension value
@@ -247,7 +248,12 @@ def transversality_certificate(C: HyperellipticCurve, w, Q: CurvePoint, p: int,
                                rel: int = DEFAULT_PRECISION):
     """(True, v(a0)) when the normalized w is certifiably nonvanishing at the
     center of Q's residue disc, (False, None) when it vanishes at working
-    precision."""
+    precision.
+
+    a0, the value of w/dt at the disc center, is the paper's transversality
+    condition at the disc: w nonvanishing there.  It is read from the full
+    expansion on the disc's cached frame, which this first reader of a
+    found point's disc builds for the disc's later readers."""
     _, frame = _disc_frame(C, reduce_point(C, Q, p), p, rel)
     a0 = expand_on_frame(w.normalized(), frame).coeff_of_degree(0)
     if a0.is_zeroish():

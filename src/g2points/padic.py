@@ -319,6 +319,8 @@ class PadicNumber:
             return other * self
         if self._val == _INF and isinstance(other, (int, Fraction)):
             return self  # an exact zero times a rational: no scalar to read
+        if type(other) is int and other:
+            return self._int_scaled(other, 1)
         b = self._coerce(other, rel=max(self._rel, 1))
         if b is None:
             return NotImplemented
@@ -333,6 +335,19 @@ class PadicNumber:
 
     __rmul__ = __mul__
 
+    def _int_scaled(self, n: int, sign: int) -> "PadicNumber":
+        """self * n (sign 1) or self / n (sign -1) for a nonzero int n read
+        as p^v * u: the triple that lifting n at this value's rel, inverted
+        for a quotient, then multiplying gives, with no Fraction and no lift."""
+        p = self.prime
+        v = vp(n, p)
+        if self._rel == 0:
+            return PadicNumber.zeroish(p, self._val + sign * v)
+        u = n // p ** v
+        if sign < 0:
+            u = pow(u, -1, p ** self._rel)
+        return PadicNumber._make(p, self._val + sign * v, self._unit * u, self._rel)
+
     def inverse(self) -> "PadicNumber":
         if self.is_zeroish():
             raise PrecisionLossError(
@@ -344,6 +359,8 @@ class PadicNumber:
     def __truediv__(self, other):
         if self._val == _INF and isinstance(other, (int, Fraction)) and other:
             return self  # a division by 0 still raises, from inverse()
+        if type(other) is int and other:
+            return self._int_scaled(other, -1)
         b = self._coerce(other, rel=max(self._rel, 1))
         if b is None:
             return NotImplemented

@@ -26,7 +26,7 @@ WORK_CEILINGS = {
     "polys.fq_mul_calls": 6856,
     "polys.q_mul_calls": 2091,
     "polys.qp_mul_calls": 786,
-    "padic.number_mul_calls": 8054,
+    "padic.number_mul_calls": 6492,
     "padic.number_add_calls": 2600,
     "jacobian.scalar_mul_calls": 57,
 }

@@ -526,6 +526,22 @@ class TestAnnihilatingForm:
         assert min(vs) == 0
 
 
+def digits(c):
+    return c.valuation, c.unit_part(), c.rel_precision
+
+
+def head_product(w, frame):
+    """a0 by the PadicNumber operators: c1 (when k = 0) + c2 X(0), times
+    the constant term of each factor in turn."""
+    k, xs, factors = frame
+    a0 = w.c2 * xs.coeffs[0]
+    if k == 0:
+        a0 = w.c1 + a0
+    for h in factors:
+        a0 = a0 * (h.coeffs[0] if isinstance(h, PadicPowerSeries) else h)
+    return a0
+
+
 class TestTransversality:
     def test_certified_at_all_known_points(self, C, form7):
         # Weierstrass and infinity discs carry v_w = 0; the two discs
@@ -575,6 +591,27 @@ class TestTransversality:
                     else (True, int(a0.valuation))
                 assert transversality_certificate(Cx, w, center, p) == want, \
                     (fp_pt, c1, c2)
+
+    @pytest.mark.parametrize("rel", [20, 40])
+    @pytest.mark.parametrize("p", [7, 11, 37])
+    def test_a0_is_the_product_of_the_frames_constant_terms(self, C, gamma,
+                                                            p, rel):
+        # every disc of C(F_p) with four forms: gamma's annihilating form,
+        # dx/2y (at infinity c2 = 0 takes the lead path), x dx/2y, and a
+        # form with c1 exactly 0 and c2 that of the annihilating form
+        wg = annihilating_form(with_precision_retry(
+            lambda r: log_jacobian(C, gamma, p, rel=r), rel, 3))
+        forms = [wg, Differential(1, 0, p, rel), Differential(0, 1, p, rel),
+                 Differential(0, wg.c2, p, rel)]
+        for key in fp_curve_points(C, p):
+            center, frame = coleman._disc_frame(C, key, p, rel)
+            for w in forms:
+                w = w.normalized()
+                a0 = curve.expand_on_frame(w, frame).coeff_of_degree(0)
+                want = (False, None) if a0.is_zeroish() \
+                    else (True, int(a0.valuation))
+                assert transversality_certificate(C, w, center, p, rel) == want
+                assert digits(head_product(w, frame)) == digits(a0), (key, w)
 
 
 class TestSharedFrame:

@@ -923,3 +923,67 @@ class TestOnePrecisionRule:
         D = embed_point(C, CurvePoint(z, z, False), CurvePoint.infinity(),
                         domain=PadicDomain(7, 20))
         assert D.u[1].rel_precision == 20
+
+
+@st.composite
+def int_scalar_operands(draw):
+    """(x, n): x an exact zero, a zeroish value, or a value of negative or
+    positive valuation over p in {3, 7, 37}; n a nonzero int, some
+    multiples of p, some negative."""
+    p = draw(st.sampled_from([3, 7, 37]))
+    kind = draw(st.sampled_from(["exact", "zeroish", "negative", "positive"]))
+    if kind == "exact":
+        x = PadicNumber.exact_zero(p)
+    elif kind == "zeroish":
+        x = PadicNumber.zeroish(p, draw(st.integers(-6, 30)))
+    else:
+        rel = draw(st.integers(1, 30))
+        unit = draw(st.integers(1, p ** rel - 1))
+        val = draw(st.integers(-8, -1) if kind == "negative" else st.integers(1, 8))
+        x = PadicNumber._make(p, val, unit, rel)
+    m = draw(st.integers(1, 10 ** 6).filter(lambda m: m % p))
+    n = m * p ** draw(st.integers(0, 4)) * draw(st.sampled_from([1, -1]))
+    return x, n
+
+
+class TestIntScalars:
+    """A nonzero int operand is read as p^v u directly: x * n and x / n give
+    the triples of lifting n at x's relative precision, inverting it for a
+    quotient, then multiplying, which the oracle below still does."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(int_scalar_operands())
+    def test_matches_the_lifted_operand(self, args):
+        x, n = args
+        b = PadicNumber.from_rational(n, x.prime, max(x.rel_precision, 1))
+        assert fields(x * n) == fields(x * b)
+        assert fields(n * x) == fields(x * b)
+        assert fields(x / n) == fields(x * b.inverse())
+
+    @pytest.mark.parametrize("x", [PadicNumber.exact_zero(7),
+                                   PadicNumber.zeroish(7, 3), N(Fraction(2, 49)),
+                                   N(14)], ids=["exact", "zeroish", "neg", "pos"])
+    def test_division_by_zero_raises(self, x):
+        with pytest.raises(PrecisionLossError, match="indistinguishable from 0"):
+            x / 0
+
+    def test_no_lift_for_an_int(self, monkeypatch):
+        x = N(Fraction(3, 7), 7, 12)
+        s = PadicPowerSeries(7, [N(k, 7, 12) for k in (1, 6, 49, -3)],
+                             tail_valuation_bound=1)
+
+        def lifted(c, n):
+            return PadicNumber.from_rational(n, 7, max(c.rel_precision, 1))
+
+        want = (fields(x * lifted(x, 5)), fields(x * lifted(x, 5).inverse()),
+                [fields(c * lifted(c, i + 1).inverse()) for i, c in enumerate(s.coeffs)],
+                [fields(c * lifted(c, i)) for i, c in enumerate(s.coeffs) if i])
+
+        def no_lift(*args, **kwargs):
+            raise AssertionError("an int operand went through from_rational")
+
+        monkeypatch.setattr(PadicNumber, "from_rational", no_lift)
+        got = (fields(x * 5), fields(x / 5),
+               [fields(c) for c in s.antiderivative().coeffs[1:]],
+               [fields(c) for c in s.derivative().coeffs])
+        assert got == want

@@ -291,9 +291,13 @@ def _records(state):
 
 class TestSearch:
     def test_finds_exactly_the_known_points(self, ctx, sieved):
-        search_points(ctx, sieved)
-        found = {_point_key(r.point): (r.s, r.label) for r in sieved.found}
+        state = _fresh_copy(sieved)
+        search_points(ctx, state)
+        found = {_point_key(r.point): (r.s, r.label) for r in state.found}
         assert found == DECOMPOSITIONS
+        # the module-scoped fixture is still the state after the passes
+        assert not sieved.found
+        assert all(e["step"] != "search" for e in sieved.trace)
 
     def test_zero_bound_finds_torsion_coset_points(self, curve):
         c = SieveContext(curve, _gamma(), torsion=_torsion(), prime=7,
