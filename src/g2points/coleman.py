@@ -68,6 +68,9 @@ class LogVector:
         self.l1 = l1
         self.l2 = l2
 
+    def __neg__(self):
+        return LogVector(-self.l1, -self.l2)
+
     def __repr__(self):
         return "LogVector(%r, %r)" % (self.l1, self.l2)
 
@@ -268,11 +271,11 @@ class DiscCertificate:
 
     __slots__ = ("center", "zero_count", "known_count", "n", "v_w", "prime",
                  "precision", "truncation_order", "lambda_coefficients",
-                 "tail_valuation_bound")
+                 "tail_valuation_bound", "center_log")
 
     def __init__(self, center, zero_count, known_count, n, v_w, prime,
                  precision, truncation_order, lambda_coefficients,
-                 tail_valuation_bound=None):
+                 tail_valuation_bound=None, center_log=None):
         self.center = center
         self.zero_count = zero_count
         self.known_count = known_count
@@ -283,6 +286,9 @@ class DiscCertificate:
         self.truncation_order = truncation_order
         self.lambda_coefficients = lambda_coefficients
         self.tail_valuation_bound = tail_valuation_bound
+        # log [center - infinity] behind kappa, None when kappa = 0; kept
+        # for the disc's iota-partner, never serialized
+        self.center_log = center_log
 
     @property
     def resolved(self) -> bool:
@@ -296,13 +302,20 @@ class DiscCertificate:
 
 
 def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
-                    known_points=(), rel: int = DEFAULT_PRECISION) -> DiscCertificate:
+                    known_points=(), rel: int = DEFAULT_PRECISION,
+                    center_log=None) -> DiscCertificate:
     """Strassmann count of zeros of the antiderivative of w on the depth-n
     sub-disc around the canonical center of an F_p-point's residue disc.
 
     The series counted is kappa + int(w), kappa the pairing of w with the
     logarithm of [center - infinity], so its zeros are exactly the points
     where the full Coleman function based at infinity vanishes.
+
+    center_log, when given, is that logarithm at this rel, and no other is
+    computed.  The disc (x, -y) takes the negation of the log of (x, y)'s
+    center: P + iota(P) ~ 2 infinity gives [iota(P) - infinity] =
+    -[P - infinity], and the two centers, their frames and the Cantor
+    ladder are odd in y, so the negation agrees digit for digit.
     """
     if not C.good_reduction(p):
         raise ValueError("zero counts need a prime of good reduction")
@@ -312,10 +325,11 @@ def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
         # [center - infinity] is trivial or 2-torsion: kappa = 0 exactly
         kappa = PadicNumber.exact_zero(p)
     else:
-        D = embed_point(C, center, CurvePoint.infinity(),
-                        domain=PadicDomain(p, rel))
-        L = log_jacobian(C, D, p, rel=rel)
-        kappa = w.apply(L)
+        if center_log is None:
+            D = embed_point(C, center, CurvePoint.infinity(),
+                            domain=PadicDomain(p, rel))
+            center_log = log_jacobian(C, D, p, rel=rel)
+        kappa = w.apply(center_log)
     a = expand_on_frame(w, frame)
     a0 = a.coeff_of_degree(0)
     v_w = None if a0.is_zeroish() else int(a0.valuation)
@@ -336,7 +350,8 @@ def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
                            n=n, v_w=v_w, prime=p, precision=rel,
                            truncation_order=series.truncation_order,
                            lambda_coefficients=tuple(series.coeffs),
-                           tail_valuation_bound=series.tail_valuation_bound)
+                           tail_valuation_bound=series.tail_valuation_bound,
+                           center_log=center_log)
 
 
 # -- anchored series and the single-point criterion --------------------------

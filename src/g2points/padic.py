@@ -320,7 +320,9 @@ class PadicNumber:
         if self._val == _INF and isinstance(other, (int, Fraction)):
             return self  # an exact zero times a rational: no scalar to read
         if type(other) is int and other:
-            return self._int_scaled(other, 1)
+            return self._scaled(other, 1)
+        if type(other) is Fraction and other:
+            return self._scaled(other.numerator, other.denominator)
         b = self._coerce(other, rel=max(self._rel, 1))
         if b is None:
             return NotImplemented
@@ -335,18 +337,19 @@ class PadicNumber:
 
     __rmul__ = __mul__
 
-    def _int_scaled(self, n: int, sign: int) -> "PadicNumber":
-        """self * n (sign 1) or self / n (sign -1) for a nonzero int n read
-        as p^v * u: the triple that lifting n at this value's rel, inverted
-        for a quotient, then multiplying gives, with no Fraction and no lift."""
+    def _scaled(self, num: int, den: int) -> "PadicNumber":
+        """self * num / den for nonzero ints num, den, the scalar read as
+        p^v * u: the triple that lifting num / den at this value's rel, then
+        multiplying gives, with no Fraction and no lift."""
         p = self.prime
-        v = vp(n, p)
+        v = vp(num, p)
+        vd = vp(den, p) if den != 1 else 0
         if self._rel == 0:
-            return PadicNumber.zeroish(p, self._val + sign * v)
-        u = n // p ** v
-        if sign < 0:
-            u = pow(u, -1, p ** self._rel)
-        return PadicNumber._make(p, self._val + sign * v, self._unit * u, self._rel)
+            return PadicNumber.zeroish(p, self._val + v - vd)
+        u = num // p ** v
+        if den != 1:
+            u *= pow(den // p ** vd, -1, p ** self._rel)
+        return PadicNumber._make(p, self._val + v - vd, self._unit * u, self._rel)
 
     def inverse(self) -> "PadicNumber":
         if self.is_zeroish():
@@ -360,7 +363,9 @@ class PadicNumber:
         if self._val == _INF and isinstance(other, (int, Fraction)) and other:
             return self  # a division by 0 still raises, from inverse()
         if type(other) is int and other:
-            return self._int_scaled(other, -1)
+            return self._scaled(1, other)
+        if type(other) is Fraction and other:
+            return self._scaled(other.denominator, other.numerator)
         b = self._coerce(other, rel=max(self._rel, 1))
         if b is None:
             return NotImplemented

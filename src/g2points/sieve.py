@@ -338,12 +338,17 @@ def _certify_point(ctx, state, rec, n):
     rec.criterion = single_point_criterion(rec.v_w, ctx.prime, n, rec.series)
 
 
-def _certify_disc(ctx, state, disc, pts):
+def _certify_disc(ctx, state, disc, pts, partner=None):
+    # partner: the certificate of the disc's iota-partner, whose center's
+    # log, negated, is this center's at the partner's precision
+    def attempt(rel):
+        log = (-partner.center_log
+               if partner is not None and partner.precision == rel else None)
+        return disc_zero_count(ctx.curve, state.form, disc, ctx.prime, n=1,
+                               known_points=pts, rel=rel, center_log=log)
+
     try:
-        return _with_budget(
-            ctx, state,
-            lambda r: disc_zero_count(ctx.curve, state.form, disc, ctx.prime,
-                                      n=1, known_points=pts, rel=r))
+        return _with_budget(ctx, state, attempt)
     except (PrecisionLossError, InconclusiveTruncationError):
         state.notes.append("zero count unresolved on disc %r" % (disc,))
         return None
@@ -378,7 +383,15 @@ def _excise_found_classes(ctx, state, n):
 
 def deepen(ctx: SieveContext, state: SieveState) -> SieveState:
     """Raise the working level past every found point's v_w, certify the
-    discs, refresh N, and excise the classes of the found points."""
+    discs, refresh N, and excise the classes of the found points.
+
+    fp_curve_points lists each disc (x, y) right before its iota-partner
+    (x, -y).  The partner's count reads the log of [center - infinity] as
+    the negation of the log the first disc used, when it runs at that
+    disc's precision: P + iota(P) ~ 2 infinity, and the frames and the
+    Cantor ladder are odd in y, so the negation is the log it would
+    compute, digit for digit.  A disc that escalates on its own computes
+    its log at its new precision."""
     if not state.found:
         state.trace.append({"step": "deepen", "skipped": "nothing found"})
         return state
@@ -401,10 +414,13 @@ def deepen(ctx: SieveContext, state: SieveState) -> SieveState:
         _certify_point(ctx, state, rec, n)
     pts = [rec.point for rec in state.found]
     unresolved = []
+    cert = None
     for disc in fp_curve_points(C, p):
+        partner = cert if cert is not None and cert.center == (
+            disc[0], -disc[1] % p) else None
         # an unresolved disc gets no certificate; the trace and the notes
         # name it
-        cert = _certify_disc(ctx, state, disc, pts)
+        cert = _certify_disc(ctx, state, disc, pts, partner)
         if cert is not None:
             state.disc_certs[disc] = cert
         if cert is None or not cert.resolved:

@@ -10,6 +10,9 @@ from g2points.cli import (ConfigError, decode_coefficient, decode_series,
 from g2points.coleman import single_point_criterion
 from g2points.padic import DEFAULT_PRECISION, strassmann_count
 
+from contract import (assert_lists_naive_points, point_keys,
+                      report_point_keys)
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 MINIMAL = {"f_coeffs": [0, 60, -112, 65, -14, 1], "chabauty_prime": 7,
@@ -227,6 +230,9 @@ class TestRunJob:
 
 class TestGoldenFixtures:
     def test_machine_report(self, flynn_report):
+        assert_lists_naive_points(
+            flynn_report.config.curve.f_coeffs, flynn_report.status,
+            point_keys(rec.point for rec in flynn_report.result.points))
         got = json.loads(emit_report(flynn_report, "machine"))
         got.pop("telemetry")
         rendered = json.dumps(got, sort_keys=True, indent=2) + "\n"
@@ -242,6 +248,8 @@ class TestGoldenFixtures:
                    "--format", "machine"])
         assert rc == 2
         got = json.loads(capsys.readouterr().out)
+        assert_lists_naive_points(got["curve"]["f_coeffs"], got["status"],
+                                  report_point_keys(got))
         got.pop("telemetry")
         rendered = json.dumps(got, sort_keys=True, indent=2) + "\n"
         assert rendered == _fixture("flynn_budget0_report.json")
@@ -251,6 +259,8 @@ class TestGoldenFixtures:
                    "--format", "machine"])
         assert rc == 0
         got = json.loads(capsys.readouterr().out)
+        assert_lists_naive_points(got["curve"]["f_coeffs"], got["status"],
+                                  report_point_keys(got))
         assert got.pop("telemetry")["precision"] == 40
         rendered = json.dumps(got, sort_keys=True, indent=2) + "\n"
         assert rendered == _fixture("flynn_prec40_report.json")

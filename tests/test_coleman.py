@@ -30,7 +30,8 @@ from g2points.padic import (TRUNCATION_FACTOR, PadicNumber,
                             legendre_symbol, lift, padic_agree, padic_sqrt,
                             strassmann_count, with_precision_retry)
 from g2points.polys import PadicDomain, RationalDomain
-from g2points.sieve import _log_floor
+from g2points import sieve
+from g2points.sieve import SieveContext, SieveState, _log_floor
 
 FLYNN = [0, 60, -112, 65, -14, 1]
 CURVE2 = [1, 2, 0, 0, 0, 1]  # good reduction at 3, 5, 7, 11
@@ -786,6 +787,39 @@ class TestDiscZeroCounts:
         # center itself; (10,-120) sits at parameter valuation 1
         cert = disc_zero_count(C, form7, (3, 6), 7, n=2, known_points=KNOWN)
         assert cert.zero_count == 1 and cert.known_count == 1
+
+
+class TestIotaPairs:
+    """The discs (x, y) and (x, -y) have iota-image centers, so the log of
+    one center is the negated log of the other, which is what sieve.deepen
+    hands the second disc of each pair."""
+
+    @pytest.mark.parametrize("rel", [20, 40])
+    @pytest.mark.parametrize("p", [7, 11, 13])
+    def test_partner_log_is_the_negated_log(self, C, gamma, p, rel):
+        # the sieve certifies each pair as deepen does: the first disc
+        # computes its center's log, the second is handed its negation;
+        # both must be the directly computed log of the second center
+        aux = [q for q in (7, 11, 13) if q != p]
+        ctx = SieveContext(C, gamma, prime=p, aux_primes=aux, rel=rel)
+        state = SieveState(ctx.N, ctx.torsion_labels(), {}, {})
+        state.form = annihilating_form(with_precision_retry(
+            lambda r: log_jacobian(C, gamma, p, rel=r), rel, 3))
+        keys = fp_curve_points(C, p)
+        pairs = [(P, Q) for P, Q in zip(keys, keys[1:])
+                 if P != curve.FP_INFINITY and Q[0] == P[0]]
+        assert pairs
+        for P, Q in pairs:
+            assert Q == (P[0], p - P[1])
+            first = sieve._certify_disc(ctx, state, P, [])
+            second = sieve._certify_disc(ctx, state, Q, [], first)
+            assert first.precision == second.precision == rel
+            D = embed_point(C, disc_center(C, Q, p, rel), INF,
+                            domain=PadicDomain(p, rel))
+            want = log_jacobian(C, D, p, rel=rel)
+            for L in (-first.center_log, second.center_log):
+                assert digits(L.l1) == digits(want.l1), (P, rel)
+                assert digits(L.l2) == digits(want.l2), (P, rel)
 
 
 class TestAnchoredSeries:

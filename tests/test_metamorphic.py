@@ -7,7 +7,8 @@ machine report is also pinned byte for byte: the sha256 of the report
 without its telemetry block, rendered as the CI golden-report step
 renders it, and the escalation count, which lives in that block.  Four
 Chabauty primes whose data leave classes end `inconclusive`; their
-reports are pinned the same way.
+reports are pinned the same way.  Every run checked here also keeps the
+soundness contract of `contract.py`.
 """
 
 import hashlib
@@ -15,13 +16,17 @@ import json
 import os
 from fractions import Fraction
 
+from g2points import coleman, sieve
 from g2points.cli import emit_report, parse_config, run_job
+
+from contract import assert_lists_naive_points, naive_points, point_keys
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "flynn.json")
 with open(FIXTURE, encoding="utf-8") as fh:
     FLYNN_JOB = json.load(fh)
 
-# every rational point of the Flynn curve (naive search to height 1000)
+# every rational point of the Flynn curve (naive search to height 1000;
+# test_flynn_points_are_the_naive_points checks them to height 150)
 FLYNN_POINTS = frozenset(
     ["infinity"]
     + [(Fraction(x), Fraction(0)) for x in (0, 1, 2, 5, 6)]
@@ -56,17 +61,26 @@ def _run(job):
     return rep, report, hashlib.sha256(text.encode()).hexdigest()
 
 
+def _checked_points(rep, shift=0):
+    """The run's points read back on the Flynn model, once the contract
+    holds for them."""
+    out = point_keys([rec.point for rec in rep.result.points], shift)
+    assert_lists_naive_points(FLYNN_JOB["f_coeffs"], rep.status, out)
+    return out
+
+
 def _points(job, digest, escalations, shift=0):
     rep, _, got = _run(job)
     assert rep.status == "complete", rep.closing
     assert got == digest
     assert rep.result.escalations == escalations
-    out = set()
-    for rec in rep.result.points:
-        P = rec.point
-        out.add("infinity" if P.at_infinity else (P.x + shift, P.y))
+    out = _checked_points(rep, shift)
     assert len(rep.result.points) == len(out)
     return out
+
+
+def test_flynn_points_are_the_naive_points():
+    assert naive_points(FLYNN_JOB["f_coeffs"]) == FLYNN_POINTS
 
 
 def _translated_job(k):
@@ -104,6 +118,7 @@ def test_inconclusive_chabauty_primes():
         aux = [q for q in (7, 11, 13, 17, 23) if q != p]
         job = dict(FLYNN_JOB, chabauty_prime=p, aux_primes=aux)
         rep, report, got = _run(job)
+        _checked_points(rep)
         assert rep.status == "inconclusive", p
         assert report["surviving_classes"]["count"] == left
         assert got == digest, p
@@ -114,6 +129,33 @@ def test_inconclusive_chabauty_primes():
         assert steps.count("search") == steps.count("deepen") == 1
 
 
+def test_chabauty_prime_37_reads_one_log_per_pair(monkeypatch):
+    # the 36 affine discs of C(F_37) are 18 iota-pairs, and deepen reads
+    # the second center's log of each pair from the first: 18 center logs
+    # and gamma's.  The digest is the one pinned before that hand-off
+    calls = []
+    real = coleman.log_jacobian
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coleman, "log_jacobian", counted)
+    monkeypatch.setattr(sieve, "log_jacobian", counted)
+    job = dict(FLYNN_JOB, chabauty_prime=37, aux_primes=[7, 11, 13, 17, 23])
+    rep, report, got = _run(job)
+    _checked_points(rep)
+    assert rep.status == "inconclusive"
+    assert report["surviving_classes"]["count"] == 46
+    assert rep.result.escalations == 0
+    assert report["iterations"] == 1
+    steps = [e["step"] for e in report["sieve_trace"]]
+    assert steps.count("search") == steps.count("deepen") == 1
+    assert got == ("7c484fcb98c3d3d9150105d447aeeaff"
+                   "c1b3265e9afe0fa5681f7be4641622fc")
+    assert calls == [37] * 19
+
+
 def test_every_good_aux_prime_up_to_47():
     # the context drops p = 7 and the primes of bad reduction; N is
     # 152245152018960, so the class set is only ever held at the period
@@ -122,9 +164,7 @@ def test_every_good_aux_prime_up_to_47():
     rep, report, _ = _run(dict(FLYNN_JOB, aux_primes=aux))
     assert rep.status == "complete", rep.closing
     assert report["modulus"] == 152245152018960
-    assert {"infinity" if rec.point.at_infinity
-            else (rec.point.x, rec.point.y)
-            for rec in rep.result.points} == FLYNN_POINTS
+    assert _checked_points(rep) == FLYNN_POINTS
 
 
 def test_an_aux_prime_above_fifty():
@@ -134,9 +174,7 @@ def test_an_aux_prime_above_fifty():
     rep, report, _ = _run(dict(FLYNN_JOB, aux_primes=[11, 13, 17, 23, 61]))
     assert rep.status == "complete", rep.closing
     assert 61 in report["aux_primes"]
-    assert {"infinity" if rec.point.at_infinity
-            else (rec.point.x, rec.point.y)
-            for rec in rep.result.points} == FLYNN_POINTS
+    assert _checked_points(rep) == FLYNN_POINTS
 
 
 def test_translated_model_and_negated_generator():

@@ -987,3 +987,56 @@ class TestIntScalars:
                [fields(c) for c in s.antiderivative().coeffs[1:]],
                [fields(c) for c in s.derivative().coeffs])
         assert got == want
+
+
+@st.composite
+def fraction_scalar_operands(draw):
+    """(x, q): x as in int_scalar_operands, q a nonzero Fraction whose
+    numerator and denominator may each carry powers of p, the
+    denominator sometimes 1."""
+    x, n = draw(int_scalar_operands())
+    p = x.prime
+    d = draw(st.integers(1, 10 ** 6).filter(lambda m: m % p))
+    return x, Fraction(n, d * p ** draw(st.integers(0, 4)))
+
+
+class TestFractionScalars:
+    """A nonzero Fraction operand num/den is read as p^v times
+    num' * den'^-1 mod p^rel directly: x * q and x / q give the triples
+    of lifting q at x's relative precision, inverting it for a quotient,
+    then multiplying, which the oracle below still does."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(fraction_scalar_operands())
+    def test_matches_the_lifted_operand(self, args):
+        x, q = args
+        b = PadicNumber.from_rational(q, x.prime, max(x.rel_precision, 1))
+        assert fields(x * q) == fields(x * b)
+        assert fields(q * x) == fields(x * b)
+        assert fields(x / q) == fields(x * b.inverse())
+
+    def test_zero_fraction(self):
+        x = N(Fraction(3, 7), 7, 12)
+        assert (x * Fraction(0)).is_exact_zero()
+        with pytest.raises(PrecisionLossError, match="indistinguishable from 0"):
+            x / Fraction(0)
+
+    def test_no_lift_for_a_fraction(self, monkeypatch):
+        x = N(Fraction(3, 7), 7, 12)
+        s = PadicPowerSeries(7, [N(k, 7, 12) for k in (1, 6, 49, -3)],
+                             tail_valuation_bound=1)
+        half, q = Fraction(1, 2), Fraction(-14, 9)
+
+        def lifted(c, r):
+            return PadicNumber.from_rational(r, 7, max(c.rel_precision, 1))
+
+        want = (fields(x * lifted(x, q)), fields(x * lifted(x, q).inverse()),
+                [fields(c * lifted(c, half)) for c in s.coeffs])
+
+        def no_lift(*args, **kwargs):
+            raise AssertionError("a Fraction operand went through from_rational")
+
+        monkeypatch.setattr(PadicNumber, "from_rational", no_lift)
+        got = (fields(x * q), fields(x / q),
+               [fields(c) for c in (s * half).coeffs])
+        assert got == want

@@ -17,6 +17,8 @@ from g2points.sieve import (HYPOTHESES, SieveContext, SieveState,
                             build_images, deepen, initial_state, run,
                             search_points, sieve_pass)
 
+from contract import assert_lists_naive_points, point_keys
+
 F_COEFFS = [0, 60, -112, 65, -14, 1]
 AUX = (11, 13, 17, 23)
 
@@ -563,6 +565,10 @@ class TestOneRound:
         c = SieveContext(curve, _gamma(), torsion=_torsion(), prime=prime,
                          aux_primes=aux, bound=bound)
         result = run(c)
+        # a job that turned complete here would have to list the points
+        # its search bound hides
+        assert_lists_naive_points(F_COEFFS, result.status, point_keys(
+            rec.point for rec in result.points))
         assert result.status == "inconclusive"
         assert result.closing == ("no further progress within the "
                                   "configured data")
