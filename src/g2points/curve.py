@@ -19,12 +19,10 @@ from .padic import (
     PrecisionLossError,
     QuadExtension,
     QuadExtNumber,
-    _ext_sqrt,
     _horner,
     hensel_root,
     legendre_symbol,
     lift,
-    padic_sqrt,
     series_inv,
     series_mul,
     series_sqrt,
@@ -272,14 +270,16 @@ def count_Fp2_points(C: HyperellipticCurve, p: int) -> int:
 
 def disc_center(C: HyperellipticCurve, fp_point, p: int,
                 rel: int = DEFAULT_PRECISION) -> CurvePoint:
-    """Canonical p-adic center of a residue disc.
+    """Canonical p-adic center of a residue disc: the Hensel lift of its
+    label.
 
     fp_point is a label as reduce_point returns it: an F_p-point, or
     ("ext", kind, xa, xb, ya, yb) for a point over F_{p^2} = F_p(sqrt(c)),
     whose center has coordinates in the unramified extension Q_p(sqrt(c)).
-    Smallest non-negative integer lift of the x-coordinate, corrected onto
-    the curve by Hensel: the square root of f(x0) matching the reduced y
-    away from Weierstrass points, the exact root of f at them.
+    x0 is the smallest non-negative integer lift of the label's x.  At a
+    Weierstrass label the center is the root of f near x0; elsewhere y0 is
+    the root of y^2 - f(x0) near the label's y, over Q_p and Q_p(sqrt(c))
+    alike.  A label off the curve raises NotHenselLiftableError.
     """
     if fp_point == FP_INFINITY:
         return CurvePoint.infinity()
@@ -290,30 +290,16 @@ def disc_center(C: HyperellipticCurve, fp_point, p: int,
             raise ValueError("extension discs are labeled over the unramified field")
         x0 = QuadExtNumber(ext, PadicNumber.from_int(xa, p, rel),
                            PadicNumber.from_int(xb, p, rel))
-        ybar = (ya % p, yb % p)
-        weierstrass = ybar == (0, 0)
-        residue = QuadExtNumber.residue_pair
+        y0 = QuadExtNumber(ext, PadicNumber.from_int(ya % p, p, rel),
+                           PadicNumber.from_int(yb % p, p, rel))
     else:
-        xbar, ybar = fp_point
-        x0 = PadicNumber.from_int(xbar, p, rel)
-        ybar %= p
-        weierstrass = ybar == 0
-        residue = PadicNumber.residue
-    if weierstrass:
-        f = [PadicNumber.from_int(k, p, rel) for k in C.f_coeffs]
+        x0 = PadicNumber.from_int(fp_point[0], p, rel)
+        y0 = PadicNumber.from_int(fp_point[1] % p, p, rel)
+    f = [PadicNumber.from_int(k, p, rel) for k in C.f_coeffs]
+    if y0.is_exact_zero():
         return CurvePoint(hensel_root(f, x0, rel), PadicNumber.exact_zero(p), False)
-    # f read at rel digits: an exact x0 = 0 gives f_eval no precision to read
-    fx0 = _horner([lift(k, p, rel) for k in C.f_coeffs], x0)
-    if isinstance(x0, QuadExtNumber):
-        y0 = _ext_sqrt(fx0, rel)
-    else:
-        y0 = padic_sqrt(fx0)
-        if not isinstance(y0, PadicNumber):
-            raise ArithmeticError("f(x0) is a unit square by assumption")
-    if residue(y0) != ybar:
-        y0 = -y0
-    if residue(y0) != ybar:
-        raise ArithmeticError("center sign mismatch on the disc label")
+    # y^2 - f(x0), with 1 = f[5] read at rel digits
+    y0 = hensel_root([-_horner(f, x0), PadicNumber.exact_zero(p), f[5]], y0, rel)
     return CurvePoint(x0, y0, False)
 
 

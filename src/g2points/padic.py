@@ -259,18 +259,19 @@ class PadicNumber:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other, rel: int | None = None):
+    def _coerce(self, other):
+        # a rational summand is read at this value's absolute precision; a
+        # product or quotient reaches here with a rational only when it is 0
         if isinstance(other, PadicNumber):
             return other
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)
             if q == 0:
                 return PadicNumber.exact_zero(self.prime)
-            if rel is None:
-                if self.is_exact_zero():
-                    raise TypeError("an exact zero gives %s no precision; "
-                                    "read it with padic.lift" % q)
-                rel = int(self.abs_precision) - vp(q, self.prime)
+            if self.is_exact_zero():
+                raise TypeError("an exact zero gives %s no precision; "
+                                "read it with padic.lift" % q)
+            rel = int(self.abs_precision) - vp(q, self.prime)
             return PadicNumber.from_rational(q, self.prime, max(rel, 1))
         return None
 
@@ -319,11 +320,11 @@ class PadicNumber:
             return other * self
         if self._val == _INF and isinstance(other, (int, Fraction)):
             return self  # an exact zero times a rational: no scalar to read
-        if type(other) is int and other:
+        if isinstance(other, int) and other:
             return self._scaled(other, 1)
         if type(other) is Fraction and other:
             return self._scaled(other.numerator, other.denominator)
-        b = self._coerce(other, rel=max(self._rel, 1))
+        b = self._coerce(other)
         if b is None:
             return NotImplemented
         a = self
@@ -362,11 +363,11 @@ class PadicNumber:
     def __truediv__(self, other):
         if self._val == _INF and isinstance(other, (int, Fraction)) and other:
             return self  # a division by 0 still raises, from inverse()
-        if type(other) is int and other:
+        if isinstance(other, int) and other:
             return self._scaled(1, other)
         if type(other) is Fraction and other:
             return self._scaled(other.denominator, other.numerator)
-        b = self._coerce(other, rel=max(self._rel, 1))
+        b = self._coerce(other)
         if b is None:
             return NotImplemented
         return self * b.inverse()
@@ -504,7 +505,9 @@ class QuadExtNumber:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other, additive: bool = False):
+    def _coerce(self, other):
+        # a rational summand is read at the larger relative precision of
+        # the two parts; products and quotients scale the parts instead
         if isinstance(other, QuadExtNumber):
             if other.ext != self.ext:
                 raise ValueError("mixing distinct quadratic extensions")
@@ -512,7 +515,7 @@ class QuadExtNumber:
         if isinstance(other, PadicNumber):
             return QuadExtNumber.from_base(self.ext, other)
         if isinstance(other, (int, Fraction)):
-            if additive and other != 0 and self.is_exact_zero():
+            if other != 0 and self.is_exact_zero():
                 raise TypeError("an exact zero gives %s no precision; "
                                 "read it with padic.lift" % other)
             rel = max(self.a.rel_precision, self.b.rel_precision, 1)
@@ -521,7 +524,7 @@ class QuadExtNumber:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other, additive=True)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return QuadExtNumber(self.ext, self.a + o.a, self.b + o.b)
@@ -532,12 +535,16 @@ class QuadExtNumber:
         return QuadExtNumber(self.ext, -self.a, -self.b)
 
     def __sub__(self, other):
-        o = self._coerce(other, additive=True)
+        o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self + (-o)
 
     def __mul__(self, other):
+        if isinstance(other, int) or type(other) is Fraction:
+            # each part through PadicNumber's scalar path, as a lift of
+            # other at the larger relative precision of the parts would give
+            return QuadExtNumber(self.ext, self.a * other, self.b * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -554,6 +561,8 @@ class QuadExtNumber:
         return QuadExtNumber(self.ext, self.a * ninv, -self.b * ninv)
 
     def __truediv__(self, other):
+        if isinstance(other, int) or type(other) is Fraction:
+            return QuadExtNumber(self.ext, self.a / other, self.b / other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -590,7 +599,7 @@ def valuation_is_negative(x) -> bool:
     raise PrecisionLossError("sign of the valuation unresolved at working precision")
 
 
-def padic_sqrt(a: PadicNumber, ext: QuadExtension | None = None):
+def padic_sqrt(a: PadicNumber):
     """Square root of a, in Q_p when one exists, else in the forced extension.
 
     The root is determined by the residue data of ``a`` alone:
@@ -601,8 +610,7 @@ def padic_sqrt(a: PadicNumber, ext: QuadExtension | None = None):
     * odd valuation, non-residue    -> b*sqrt(p*c), ramified.
 
     Canonical choice: the lowest mantissa digit of the returned root (of its b
-    component for extensions) lies in [1, (p-1)/2].  If ``ext`` is supplied it
-    must match the forced extension; a base-field root ignores it.
+    component for extensions) lies in [1, (p-1)/2].
     """
     if a.is_zeroish():
         raise PrecisionLossError("square root of a value with no known digits")
@@ -614,46 +622,17 @@ def padic_sqrt(a: PadicNumber, ext: QuadExtension | None = None):
         return _canonical_sign(root)
     c = smallest_nonresidue(p)
     if v % 2 == 0:
-        target = QuadExtension(p, QuadExtension.UNRAMIFIED)
+        ext = QuadExtension(p, QuadExtension.UNRAMIFIED)
         u2 = unit * pow(c, -1, p ** rel) % p ** rel
         b = PadicNumber._make(p, v // 2, _lift_sqrt(u2, sqrt_mod_p(u2 % p, p), p, rel), rel)
     elif r0 is not None:
-        target = QuadExtension(p, QuadExtension.RAMIFIED)
+        ext = QuadExtension(p, QuadExtension.RAMIFIED)
         b = PadicNumber._make(p, (v - 1) // 2, _lift_sqrt(unit, r0, p, rel), rel)
     else:
-        target = QuadExtension(p, QuadExtension.RAMIFIED_TWIST)
+        ext = QuadExtension(p, QuadExtension.RAMIFIED_TWIST)
         u2 = unit * pow(c, -1, p ** rel) % p ** rel
         b = PadicNumber._make(p, (v - 1) // 2, _lift_sqrt(u2, sqrt_mod_p(u2 % p, p), p, rel), rel)
-    if ext is not None and ext != target:
-        raise ValueError("root lies in %r, not the declared %r" % (target, ext))
-    return QuadExtNumber(target, PadicNumber.exact_zero(p), _canonical_sign(b))
-
-
-def _ext_sqrt(z: QuadExtNumber, rel: int) -> QuadExtNumber:
-    """Square root of a unit z of an unramified extension at rel digits:
-    brute-force the residue, then Newton."""
-    ext, p = z.ext, z.prime
-    za, zb = z.residue_pair()
-    start = None
-    for ra in range(p):
-        for rb in range(p):
-            if ((ra * ra + ext.d * rb * rb) % p == za
-                    and (2 * ra * rb) % p == zb):
-                start = (ra, rb)
-                break
-        if start is not None:
-            break
-    if start is None:
-        raise ArithmeticError("residue is not a square in the extension")
-    x = QuadExtNumber(ext, PadicNumber.from_rational(start[0], p, rel),
-                      PadicNumber.from_rational(start[1], p, rel))
-    half = lift(Fraction(1, 2), p, rel)
-    for _ in range(64):
-        d = x * x - z
-        if d.is_zeroish():
-            return x
-        x = (x + z / x) * half
-    raise ArithmeticError("Newton iteration for the extension sqrt stalled")
+    return QuadExtNumber(ext, PadicNumber.exact_zero(p), _canonical_sign(b))
 
 
 def _canonical_sign(x: PadicNumber) -> PadicNumber:
@@ -690,17 +669,18 @@ def hensel_root(f, x0: PadicNumber, target_rel: int | None = None) -> PadicNumbe
     elif fx.valuation <= 2 * dfx.valuation:
         raise NotHenselLiftableError(
             "v(f(x0)) = %s <= 2 v(f'(x0)) = %s" % (fx.valuation, 2 * dfx.valuation))
-    x = x0
+    x, fxk, dfxk = x0, fx, dfx
     target = target_rel if target_rel is not None else x0.rel_precision
     for _ in range(64):
-        fx = _horner(f, x)
-        if fx.is_zeroish() and (fx.is_exact_zero()
-                                or fx.valuation >= dfx.valuation + target):
+        if fxk.is_zeroish() and (fxk.is_exact_zero()
+                                 or fxk.valuation >= dfx.valuation + target):
             break
-        step = fx / _horner(df, x)
+        # f'(x) only when a step needs it; at x0 it is dfx
+        step = fxk / (dfxk if dfxk is not None else _horner(df, x))
         if step.is_zeroish():
             break
         x = x - step
+        fxk, dfxk = _horner(f, x), None
     else:
         raise NotHenselLiftableError("Newton iteration failed to converge")
     if x is x0 and not fx.is_exact_zero():

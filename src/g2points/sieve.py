@@ -27,8 +27,8 @@ from .jacobian import (MumfordDivisor, cantor_add, curve_preimage,
                        order_and_exponent, reduce_divisor, scalar_mul,
                        torsion_multiple_bound)
 from .padic import (DEFAULT_PRECISION, InconclusiveTruncationError,
-                    PrecisionLossError, strassmann_count,
-                    with_precision_retry)
+                    PadicNumber, PrecisionLossError, hensel_root,
+                    strassmann_count, with_precision_retry)
 from .polys import PrimeFieldDomain, RationalDomain
 
 HYPOTHESES = (
@@ -227,15 +227,42 @@ class SieveState:
         return list(itertools.islice(classes, limit))
 
 
+def _check_rational_two_torsion(ctx: SieveContext, sums) -> None:
+    """Raise ValueError unless [(r, 0) - infinity] is among the torsion
+    sums for every integer root r of f.  This checks only the part of
+    J(Q)[2] that f's rational roots give, not the whole torsion group.
+    A root is an integer of size at most 1 + max |c_i|, so each root of f
+    mod the Chabauty prime is Hensel-lifted past twice that, read in the
+    symmetric range, and kept when f vanishes at it exactly."""
+    C, p = ctx.curve, ctx.prime
+    bound = 2 * (1 + max(map(abs, C.f_coeffs)))
+    k = next(k for k in itertools.count(1) if p ** k > bound)
+    f = [PadicNumber.from_int(c, p, k) for c in C.f_coeffs]
+    roots = []
+    for r0 in range(p):
+        if C.f_eval(r0) % p == 0:
+            x = hensel_root(f, PadicNumber.from_int(r0, p, k), k)
+            r = 0 if x.is_zeroish() else x.unit_part() * p ** x.valuation % p ** k
+            roots.append(r - p ** k if 2 * r > p ** k else r)
+    keys = {D.key() for D in sums.values()}
+    for r in sorted(roots):
+        if C.f_eval(r) == 0 and ((-r, 1), ()) not in keys:
+            raise ValueError("the supplied torsion misses the rational "
+                             "2-torsion point (%d, 0)" % r)
+
+
 def initial_state(ctx: SieveContext) -> SieveState:
     """Step-1 state: image data at every prime, and every class mod N
     held as the one residue 0 mod M = 1.  Each pass and each excision
-    lifts M only to the modulus its own test reads."""
+    lifts M only to the modulus its own test reads.  The supplied
+    torsion must hold the rational 2-torsion of f's integer roots
+    (_check_rational_two_torsion), which is checked first."""
     C = ctx.curve
-    images = {q: build_images(ctx, q) for q in (ctx.prime,) + ctx.aux_primes}
     labels = ctx.torsion_labels()
     sums = _torsion_sums(C, [T for T, _ in ctx.torsion], labels,
                          RationalDomain())
+    _check_rational_two_torsion(ctx, sums)
+    images = {q: build_images(ctx, q) for q in (ctx.prime,) + ctx.aux_primes}
     state = SieveState(ctx.N, labels, images, sums)
     for q, img in images.items():
         state.trace.append({"step": "images", "prime": q, "order": img.order,

@@ -334,6 +334,22 @@ class TestMain:
         assert json.loads(captured.out)["status"] == "error"
         assert "not minimal" in captured.err
 
+    @pytest.mark.parametrize("overrides, missing", [
+        (dict(torsion=[], chabauty_prime=11, aux_primes=[7, 13]), "(0, 0)"),
+        (dict(torsion=json.loads(_fixture("flynn.json"))["torsion"][:3]),
+         "(5, 0)")], ids=["no-torsion", "three-of-four"])
+    def test_torsion_missing_rational_two_torsion_exits_one(
+            self, tmp_path, capsys, overrides, missing):
+        job = dict(json.loads(_fixture("flynn.json")), **overrides)
+        path = tmp_path / "torsion.json"
+        path.write_text(json.dumps(job))
+        rc = main(["run", str(path), "--format", "machine"])
+        report = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert report["status"] == "error"
+        assert ("misses the rational 2-torsion point %s" % missing
+                in report["closing"])
+
     def test_unresolved_discs_are_reported(self, tmp_path, capsys):
         # at precision 4 with no escalation the two-point discs (3, 1) and
         # (3, 6) stay unresolved: they get no certificate, and both report

@@ -66,6 +66,17 @@ def frame_point(C, label, p, t, rel=20):
     return CurvePoint(X.evaluate(t), y, False)
 
 
+def ext_sqrt(z, rel):
+    """A square root of a unit z of Q_p(sqrt(c)): the Hensel lift of the
+    first root of its residue in F_{p^2}, searched over all of F_{p^2}."""
+    ext, p = z.ext, z.prime
+    za, zb = z.residue_pair()
+    ya, yb = next((a, b) for a in range(p) for b in range(p)
+                  if ((a * a + ext.d * b * b) % p, 2 * a * b % p) == (za, zb))
+    y0 = QuadExtNumber(ext, lift(ya, p, rel), lift(yb, p, rel))
+    return hensel_root([-z, PadicNumber.exact_zero(p), lift(1, p, rel)], y0, rel)
+
+
 def infinity_disc_point(C, xval, p):
     # v_p(x) < 0 puts the point in the disc at infinity; the caller picks
     # x so that f(x) is a square in Q_p
@@ -247,11 +258,10 @@ class TestExtensionSupport:
     def _yext_divisor(self, C, rel=20):
         # conjugate pair over Q_7(sqrt(c)) reducing to x = 4, where
         # f(4) = 6 mod 7 is a nonsquare: no Q_7 point sits over that disc
-        from g2points.padic import _ext_sqrt
         ext = QuadExtension(7, QuadExtension.UNRAMIFIED)
         x1 = QuadExtNumber(ext, PadicNumber.from_rational(4, 7, rel),
                            PadicNumber.from_rational(7, 7, rel))
-        y1 = _ext_sqrt(C.f_eval(x1), rel)
+        y1 = ext_sqrt(C.f_eval(x1), rel)
         b = y1.b / x1.b
         a = y1.a - b * x1.a
         u = [x1.norm(), -(x1.a * 2), PadicNumber.from_rational(1, 7, rel)]
@@ -443,11 +453,10 @@ class TestKernelSupportShapes:
 
     def _conjugate_pair(self, C, xa, xb):
         """The class of the pair x = xa +- xb sqrt(3) over Q_7(sqrt(3))."""
-        from g2points.padic import _ext_sqrt
         rel = 20
         ext = QuadExtension(7, QuadExtension.UNRAMIFIED)
         x1 = QuadExtNumber(ext, lift(xa, 7, rel), lift(xb, 7, rel))
-        y1 = _ext_sqrt(C.f_eval(x1) * 7 ** 10, rel) * Fraction(1, 7 ** 5)
+        y1 = ext_sqrt(C.f_eval(x1) * 7 ** 10, rel) * Fraction(1, 7 ** 5)
         b = y1.b / x1.b
         a = y1.a - b * x1.a
         u = [x1.norm(), -(x1.a * 2), PadicNumber.from_rational(1, 7, rel)]

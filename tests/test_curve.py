@@ -33,11 +33,13 @@ from g2points.padic import (
     TRUNCATION_FACTOR,
     PadicNumber,
     PadicPowerSeries,
+    NotHenselLiftableError,
     PrecisionLossError,
     QuadExtNumber,
     lift,
     series_inv,
     series_mul,
+    smallest_nonresidue,
 )
 
 FLYNN = [0, 60, -112, 65, -14, 1]  # x(x-1)(x-2)(x-5)(x-6)
@@ -316,6 +318,61 @@ class TestExpansions:
                     h for h in factors if isinstance(h, PadicPowerSeries)):
                 for c in s.coeffs:
                     assert c.is_zeroish() or c.valuation >= 0, (fp_pt, str(c))
+
+
+def fp2_labels(C, p):
+    """The disc labels ("ext", "unramified", xa, xb, ya, yb) of the points
+    of C over F_{p^2} = F_p(sqrt(c)) whose x lies outside F_p (xb != 0),
+    found by squaring every element of F_{p^2}."""
+    c = smallest_nonresidue(p)
+    roots = {}
+    for ya in range(p):
+        for yb in range(p):
+            square = ((ya * ya + c * yb * yb) % p, 2 * ya * yb % p)
+            roots.setdefault(square, []).append((ya, yb))
+    labels = []
+    for xa in range(p):
+        for xb in range(1, p):
+            fa, fb = 0, 0
+            for k in reversed(C.f_coeffs):
+                fa, fb = (fa * xa + fb * xb * c + k) % p, (fa * xb + fb * xa) % p
+            labels += [("ext", "unramified", xa, xb, ya, yb)
+                       for ya, yb in roots.get((fa, fb), [])]
+    return labels
+
+
+class TestDiscCenters:
+    """A disc's center is the Hensel lift of its label."""
+
+    # sha256 over (p, rel, label, x digits, y digits) of every center
+    # below, taken while centers were still square roots of f(x0) with a
+    # sign picked off the label
+    CENTER_DIGEST = ("41f7547870a538e9b242c239193fc446"
+                     "614f11d4f384ecbfe08b21201616c00a")
+
+    def test_every_center_reduces_to_its_label(self, C):
+        rows = []
+        for p in (7, 11, 13):
+            labels = fp_curve_points(C, p) + fp2_labels(C, p)
+            for rel in (4, 8, 20, 40):
+                for label in labels:
+                    center = disc_center(C, label, p, rel)
+                    assert reduce_point(C, center, p) == label, (p, rel)
+                    if label != FP_INFINITY:
+                        rows.append((p, rel, label,
+                                     coefficient_digits(center.x),
+                                     coefficient_digits(center.y)))
+        # 43, 115 and 177 affine labels at p = 7, 11 and 13
+        assert len(rows) == 4 * (43 + 115 + 177)
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == self.CENTER_DIGEST
+
+    def test_a_label_off_the_curve_has_no_center(self, C):
+        # f(3) = 1 mod 7, so no point of C(F_7) has x = 3 and y = 2
+        with pytest.raises(NotHenselLiftableError):
+            disc_center(C, (3, 2), 7, 20)
+        with pytest.raises(NotHenselLiftableError):
+            disc_center(C, ("ext", "unramified", 0, 1, 1, 1), 7, 20)
 
 
 class TestDiscParameter:

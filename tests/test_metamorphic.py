@@ -129,6 +129,37 @@ def test_inconclusive_chabauty_primes():
         assert steps.count("search") == steps.count("deepen") == 1
 
 
+def test_chabauty_primes_that_frame_extension_discs(monkeypatch):
+    # the kernel logs of these runs read residue discs over F_{p^2}, whose
+    # centers lie in Q_p(sqrt(c)); no job of the byte-identity set frames
+    # one.  The digests are the ones taken while those centers were still
+    # square roots with a sign picked off the label
+    labels = []
+    real = coleman.disc_center
+
+    def recorded(C, label, *args, **kwargs):
+        labels.append(label)
+        return real(C, label, *args, **kwargs)
+
+    monkeypatch.setattr(coleman, "disc_center", recorded)
+    for p, status, left, digest in (
+            (13, "complete", 0, "0f91babed53787aacc0c378d609837ed"
+                                "d2376003eafc6cf50a0fc08dc458d6b5"),
+            (29, "inconclusive", 1236, "0d4e5563c4e65d265f57db0e417bbcf6"
+                                       "ef086f014f4d1f39fc5fc5dc9fcc8c07")):
+        labels.clear()
+        aux = [q for q in (7, 11, 13, 17, 23) if q != p]
+        rep, report, got = _run(dict(FLYNN_JOB, chabauty_prime=p,
+                                     aux_primes=aux))
+        assert _checked_points(rep) == FLYNN_POINTS
+        assert rep.status == status, p
+        assert report["surviving_classes"]["count"] == left
+        assert got == digest, p
+        assert rep.result.escalations == 0
+        assert report["iterations"] == 1
+        assert any(label[0] == "ext" for label in labels), p
+
+
 def test_chabauty_prime_37_reads_one_log_per_pair(monkeypatch):
     # the 36 affine discs of C(F_37) are 18 iota-pairs, and deepen reads
     # the second center's log of each pair from the first: 18 center logs

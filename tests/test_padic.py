@@ -215,10 +215,6 @@ class TestSqrt:
                 assert (sq - a).is_zeroish(), (q, p)
             count += 1
 
-    def test_declared_extension_mismatch(self):
-        with pytest.raises(ValueError):
-            padic_sqrt(N(7), ext=QuadExtension(7, QuadExtension.UNRAMIFIED))
-
 
 class TestQuadExtension:
     def test_trace_and_conjugate(self):
@@ -1039,4 +1035,65 @@ class TestFractionScalars:
         monkeypatch.setattr(PadicNumber, "from_rational", no_lift)
         got = (fields(x * q), fields(x / q),
                [fields(c) for c in (s * half).coeffs])
+        assert got == want
+
+
+@st.composite
+def extension_scalar_operands(draw):
+    """(z, q): z = a + b sqrt(d) over one of the three quadratic extensions
+    of Q_p, p in {3, 5, 7, 11, 37}, each part an exact zero, zeroish or
+    known; q a nonzero int or Fraction whose numerator or denominator may
+    carry powers of p."""
+    p = draw(st.sampled_from([3, 5, 7, 11, 37]))
+    ext = QuadExtension(p, draw(st.sampled_from(
+        [QuadExtension.UNRAMIFIED, QuadExtension.RAMIFIED,
+         QuadExtension.RAMIFIED_TWIST])))
+    z = QuadExtNumber(ext, draw(padics(p)), draw(padics(p)))
+    num = (draw(st.integers(1, 10 ** 6).filter(lambda m: m % p))
+           * p ** draw(st.integers(0, 4)) * draw(st.sampled_from([1, -1])))
+    den = (draw(st.integers(1, 10 ** 6).filter(lambda m: m % p))
+           * p ** draw(st.integers(0, 4)))
+    return z, draw(st.sampled_from([num, Fraction(num, den)]))
+
+
+class TestExtensionScalars:
+    """A rational times or over a + b sqrt(d) scales each part through the
+    base field's scalar path: the triples of lifting it at the larger
+    relative precision of the two parts, inverting it for a quotient, then
+    multiplying, which the oracle below still does."""
+
+    @staticmethod
+    def lifted(z, q):
+        rel = max(z.a.rel_precision, z.b.rel_precision, 1)
+        return QuadExtNumber.from_base(
+            z.ext, PadicNumber.from_rational(q, z.prime, rel))
+
+    @settings(max_examples=500, deadline=None)
+    @given(extension_scalar_operands())
+    def test_matches_the_lifted_operand(self, args):
+        z, q = args
+        w = self.lifted(z, q)
+        assert ext_fields(z * q) == ext_fields(z * w)
+        assert ext_fields(q * z) == ext_fields(z * w)
+        assert ext_fields(z / q) == ext_fields(z * w.inverse())
+
+    def test_zero_scalar(self):
+        ext = QuadExtension(7, QuadExtension.UNRAMIFIED)
+        z = QuadExtNumber(ext, N(3), N(Fraction(1, 7)))
+        assert (z * 0).is_exact_zero() and (z * Fraction(0)).is_exact_zero()
+        with pytest.raises(PrecisionLossError):
+            z / 0
+
+    def test_no_lift_for_a_rational(self, monkeypatch):
+        ext = QuadExtension(7, QuadExtension.RAMIFIED)
+        z = QuadExtNumber(ext, N(Fraction(3, 7), 7, 12), N(5, 7, 9))
+        want = [ext_fields(z * self.lifted(z, q)) for q in (5, Fraction(-14, 9))]
+        want.append(ext_fields(z * self.lifted(z, 49).inverse()))
+
+        def no_lift(*args, **kwargs):
+            raise AssertionError("a rational operand went through from_rational")
+
+        monkeypatch.setattr(PadicNumber, "from_rational", no_lift)
+        got = [ext_fields(z * 5), ext_fields(Fraction(-14, 9) * z),
+               ext_fields(z / 49)]
         assert got == want

@@ -123,6 +123,42 @@ class TestContext:
         assert (0, 0, 0, 0) in labels and (1, 1, 1, 1) in labels
 
 
+class TestRationalTwoTorsion:
+    """initial_state refuses supplied torsion that misses a class
+    [(r, 0) - infinity] of an integer root r of f, before any pass."""
+
+    def test_no_torsion_is_refused(self, curve):
+        # with none of J(Q)[2] supplied, the run used to end complete with
+        # infinity and (3, +-6) only
+        c = SieveContext(curve, _gamma(), prime=11, aux_primes=(7, 13))
+        with pytest.raises(ValueError, match=r"2-torsion point \(0, 0\)"):
+            run(c)
+
+    def test_three_of_four_generators_are_refused(self, curve):
+        c = SieveContext(curve, _gamma(), torsion=_torsion()[:3], prime=7,
+                         aux_primes=AUX)
+        with pytest.raises(ValueError, match=r"2-torsion point \(5, 0\)"):
+            run(c)
+
+    def test_a_budget_zero_job_is_checked(self, curve):
+        c = SieveContext(curve, _gamma(), prime=7, aux_primes=AUX,
+                         max_iterations=0)
+        with pytest.raises(ValueError, match=r"\(0, 0\)"):
+            run(c)
+
+    def test_a_negative_root_is_read_in_the_symmetric_range(self):
+        # X = x - 1: the roots are -1, 0, 1, 4 and 5, and (-1, 0) is the
+        # one the torsion below misses
+        C = HyperellipticCurve([0, -20, 9, 19, -9, 1])
+        dom = RationalDomain()
+        gamma = MumfordDivisor(dom, [Fraction(-2), Fraction(1)], [Fraction(6)])
+        torsion = tuple((MumfordDivisor(dom, [Fraction(-x), Fraction(1)], []), 2)
+                        for x in (0, 1, 4))
+        c = SieveContext(C, gamma, torsion=torsion, prime=7, aux_primes=AUX)
+        with pytest.raises(ValueError, match=r"2-torsion point \(-1, 0\)"):
+            initial_state(c)
+
+
 class TestImages:
     EXPECTED = {7: (48, 6, 8, 6), 11: (176, 22, 16, 22),
                 13: (240, 30, 18, 30), 17: (304, 38, 18, 38),
