@@ -127,14 +127,31 @@ def _anchor_frame(C: HyperellipticCurve, anchor: CurvePoint, p: int, rel: int):
     TRUNCATION_FACTOR * rel, the center being the anchor as local_frame
     lifts it.  Cached per curve and precision by those lifted
     coordinates, so a rational point that is its disc's center shares the
-    disc's frame; up to DISC_LAMBDA_CACHE_LIMIT frames are kept."""
+    disc's frame; up to DISC_LAMBDA_CACHE_LIMIT frames are kept.
+
+    A miss at an affine, non-branch center (x, y) whose iota-partner
+    (x, -y) is cached reads its frame off the partner's: the same k and
+    X(t) = x0 + t, and the one factor 1/(2y(t)) negated.  series_sqrt and
+    series_inv are odd in y0, the caps read off valuations alone and each
+    unit sum flipping sign, so that is the frame local_frame would build,
+    digit for digit."""
     center = lift_anchor(anchor, p, rel)
     key = FP_INFINITY if center.at_infinity else (_field_key(center.x),
                                                   _field_key(center.y))
     ck = (C.f_coeffs, p, rel, key)
     hit = _DISC_LAMBDA_CACHE.get(ck)
     if hit is None:
-        hit = (center, local_frame(C, center, p, TRUNCATION_FACTOR * rel, rel))
+        partner = None
+        if not center.at_infinity and not is_branch_point(center):
+            partner = _DISC_LAMBDA_CACHE.get(
+                (C.f_coeffs, p, rel, (key[0], _field_key(-center.y))))
+        if partner is None:
+            frame = local_frame(C, center, p, TRUNCATION_FACTOR * rel, rel)
+        else:
+            k, xs, (h,) = partner[1]
+            frame = k, xs, (PadicPowerSeries(p, [-c for c in h.coeffs],
+                                             h.tail_valuation_bound),)
+        hit = (center, frame)
         while len(_DISC_LAMBDA_CACHE) >= DISC_LAMBDA_CACHE_LIMIT:
             del _DISC_LAMBDA_CACHE[next(iter(_DISC_LAMBDA_CACHE))]
         _DISC_LAMBDA_CACHE[ck] = hit
@@ -254,11 +271,18 @@ def transversality_certificate(C: HyperellipticCurve, w, Q: CurvePoint, p: int,
     precision.
 
     a0, the value of w/dt at the disc center, is the paper's transversality
-    condition at the disc: w nonvanishing there.  It is read from the full
-    expansion on the disc's cached frame, which this first reader of a
-    found point's disc builds for the disc's later readers."""
-    _, frame = _disc_frame(C, reduce_point(C, Q, p), p, rel)
-    a0 = expand_on_frame(w.normalized(), frame).coeff_of_degree(0)
+    condition at the disc: w nonvanishing there.  It is the product of the
+    constant terms of the disc's cached frame, c1 (when k = 0) + c2 X(0)
+    times the head of each factor, the 1/2 at infinity included, so no
+    expansion is made; this first reader of a found point's disc still
+    builds the frame for the disc's later readers."""
+    k, xs, factors = _disc_frame(C, reduce_point(C, Q, p), p, rel)[1]
+    w = w.normalized()
+    a0 = w.c2 * xs.coeffs[0]
+    if k == 0:
+        a0 = w.c1 + a0
+    for h in factors:
+        a0 = a0 * (h.coeffs[0] if isinstance(h, PadicPowerSeries) else h)
     if a0.is_zeroish():
         return False, None
     return True, int(a0.valuation)

@@ -223,7 +223,9 @@ def reduce_point(C: HyperellipticCurve, P: CurvePoint, p: int):
     if isinstance(P.x, PadicNumber):
         return (P.x.residue(), P.y.residue())
     xa, xb = P.x.residue_pair()
-    ya, yb = P.y.residue_pair()
+    # a branch-point center over Q_p(sqrt(c)) keeps y the Q_p exact zero
+    ya, yb = P.y.residue_pair() if isinstance(P.y, QuadExtNumber) \
+        else (P.y.residue(), 0)
     if xb == 0 and yb == 0:
         return (xa, ya)
     return ("ext", P.x.ext.kind, xa, xb, ya, yb)

@@ -26,8 +26,8 @@ WORK_CEILINGS = {
     "polys.fq_mul_calls": 6689,
     "polys.q_mul_calls": 2091,
     "polys.qp_mul_calls": 393,
-    "padic.number_mul_calls": 5875,
-    "padic.number_add_calls": 2149,
+    "padic.number_mul_calls": 4730,
+    "padic.number_add_calls": 2106,
     "jacobian.scalar_mul_calls": 55,
     "coleman.log_jacobian_calls": 2,
     "curve.disc_center_calls": 20,

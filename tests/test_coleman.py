@@ -8,6 +8,7 @@ the per-disc Strassmann counts with the full set of known rational
 points.
 """
 
+import os
 import random
 from fractions import Fraction
 
@@ -30,10 +31,14 @@ from g2points.padic import (TRUNCATION_FACTOR, PadicNumber,
                             legendre_symbol, lift, padic_agree, padic_sqrt,
                             strassmann_count, with_precision_retry)
 from g2points.polys import PadicDomain, RationalDomain
-from g2points import sieve
+from g2points import jacobian, sieve
+from g2points.cli import parse_config, run_job
 from g2points.sieve import SieveContext, SieveState, _log_floor
 
+from test_curve import fp2_labels
+
 FLYNN = [0, 60, -112, 65, -14, 1]
+FIXTURE = os.path.join(os.path.dirname(__file__), "fixtures", "flynn.json")
 CURVE2 = [1, 2, 0, 0, 0, 1]  # good reduction at 3, 5, 7, 11
 
 INF = CurvePoint.infinity()
@@ -624,21 +629,23 @@ class TestTransversality:
                 assert digits(head_product(w, frame)) == digits(a0), (key, w)
 
 
+@pytest.fixture
+def expansions(monkeypatch):
+    """The centers of the frames local_frame builds from an empty cache."""
+    calls = []
+    real = coleman.local_frame
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(coleman, "local_frame", counted)
+    monkeypatch.setattr(coleman, "_DISC_LAMBDA_CACHE", {})
+    return calls
+
+
 class TestSharedFrame:
     """Every consumer at an anchor reads the one cached local frame."""
-
-    @pytest.fixture
-    def expansions(self, monkeypatch):
-        calls = []
-        real = coleman.local_frame
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(coleman, "local_frame", counted)
-        monkeypatch.setattr(coleman, "_DISC_LAMBDA_CACHE", {})
-        return calls
 
     def test_two_forms_and_transversality_at_one_anchor(self, C, expansions):
         w1, w2 = Differential(1, 0, 7), Differential(2, 3, 7)
@@ -654,6 +661,23 @@ class TestSharedFrame:
         transversality_certificate(C, w2, aff(0, 0), 7)
         assert len(expansions) == 1
 
+    def test_work_of_a_cold_golden_job(self, expansions, monkeypatch):
+        # 10 frames, of which (3, 6) and (10, 120) are read off their
+        # iota-partners, and no expansion for the 10 transversality checks
+        expanded = []
+        real = coleman.expand_on_frame
+
+        def counted(w, frame):
+            expanded.append(frame)
+            return real(w, frame)
+
+        monkeypatch.setattr(coleman, "expand_on_frame", counted)
+        monkeypatch.setattr(jacobian, "_enumeration_cache", {})
+        with open(FIXTURE, encoding="utf-8") as fh:
+            run_job(parse_config(fh.read()))
+        assert len(expansions) == 8
+        assert len(expanded) == 22
+
 
 def frame_digits(frame):
     """k, then the digits of every coefficient of each series, of a frame."""
@@ -661,6 +685,32 @@ def frame_digits(frame):
     return k, [[coleman._field_key(c) for c in s.coeffs]
                for s in (xs,) + tuple(f for f in factors
                                       if isinstance(f, PadicPowerSeries))]
+
+
+class TestPartnerFrames:
+    """The frame the cache hands (x, -y) off its cached iota-partner (x, y)
+    is the frame local_frame builds at (x, -y)."""
+
+    @pytest.mark.parametrize("rel", [20, 40])
+    @pytest.mark.parametrize("p", [7, 11, 13, 37])
+    def test_handed_frame_is_the_built_frame(self, C, p, rel, expansions):
+        # one label of each pair: negating digits is an involution, so the
+        # handed frame at one side is built iff the other side's is too
+        labels = [P for P in fp_curve_points(C, p)
+                  if P != curve.FP_INFINITY and P[1] != 0]
+        if p == 13:
+            labels += fp2_labels(C, p)
+        ys = lambda label: label[-2:] if label[0] == "ext" else (label[1], 0)
+        anchors = [disc_center(C, label, p, rel) for label in labels
+                   if ys(label) < tuple(-c % p for c in ys(label))]
+        anchors.append(aff(10, 120))
+        for P in anchors:
+            coleman._DISC_LAMBDA_CACHE.clear()
+            coleman._anchor_frame(C, P, p, rel)
+            center, handed = coleman._anchor_frame(C, P.involution(), p, rel)
+            built = local_frame(C, center, p, TRUNCATION_FACTOR * rel, rel)
+            assert frame_digits(handed) == frame_digits(built), (P, p, rel)
+        assert len(expansions) == len(anchors)
 
 
 class TestFrameCacheLimit:

@@ -366,6 +366,15 @@ class TestDiscCenters:
         assert len(rows) == 4 * (43 + 115 + 177)
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == self.CENTER_DIGEST
+        # f has the roots +-sqrt(2) mod 3 off F_3: their branch-point
+        # centers over Q_3(sqrt(2)) keep y the Q_3 exact zero
+        C3 = HyperellipticCurve([-31, 17, 40, 30, 8, 1])
+        labels = fp2_labels(C3, 3)
+        assert ("ext", "unramified", 0, 1, 0, 0) in labels
+        for rel in (4, 8, 20, 40):
+            for label in labels:
+                center = disc_center(C3, label, 3, rel)
+                assert reduce_point(C3, center, 3) == label, (label, rel)
 
     def test_a_label_off_the_curve_has_no_center(self, C):
         # f(3) = 1 mod 7, so no point of C(F_7) has x = 3 and y = 2

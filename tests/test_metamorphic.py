@@ -163,16 +163,25 @@ def test_chabauty_primes_that_frame_extension_discs(monkeypatch):
 def test_chabauty_prime_37_reads_one_log_per_pair(monkeypatch):
     # the 36 affine discs of C(F_37) are 18 iota-pairs, and deepen reads
     # the second center's log of each pair from the first: 18 center logs
-    # and gamma's.  The digest is the one pinned before that hand-off
-    calls = []
+    # and gamma's.  The second disc's frame is read off the first's too,
+    # so a cold job builds 30 frames for the 50 it reads.  The digest is
+    # the one pinned before either hand-off
+    calls, frames = [], []
     real = coleman.log_jacobian
+    real_frame = coleman.local_frame
 
     def counted(*args, **kwargs):
         calls.append(args[2])
         return real(*args, **kwargs)
 
+    def counted_frame(*args, **kwargs):
+        frames.append(args[1])
+        return real_frame(*args, **kwargs)
+
     monkeypatch.setattr(coleman, "log_jacobian", counted)
     monkeypatch.setattr(sieve, "log_jacobian", counted)
+    monkeypatch.setattr(coleman, "local_frame", counted_frame)
+    monkeypatch.setattr(coleman, "_DISC_LAMBDA_CACHE", {})
     job = dict(FLYNN_JOB, chabauty_prime=37, aux_primes=[7, 11, 13, 17, 23])
     rep, report, got = _run(job)
     _checked_points(rep)
@@ -185,6 +194,7 @@ def test_chabauty_prime_37_reads_one_log_per_pair(monkeypatch):
     assert got == ("7c484fcb98c3d3d9150105d447aeeaff"
                    "c1b3265e9afe0fa5681f7be4641622fc")
     assert calls == [37] * 19
+    assert len(frames) == 30
 
 
 def test_every_good_aux_prime_up_to_47():
