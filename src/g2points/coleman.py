@@ -106,11 +106,11 @@ def _basis(p: int, rel: int):
     return (Differential(1, 0, p, rel), Differential(0, 1, p, rel))
 
 
-#: most disc frames _DISC_LAMBDA_CACHE keeps, the oldest dropped first.  A
-#: job at Chabauty prime p reads about 1.4 (p + 1) frames per precision (54
-#: at p = 37, 132 at p = 97), so it keeps every frame up to about p = 83;
-#: above, a frame read again after its eviction is rebuilt with the same
-#: digits (138 builds for 132 frames at p = 97)
+#: most entries [center, frame, center log] _DISC_LAMBDA_CACHE keeps, the
+#: oldest dropped first.  A job at Chabauty prime p reads about 1.4 (p + 1)
+#: frames per precision (54 at p = 37, 132 at p = 97), so it keeps every
+#: entry up to about p = 83; above, an entry read again after its eviction
+#: is rebuilt with the same digits (138 builds for 132 frames at p = 97)
 DISC_LAMBDA_CACHE_LIMIT = 128
 _DISC_LAMBDA_CACHE: dict = {}
 
@@ -122,12 +122,26 @@ def _field_key(c):
     return (c.valuation, c.unit_part(), c.rel_precision)
 
 
-def _anchor_frame(C: HyperellipticCurve, anchor: CurvePoint, p: int, rel: int):
-    """(center, local frame) at an anchor point at truncation order
-    TRUNCATION_FACTOR * rel, the center being the anchor as local_frame
-    lifts it.  Cached per curve and precision by those lifted
-    coordinates, so a rational point that is its disc's center shares the
-    disc's frame; up to DISC_LAMBDA_CACHE_LIMIT frames are kept.
+def _cache_key(C: HyperellipticCurve, center: CurvePoint, p: int, rel: int):
+    return (C.f_coeffs, p, rel, FP_INFINITY if center.at_infinity
+            else (_field_key(center.x), _field_key(center.y)))
+
+
+def _partner_entry(C: HyperellipticCurve, center: CurvePoint, p: int, rel: int):
+    """The cached entry of an affine, non-branch center's iota-partner."""
+    if center.at_infinity or is_branch_point(center):
+        return None
+    return _DISC_LAMBDA_CACHE.get(_cache_key(C, center.involution(), p, rel))
+
+
+def _anchor_entry(C: HyperellipticCurve, anchor: CurvePoint, p: int, rel: int):
+    """The cache entry [center, local frame, center log] at an anchor point:
+    the anchor as local_frame lifts it, its frame at truncation order
+    TRUNCATION_FACTOR * rel, and log [center - infinity] once
+    disc_zero_count has read it, else None.  Cached per curve and
+    precision by the lifted coordinates, so a rational point that is its
+    disc's center shares the disc's entry; up to DISC_LAMBDA_CACHE_LIMIT
+    entries are kept.
 
     A miss at an affine, non-branch center (x, y) whose iota-partner
     (x, -y) is cached reads its frame off the partner's: the same k and
@@ -136,26 +150,26 @@ def _anchor_frame(C: HyperellipticCurve, anchor: CurvePoint, p: int, rel: int):
     unit sum flipping sign, so that is the frame local_frame would build,
     digit for digit."""
     center = lift_anchor(anchor, p, rel)
-    key = FP_INFINITY if center.at_infinity else (_field_key(center.x),
-                                                  _field_key(center.y))
-    ck = (C.f_coeffs, p, rel, key)
+    ck = _cache_key(C, center, p, rel)
     hit = _DISC_LAMBDA_CACHE.get(ck)
     if hit is None:
-        partner = None
-        if not center.at_infinity and not is_branch_point(center):
-            partner = _DISC_LAMBDA_CACHE.get(
-                (C.f_coeffs, p, rel, (key[0], _field_key(-center.y))))
+        partner = _partner_entry(C, center, p, rel)
         if partner is None:
             frame = local_frame(C, center, p, TRUNCATION_FACTOR * rel, rel)
         else:
             k, xs, (h,) = partner[1]
             frame = k, xs, (PadicPowerSeries(p, [-c for c in h.coeffs],
                                              h.tail_valuation_bound),)
-        hit = (center, frame)
+        hit = [center, frame, None]
         while len(_DISC_LAMBDA_CACHE) >= DISC_LAMBDA_CACHE_LIMIT:
             del _DISC_LAMBDA_CACHE[next(iter(_DISC_LAMBDA_CACHE))]
         _DISC_LAMBDA_CACHE[ck] = hit
     return hit
+
+
+def _anchor_frame(C: HyperellipticCurve, anchor: CurvePoint, p: int, rel: int):
+    """(center, local frame) of the anchor's cache entry."""
+    return _anchor_entry(C, anchor, p, rel)[:2]
 
 
 def _disc_frame(C: HyperellipticCurve, disc_key, p: int, rel: int):
@@ -295,11 +309,11 @@ class DiscCertificate:
 
     __slots__ = ("center", "zero_count", "known_count", "n", "v_w", "prime",
                  "precision", "truncation_order", "lambda_coefficients",
-                 "tail_valuation_bound", "center_log")
+                 "tail_valuation_bound")
 
     def __init__(self, center, zero_count, known_count, n, v_w, prime,
                  precision, truncation_order, lambda_coefficients,
-                 tail_valuation_bound=None, center_log=None):
+                 tail_valuation_bound=None):
         self.center = center
         self.zero_count = zero_count
         self.known_count = known_count
@@ -310,9 +324,6 @@ class DiscCertificate:
         self.truncation_order = truncation_order
         self.lambda_coefficients = lambda_coefficients
         self.tail_valuation_bound = tail_valuation_bound
-        # log [center - infinity] behind kappa, None when kappa = 0; kept
-        # for the disc's iota-partner, never serialized
-        self.center_log = center_log
 
     @property
     def resolved(self) -> bool:
@@ -326,8 +337,7 @@ class DiscCertificate:
 
 
 def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
-                    known_points=(), rel: int = DEFAULT_PRECISION,
-                    center_log=None) -> DiscCertificate:
+                    known_points=(), rel: int = DEFAULT_PRECISION) -> DiscCertificate:
     """Strassmann count of zeros of the antiderivative of w on the depth-n
     sub-disc around the canonical center of an F_p-point's residue disc.
 
@@ -335,25 +345,31 @@ def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
     logarithm of [center - infinity], so its zeros are exactly the points
     where the full Coleman function based at infinity vanishes.
 
-    center_log, when given, is that logarithm at this rel, and no other is
-    computed.  The disc (x, -y) takes the negation of the log of (x, y)'s
-    center: P + iota(P) ~ 2 infinity gives [iota(P) - infinity] =
-    -[P - infinity], and the two centers, their frames and the Cantor
-    ladder are odd in y, so the negation agrees digit for digit.
+    That logarithm is kept on the center's cache entry.  An entry whose
+    iota-partner's entry holds one takes it negated: P + iota(P) ~
+    2 infinity gives [iota(P) - infinity] = -[P - infinity], and the two
+    centers, their frames and the Cantor ladder are odd in y, so the
+    negation agrees digit for digit.
     """
     if not C.good_reduction(p):
         raise ValueError("zero counts need a prime of good reduction")
     w = w.normalized()
-    center, frame = _disc_frame(C, fp_point, p, rel)
+    entry = _anchor_entry(C, disc_center(C, fp_point, p, rel), p, rel)
+    center, frame, log = entry
     if center.at_infinity or is_branch_point(center):
         # [center - infinity] is trivial or 2-torsion: kappa = 0 exactly
         kappa = PadicNumber.exact_zero(p)
     else:
-        if center_log is None:
-            D = embed_point(C, center, CurvePoint.infinity(),
-                            domain=PadicDomain(p, rel))
-            center_log = log_jacobian(C, D, p, rel=rel)
-        kappa = w.apply(center_log)
+        if log is None:
+            partner = _partner_entry(C, center, p, rel)
+            if partner is not None and partner[2] is not None:
+                log = -partner[2]
+            else:
+                log = log_jacobian(C, embed_point(
+                    C, center, CurvePoint.infinity(),
+                    domain=PadicDomain(p, rel)), p, rel=rel)
+            entry[2] = log
+        kappa = w.apply(log)
     a = expand_on_frame(w, frame)
     a0 = a.coeff_of_degree(0)
     v_w = None if a0.is_zeroish() else int(a0.valuation)
@@ -374,8 +390,7 @@ def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
                            n=n, v_w=v_w, prime=p, precision=rel,
                            truncation_order=series.truncation_order,
                            lambda_coefficients=tuple(series.coeffs),
-                           tail_valuation_bound=series.tail_valuation_bound,
-                           center_log=center_log)
+                           tail_valuation_bound=series.tail_valuation_bound)
 
 
 # -- anchored series and the single-point criterion --------------------------

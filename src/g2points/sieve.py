@@ -180,7 +180,7 @@ class SieveState:
     s mod M, a divisor of N; each stands for the classes s + k*M mod N."""
 
     __slots__ = ("N", "M", "survivors", "found", "found_keys", "disc_certs",
-                 "level", "iterations", "escalations", "images",
+                 "level", "escalations", "images",
                  "torsion_sums", "gamma_log", "form", "trace", "notes")
 
     def __init__(self, N, labels, images, torsion_sums):
@@ -191,7 +191,6 @@ class SieveState:
         self.found_keys = set()
         self.disc_certs = {}
         self.level = 1
-        self.iterations = 0
         self.escalations = 0
         self.images = images
         self.torsion_sums = torsion_sums
@@ -321,14 +320,21 @@ def search_points(ctx: SieveContext, state: SieveState) -> SieveState:
     return state
 
 
-def _with_budget(ctx: SieveContext, state: SieveState, fn):
+def _with_budget(ctx: SieveContext, state: SieveState, fn, note=None):
     # escalate the working precision on retryable failures, within budget;
-    # every attempt above the configured precision is one escalation
+    # every attempt above the configured precision is one escalation.  A
+    # spent budget appends note and gives None, or raises when there is none
     def attempt(rel):
         if rel > ctx.rel:
             state.escalations += 1
         return fn(rel)
-    return with_precision_retry(attempt, ctx.rel, ctx.max_escalations)
+    try:
+        return with_precision_retry(attempt, ctx.rel, ctx.max_escalations)
+    except (PrecisionLossError, InconclusiveTruncationError):
+        if note is None:
+            raise
+        state.notes.append(note)
+        return None
 
 
 def _certify_transversality(ctx, state, Q):
@@ -340,10 +346,8 @@ def _certify_transversality(ctx, state, Q):
                                      "precision %d" % rel)
         return v
 
-    try:
-        return _with_budget(ctx, state, attempt)
-    except (PrecisionLossError, InconclusiveTruncationError):
-        return None
+    return _with_budget(ctx, state, attempt, "transversality unresolved at "
+                        "%r within the precision budget" % (Q,))
 
 
 def _certify_point(ctx, state, rec, n):
@@ -353,32 +357,11 @@ def _certify_point(ctx, state, rec, n):
         return series, strassmann_count(series)
 
     rec.n = n
-    try:
-        rec.series, rec.zero_count = _with_budget(ctx, state, attempt)
-    except (PrecisionLossError, InconclusiveTruncationError):
-        rec.series = None
-        rec.zero_count = None
-        rec.criterion = False
-        state.notes.append("level-%d certificate unresolved at %r"
-                           % (n, rec.point))
-        return
-    rec.criterion = single_point_criterion(rec.v_w, ctx.prime, n, rec.series)
-
-
-def _certify_disc(ctx, state, disc, pts, partner=None):
-    # partner: the certificate of the disc's iota-partner, whose center's
-    # log, negated, is this center's at the partner's precision
-    def attempt(rel):
-        log = (-partner.center_log
-               if partner is not None and partner.precision == rel else None)
-        return disc_zero_count(ctx.curve, state.form, disc, ctx.prime, n=1,
-                               known_points=pts, rel=rel, center_log=log)
-
-    try:
-        return _with_budget(ctx, state, attempt)
-    except (PrecisionLossError, InconclusiveTruncationError):
-        state.notes.append("zero count unresolved on disc %r" % (disc,))
-        return None
+    rec.series, rec.zero_count = _with_budget(
+        ctx, state, attempt, "level-%d certificate unresolved at %r"
+        % (n, rec.point)) or (None, None)
+    rec.criterion = rec.series is not None and single_point_criterion(
+        rec.v_w, ctx.prime, n, rec.series)
 
 
 def _log_floor(L):
@@ -410,15 +393,7 @@ def _excise_found_classes(ctx, state, n):
 
 def deepen(ctx: SieveContext, state: SieveState) -> SieveState:
     """Raise the working level past every found point's v_w, certify the
-    discs, refresh N, and excise the classes of the found points.
-
-    fp_curve_points lists each disc (x, y) right before its iota-partner
-    (x, -y).  The partner's count reads the log of [center - infinity] as
-    the negation of the log the first disc used, when it runs at that
-    disc's precision: P + iota(P) ~ 2 infinity, and the frames and the
-    Cantor ladder are odd in y, so the negation is the log it would
-    compute, digit for digit.  A disc that escalates on its own computes
-    its log at its new precision."""
+    discs, refresh N, and excise the classes of the found points."""
     if not state.found:
         state.trace.append({"step": "deepen", "skipped": "nothing found"})
         return state
@@ -430,10 +405,7 @@ def deepen(ctx: SieveContext, state: SieveState) -> SieveState:
     for rec in state.found:
         rec.v_w = _certify_transversality(ctx, state, rec.point)
         if rec.v_w is None:
-            state.notes.append("transversality unresolved at %r within "
-                               "the precision budget" % (rec.point,))
-            state.trace.append({"step": "deepen",
-                                "skipped": "transversality"})
+            state.trace.append({"step": "deepen", "skipped": "transversality"})
             return state
         vmax = max(vmax, rec.v_w)
     n = state.level = vmax + 1
@@ -441,13 +413,12 @@ def deepen(ctx: SieveContext, state: SieveState) -> SieveState:
         _certify_point(ctx, state, rec, n)
     pts = [rec.point for rec in state.found]
     unresolved = []
-    cert = None
     for disc in fp_curve_points(C, p):
-        partner = cert if cert is not None and cert.center == (
-            disc[0], -disc[1] % p) else None
         # an unresolved disc gets no certificate; the trace and the notes
         # name it
-        cert = _certify_disc(ctx, state, disc, pts, partner)
+        cert = _with_budget(ctx, state, lambda rel: disc_zero_count(
+            C, state.form, disc, p, n=1, known_points=pts, rel=rel),
+            "zero count unresolved on disc %r" % (disc,))
         if cert is not None:
             state.disc_certs[disc] = cert
         if cert is None or not cert.resolved:
@@ -506,7 +477,6 @@ def run(ctx: SieveContext) -> SieveResult:
     state = initial_state(ctx)
     status, closing = "inconclusive", "iteration budget is zero"
     if ctx.max_iterations > 0:
-        state.iterations = 1
         for q in (ctx.prime,) + ctx.aux_primes:
             sieve_pass(ctx, state, q)
         if state.survivor_count():
@@ -522,4 +492,4 @@ def run(ctx: SieveContext) -> SieveResult:
         survivor_count=state.survivor_count(),
         survivors_sample=state.survivor_sample(),
         trace=state.trace, notes=state.notes, N=state.N, level=state.level,
-        iterations=state.iterations, escalations=state.escalations)
+        iterations=int(ctx.max_iterations > 0), escalations=state.escalations)

@@ -31,9 +31,9 @@ from g2points.padic import (TRUNCATION_FACTOR, PadicNumber,
                             legendre_symbol, lift, padic_agree, padic_sqrt,
                             strassmann_count, with_precision_retry)
 from g2points.polys import PadicDomain, RationalDomain
-from g2points import jacobian, sieve
+from g2points import jacobian
 from g2points.cli import parse_config, run_job
-from g2points.sieve import SieveContext, SieveState, _log_floor
+from g2points.sieve import _log_floor
 
 from test_curve import fp2_labels
 
@@ -850,35 +850,78 @@ class TestDiscZeroCounts:
 
 class TestIotaPairs:
     """The discs (x, y) and (x, -y) have iota-image centers, so the log of
-    one center is the negated log of the other, which is what sieve.deepen
-    hands the second disc of each pair."""
+    one center is the negated log of the other, which the cache hands the
+    second disc of each pair off its partner's entry."""
+
+    @staticmethod
+    def _setup(C, gamma, p, rel, monkeypatch):
+        """The sieve's form at p, iota-pairs of F_p discs, the real
+        log_jacobian, and the list of divisors the counted one sees."""
+        real = coleman.log_jacobian
+        w = annihilating_form(with_precision_retry(
+            lambda r: real(C, gamma, p, rel=r), rel, 3))
+        pairs = [(P, (P[0], p - P[1])) for P in fp_curve_points(C, p)
+                 if P != curve.FP_INFINITY and 0 < P[1] < p - P[1]]
+        assert pairs
+        calls = []
+
+        def counted(C, D, p, rel):
+            calls.append(D)
+            return real(C, D, p, rel=rel)
+
+        monkeypatch.setattr(coleman, "log_jacobian", counted)
+        monkeypatch.setattr(coleman, "_DISC_LAMBDA_CACHE", {})
+        return w, pairs, real, calls
+
+    @staticmethod
+    def _assert_direct_log(C, Q, p, rel, real):
+        # the log on the entry of Q's center is the log computed there
+        center = disc_center(C, Q, p, rel)
+        got = coleman._anchor_entry(C, center, p, rel)[2]
+        want = real(C, embed_point(C, center, INF, domain=PadicDomain(p, rel)),
+                    p, rel=rel)
+        assert digits(got.l1) == digits(want.l1), (Q, rel)
+        assert digits(got.l2) == digits(want.l2), (Q, rel)
 
     @pytest.mark.parametrize("rel", [20, 40])
     @pytest.mark.parametrize("p", [7, 11, 13])
-    def test_partner_log_is_the_negated_log(self, C, gamma, p, rel):
-        # the sieve certifies each pair as deepen does: the first disc
-        # computes its center's log, the second is handed its negation;
-        # both must be the directly computed log of the second center
-        aux = [q for q in (7, 11, 13) if q != p]
-        ctx = SieveContext(C, gamma, prime=p, aux_primes=aux, rel=rel)
-        state = SieveState(ctx.N, ctx.torsion_labels(), {}, {})
-        state.form = annihilating_form(with_precision_retry(
-            lambda r: log_jacobian(C, gamma, p, rel=r), rel, 3))
-        keys = fp_curve_points(C, p)
-        pairs = [(P, Q) for P, Q in zip(keys, keys[1:])
-                 if P != curve.FP_INFINITY and Q[0] == P[0]]
-        assert pairs
+    def test_partner_log_is_the_negated_log(self, C, gamma, p, rel,
+                                            monkeypatch):
+        # each pair from an empty cache: the first count computes its
+        # center's log, the second reads it off the first's entry, negated
+        w, pairs, real, calls = self._setup(C, gamma, p, rel, monkeypatch)
         for P, Q in pairs:
-            assert Q == (P[0], p - P[1])
-            first = sieve._certify_disc(ctx, state, P, [])
-            second = sieve._certify_disc(ctx, state, Q, [], first)
-            assert first.precision == second.precision == rel
-            D = embed_point(C, disc_center(C, Q, p, rel), INF,
-                            domain=PadicDomain(p, rel))
-            want = log_jacobian(C, D, p, rel=rel)
-            for L in (-first.center_log, second.center_log):
-                assert digits(L.l1) == digits(want.l1), (P, rel)
-                assert digits(L.l2) == digits(want.l2), (P, rel)
+            coleman._DISC_LAMBDA_CACHE.clear()
+            calls.clear()
+            for disc in (P, Q):
+                assert disc_zero_count(C, w, disc, p, rel=rel).precision == rel
+            assert len(calls) == 1, (P, rel)
+            self._assert_direct_log(C, Q, p, rel, real)
+
+    @pytest.mark.parametrize("p", [7, 11])
+    def test_absent_partner_log_is_computed(self, C, gamma, p, monkeypatch):
+        # a partner entry holding no log yet, or dropped from the cache as
+        # an evicted one is: the second center computes its own log, with
+        # the same digits
+        rel = 20
+        w, pairs, real, calls = self._setup(C, gamma, p, rel, monkeypatch)
+        for P, Q in pairs:
+            coleman._DISC_LAMBDA_CACHE.clear()
+            calls.clear()
+            coleman._anchor_entry(C, disc_center(C, P, p, rel), p, rel)
+            disc_zero_count(C, w, Q, p, rel=rel)
+            assert len(calls) == 1, (P, rel)
+            self._assert_direct_log(C, Q, p, rel, real)
+        for P, Q in pairs:
+            coleman._DISC_LAMBDA_CACHE.clear()
+            calls.clear()
+            disc_zero_count(C, w, P, p, rel=rel)
+            center = coleman.lift_anchor(disc_center(C, P, p, rel), p, rel)
+            del coleman._DISC_LAMBDA_CACHE[coleman._cache_key(C, center, p,
+                                                              rel)]
+            disc_zero_count(C, w, Q, p, rel=rel)
+            assert len(calls) == 2, (P, rel)
+            self._assert_direct_log(C, Q, p, rel, real)
 
 
 class TestAnchoredSeries:

@@ -161,11 +161,13 @@ def test_chabauty_primes_that_frame_extension_discs(monkeypatch):
 
 
 def test_chabauty_prime_37_reads_one_log_per_pair(monkeypatch):
-    # the 36 affine discs of C(F_37) are 18 iota-pairs, and deepen reads
-    # the second center's log of each pair from the first: 18 center logs
-    # and gamma's.  The second disc's frame is read off the first's too,
-    # so a cold job builds 30 frames for the 50 it reads.  The digest is
-    # the one pinned before either hand-off
+    # the 36 affine discs of C(F_37) are 18 iota-pairs, and the second
+    # center of each pair reads its log off the first's cache entry: 18
+    # center logs and gamma's.  The second disc's frame is read off the
+    # first's too, so a cold job builds 30 frames for the 50 it reads.  A
+    # warm rerun reads every frame and center log from the cache, and
+    # computes gamma's log alone.  The digest is the one pinned before
+    # either hand-off
     calls, frames = [], []
     real = coleman.log_jacobian
     real_frame = coleman.local_frame
@@ -183,18 +185,21 @@ def test_chabauty_prime_37_reads_one_log_per_pair(monkeypatch):
     monkeypatch.setattr(coleman, "local_frame", counted_frame)
     monkeypatch.setattr(coleman, "_DISC_LAMBDA_CACHE", {})
     job = dict(FLYNN_JOB, chabauty_prime=37, aux_primes=[7, 11, 13, 17, 23])
-    rep, report, got = _run(job)
-    _checked_points(rep)
-    assert rep.status == "inconclusive"
-    assert report["surviving_classes"]["count"] == 46
-    assert rep.result.escalations == 0
-    assert report["iterations"] == 1
-    steps = [e["step"] for e in report["sieve_trace"]]
-    assert steps.count("search") == steps.count("deepen") == 1
-    assert got == ("7c484fcb98c3d3d9150105d447aeeaff"
-                   "c1b3265e9afe0fa5681f7be4641622fc")
-    assert calls == [37] * 19
-    assert len(frames) == 30
+    for logs, builds in ((19, 30), (1, 0)):
+        calls.clear()
+        frames.clear()
+        rep, report, got = _run(job)
+        _checked_points(rep)
+        assert rep.status == "inconclusive"
+        assert report["surviving_classes"]["count"] == 46
+        assert rep.result.escalations == 0
+        assert report["iterations"] == 1
+        steps = [e["step"] for e in report["sieve_trace"]]
+        assert steps.count("search") == steps.count("deepen") == 1
+        assert got == ("7c484fcb98c3d3d9150105d447aeeaff"
+                       "c1b3265e9afe0fa5681f7be4641622fc")
+        assert calls == [37] * logs
+        assert len(frames) == builds
 
 
 def test_every_good_aux_prime_up_to_47():
