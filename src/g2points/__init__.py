@@ -65,7 +65,7 @@ from .sieve import (
     HYPOTHESES,
     PointRecord,
     SieveContext,
-    SieveResult,
+    SieveState,
 )
 from .sieve import run as run_sieve
 
@@ -89,7 +89,7 @@ __all__ = [
     "QuadExtension",
     "QuadExtNumber",
     "SieveContext",
-    "SieveResult",
+    "SieveState",
     "annihilating_form",
     "cantor_add",
     "curve_preimage",

@@ -354,8 +354,8 @@ def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
     if not C.good_reduction(p):
         raise ValueError("zero counts need a prime of good reduction")
     w = w.normalized()
-    entry = _anchor_entry(C, disc_center(C, fp_point, p, rel), p, rel)
-    center, frame, log = entry
+    center, frame, log = _anchor_entry(C, disc_center(C, fp_point, p, rel),
+                                       p, rel)
     if center.at_infinity or is_branch_point(center):
         # [center - infinity] is trivial or 2-torsion: kappa = 0 exactly
         kappa = PadicNumber.exact_zero(p)
@@ -368,7 +368,10 @@ def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
                 log = log_jacobian(C, embed_point(
                     C, center, CurvePoint.infinity(),
                     domain=PadicDomain(p, rel)), p, rel=rel)
-            entry[2] = log
+            # log_jacobian reads other discs' frames through the cache and
+            # may have evicted this entry: look it up again, which puts it
+            # back, before keeping the log on it
+            _anchor_entry(C, center, p, rel)[2] = log
         kappa = w.apply(log)
     a = expand_on_frame(w, frame)
     a0 = a.coeff_of_degree(0)

@@ -1231,13 +1231,15 @@ def mahler_bound_holds(f: PadicPowerSeries, zero_valuations, r_val: int, x, k: i
 
 
 def with_precision_retry(fn, base_precision: int, escalations: int):
-    """Run fn(precision), doubling the cap after each precision-loss error."""
+    """Run fn(precision), doubling the cap after each precision-loss error,
+    at most escalations times; the last attempt's error propagates."""
+    if escalations < 0:
+        raise ValueError("escalations must be at least 0, got %d"
+                         % escalations)
     prec = base_precision
-    for attempt in range(escalations + 1):
+    for _ in range(escalations):
         try:
             return fn(prec)
         except (PrecisionLossError, InconclusiveTruncationError):
-            if attempt == escalations:
-                raise
             prec *= 2
-    raise AssertionError("unreachable")
+    return fn(prec)

@@ -43,22 +43,32 @@ HYPOTHESES = (
 
 
 class SieveContext:
-    """Validated inputs of one run.
+    """Validated inputs of one run, and what they alone determine.
 
     The generator is certified non-torsion (a torsion multiple bound
     from the configured primes must not kill it); every torsion element
     must be on the Jacobian with exactly its claimed order, which must
-    divide that bound.  Primes of
-    bad reduction are silently dropped from the auxiliary list.
+    divide that bound, and the torsion sums must hold the rational
+    2-torsion of f's integer roots (_check_rational_two_torsion).  Primes
+    of bad reduction are silently dropped from the auxiliary list.  The
+    context keeps each torsion label's class sum over Q, each prime's
+    image data (Chabauty prime first) and N, the lcm of their exponents.
     """
 
     __slots__ = ("curve", "gamma", "torsion", "prime", "aux_primes", "N",
-                 "bound", "rel", "max_iterations", "max_escalations")
+                 "bound", "rel", "max_iterations", "max_escalations",
+                 "torsion_sums", "images")
 
     def __init__(self, curve: HyperellipticCurve, gamma: MumfordDivisor,
                  torsion=(), prime: int = 7, aux_primes=(), bound: int = 20,
                  rel: int = DEFAULT_PRECISION, max_iterations: int = 10,
                  max_escalations: int = 2):
+        for name, value, least in (("bound", bound, 0), ("rel", rel, 1),
+                                   ("max_iterations", max_iterations, 0),
+                                   ("max_escalations", max_escalations, 0)):
+            if value < least:
+                raise ValueError("%s must be at least %d, got %d"
+                                 % (name, least, value))
         if not curve.good_reduction(prime):
             raise ValueError("need an odd prime of good reduction")
         gamma.validate(curve)
@@ -88,12 +98,17 @@ class SieveContext:
             raise ValueError("generator is torsion: killed by the bound %d"
                              % bnd)
         self.gamma = gamma
-        self.N = math.lcm(*(order_and_exponent(curve, q)[1]
-                            for q in (prime,) + self.aux_primes))
         self.bound = bound
         self.rel = rel
         self.max_iterations = max_iterations
         self.max_escalations = max_escalations
+        self.torsion_sums = _torsion_sums(curve, [T for T, _ in self.torsion],
+                                          self.torsion_labels(),
+                                          RationalDomain())
+        _check_rational_two_torsion(self)
+        self.images = {q: build_images(self, q)
+                       for q in (prime,) + self.aux_primes}
+        self.N = math.lcm(*(img.exponent for img in self.images.values()))
 
     def torsion_labels(self):
         return list(itertools.product(*(range(o) for _, o in self.torsion)))
@@ -176,28 +191,34 @@ def build_images(ctx: SieveContext, q: int) -> ImageData:
 
 
 class SieveState:
-    """Mutable bookkeeping of one run.  `survivors[label]` holds residues
-    s mod M, a divisor of N; each stands for the classes s + k*M mod N."""
+    """One run's bookkeeping, and its result once run returns it.
+    `survivors[label]` holds residues s mod M, a divisor of N; each
+    stands for the classes s + k*M mod N."""
 
-    __slots__ = ("N", "M", "survivors", "found", "found_keys", "disc_certs",
-                 "level", "escalations", "images",
-                 "torsion_sums", "gamma_log", "form", "trace", "notes")
+    __slots__ = ("N", "M", "survivors", "points", "found_keys",
+                 "disc_certificates", "level", "escalations", "trace",
+                 "notes", "status", "closing", "iterations")
 
-    def __init__(self, N, labels, images, torsion_sums):
+    hypotheses = HYPOTHESES
+
+    def __init__(self, N, labels):
         self.N = N
         self.M = 1
         self.survivors = {label: {0} for label in labels}
-        self.found = []
+        self.points = []
         self.found_keys = set()
-        self.disc_certs = {}
+        self.disc_certificates = {}
         self.level = 1
         self.escalations = 0
-        self.images = images
-        self.torsion_sums = torsion_sums
-        self.gamma_log = None
-        self.form = None
         self.trace = []
         self.notes = []
+        self.status = "inconclusive"
+        self.closing = None
+        self.iterations = 0
+
+    @property
+    def complete(self) -> bool:
+        return self.status == "complete"
 
     def refine(self, m, keep) -> int:
         """Lift the residues to mod lcm(M, m), keep the s with
@@ -206,27 +227,29 @@ class SieveState:
         if self.N % M:
             raise ArithmeticError("modulus %d does not divide N = %d"
                                   % (M, self.N))
-        before = self.survivor_count()
+        before = self.survivor_count
         for label, res in self.survivors.items():
             self.survivors[label] = {s for r in res
                                      for s in range(r, M, self.M)
                                      if keep(label, s)}
         self.M = M
-        return before - self.survivor_count()
+        return before - self.survivor_count
 
+    @property
     def survivor_count(self) -> int:
         return self.N // self.M * sum(map(len, self.survivors.values()))
 
-    def survivor_sample(self, limit: int = 20):
-        # classes mod N in (label, s) order; an empty label is skipped,
-        # not walked N/M times
+    @property
+    def survivors_sample(self):
+        # the first 20 classes mod N in (label, s) order; an empty label is
+        # skipped, not walked N/M times
         sv, M = self.survivors, self.M
         classes = ((k + r, label) for label in sorted(sv) if sv[label]
                    for k in range(0, self.N, M) for r in sorted(sv[label]))
-        return list(itertools.islice(classes, limit))
+        return list(itertools.islice(classes, 20))
 
 
-def _check_rational_two_torsion(ctx: SieveContext, sums) -> None:
+def _check_rational_two_torsion(ctx: SieveContext) -> None:
     """Raise ValueError unless [(r, 0) - infinity] is among the torsion
     sums for every integer root r of f.  This checks only the part of
     J(Q)[2] that f's rational roots give, not the whole torsion group.
@@ -243,7 +266,7 @@ def _check_rational_two_torsion(ctx: SieveContext, sums) -> None:
             x = hensel_root(f, PadicNumber.from_int(r0, p, k), k)
             r = 0 if x.is_zeroish() else x.unit_part() * p ** x.valuation % p ** k
             roots.append(r - p ** k if 2 * r > p ** k else r)
-    keys = {D.key() for D in sums.values()}
+    keys = {D.key() for D in ctx.torsion_sums.values()}
     for r in sorted(roots):
         if C.f_eval(r) == 0 and ((-r, 1), ()) not in keys:
             raise ValueError("the supplied torsion misses the rational "
@@ -251,19 +274,11 @@ def _check_rational_two_torsion(ctx: SieveContext, sums) -> None:
 
 
 def initial_state(ctx: SieveContext) -> SieveState:
-    """Step-1 state: image data at every prime, and every class mod N
-    held as the one residue 0 mod M = 1.  Each pass and each excision
-    lifts M only to the modulus its own test reads.  The supplied
-    torsion must hold the rational 2-torsion of f's integer roots
-    (_check_rational_two_torsion), which is checked first."""
-    C = ctx.curve
-    labels = ctx.torsion_labels()
-    sums = _torsion_sums(C, [T for T, _ in ctx.torsion], labels,
-                         RationalDomain())
-    _check_rational_two_torsion(ctx, sums)
-    images = {q: build_images(ctx, q) for q in (ctx.prime,) + ctx.aux_primes}
-    state = SieveState(ctx.N, labels, images, sums)
-    for q, img in images.items():
+    """Step-1 state: every class mod N held as the one residue 0 mod
+    M = 1, and the image data of every prime in the trace.  Each pass
+    and each excision lifts M only to the modulus its own test reads."""
+    state = SieveState(ctx.N, ctx.torsion_labels())
+    for q, img in ctx.images.items():
         state.trace.append({"step": "images", "prime": q, "order": img.order,
                             "exponent": img.exponent,
                             "curve_image_size": img.image_size})
@@ -272,11 +287,11 @@ def initial_state(ctx: SieveContext) -> SieveState:
 
 def sieve_pass(ctx: SieveContext, state: SieveState, q: int) -> SieveState:
     """Keep exactly the classes whose image at q lands on the curve."""
-    img = state.images[q]
+    img = ctx.images[q]
     m = img.gamma_order
     state.refine(m, lambda label, s: s % m in img.residues[label])
     state.trace.append({"step": "sieve_pass", "prime": q,
-                        "survivors": state.survivor_count()})
+                        "survivors": state.survivor_count})
     return state
 
 
@@ -298,10 +313,10 @@ def search_points(ctx: SieveContext, state: SieveState) -> SieveState:
     multiples = [MumfordDivisor.identity(ctx.gamma.domain)]
     for _ in range(max((abs(s) for s, _ in candidates), default=0)):
         multiples.append(cantor_add(C, multiples[-1], ctx.gamma))
-    found_before = len(state.found)
+    found_before = len(state.points)
     for s, label in candidates:
         D = multiples[s] if s >= 0 else multiples[-s].neg()
-        E = cantor_add(C, D, state.torsion_sums[label])
+        E = cantor_add(C, D, ctx.torsion_sums[label])
         Q = curve_preimage(C, E, CurvePoint.infinity())
         if Q is None:
             continue
@@ -312,11 +327,11 @@ def search_points(ctx: SieveContext, state: SieveState) -> SieveState:
             raise ArithmeticError("preimage %r fails the curve equation"
                                   % (Q,))
         state.found_keys.add(key)
-        state.found.append(PointRecord(Q, s, label,
-                                       reduce_point(C, Q, ctx.prime)))
+        state.points.append(PointRecord(Q, s, label,
+                                        reduce_point(C, Q, ctx.prime)))
     state.trace.append({"step": "search", "bound": ctx.bound,
-                        "found": len(state.found) - found_before,
-                        "total": len(state.found)})
+                        "found": len(state.points) - found_before,
+                        "total": len(state.points)})
     return state
 
 
@@ -337,10 +352,9 @@ def _with_budget(ctx: SieveContext, state: SieveState, fn, note=None):
         return None
 
 
-def _certify_transversality(ctx, state, Q):
+def _certify_transversality(ctx, state, form, Q):
     def attempt(rel):
-        ok, v = transversality_certificate(ctx.curve, state.form, Q,
-                                           ctx.prime, rel)
+        ok, v = transversality_certificate(ctx.curve, form, Q, ctx.prime, rel)
         if not ok:
             raise PrecisionLossError("form vanishes at the disc center at "
                                      "precision %d" % rel)
@@ -350,9 +364,9 @@ def _certify_transversality(ctx, state, Q):
                         "%r within the precision budget" % (Q,))
 
 
-def _certify_point(ctx, state, rec, n):
+def _certify_point(ctx, state, form, rec, n):
     def attempt(rel):
-        series = point_anchored_series(ctx.curve, state.form, rec.point,
+        series = point_anchored_series(ctx.curve, form, rec.point,
                                        ctx.prime, n=n, rel=rel)
         return series, strassmann_count(series)
 
@@ -370,7 +384,7 @@ def _log_floor(L):
     return min(vals) if vals else None
 
 
-def _excise_found_classes(ctx, state, n):
+def _excise_found_classes(ctx, state, gamma_log, n):
     # a class matching a found point Q at level n contains no other
     # rational point: its members differ from [Q - inf] by an element of
     # the level-n kernel, and Q's certificate says that sub-disc holds a
@@ -378,13 +392,13 @@ def _excise_found_classes(ctx, state, n):
     # mod the reduced generator's order m_p, and differ by a kernel element
     # when v(s - rec.s) + v(log gamma) >= n: the test reads s only mod
     # lcm(m_p, p^max(n - v(log gamma), 0)), which refine checks divides N.
-    m = state.images[ctx.prime].gamma_order
-    vg = _log_floor(state.gamma_log)
+    m = ctx.images[ctx.prime].gamma_order
+    vg = _log_floor(gamma_log)
     if vg is None:
         return 0
     mod = math.lcm(m, ctx.prime ** max(n - vg, 0))
     excised = 0
-    for rec in state.found:
+    for rec in state.points:
         if rec.criterion or rec.zero_count == 1:
             excised += state.refine(mod, lambda label, s: (
                 label != rec.label or (s - rec.s) % mod != 0))
@@ -394,102 +408,69 @@ def _excise_found_classes(ctx, state, n):
 def deepen(ctx: SieveContext, state: SieveState) -> SieveState:
     """Raise the working level past every found point's v_w, certify the
     discs, refresh N, and excise the classes of the found points."""
-    if not state.found:
+    if not state.points:
         state.trace.append({"step": "deepen", "skipped": "nothing found"})
         return state
     C, p = ctx.curve, ctx.prime
-    state.gamma_log = _with_budget(
+    gamma_log = _with_budget(
         ctx, state, lambda r: log_jacobian(C, ctx.gamma, p, rel=r))
-    state.form = annihilating_form(state.gamma_log)
+    form = annihilating_form(gamma_log)
     vmax = 0
-    for rec in state.found:
-        rec.v_w = _certify_transversality(ctx, state, rec.point)
+    for rec in state.points:
+        rec.v_w = _certify_transversality(ctx, state, form, rec.point)
         if rec.v_w is None:
             state.trace.append({"step": "deepen", "skipped": "transversality"})
             return state
         vmax = max(vmax, rec.v_w)
     n = state.level = vmax + 1
-    for rec in state.found:
-        _certify_point(ctx, state, rec, n)
-    pts = [rec.point for rec in state.found]
+    for rec in state.points:
+        _certify_point(ctx, state, form, rec, n)
+    pts = [rec.point for rec in state.points]
     unresolved = []
     for disc in fp_curve_points(C, p):
         # an unresolved disc gets no certificate; the trace and the notes
         # name it
         cert = _with_budget(ctx, state, lambda rel: disc_zero_count(
-            C, state.form, disc, p, n=1, known_points=pts, rel=rel),
+            C, form, disc, p, n=1, known_points=pts, rel=rel),
             "zero count unresolved on disc %r" % (disc,))
         if cert is not None:
-            state.disc_certs[disc] = cert
+            state.disc_certificates[disc] = cert
         if cert is None or not cert.resolved:
             unresolved.append(disc)
-    state.N = math.lcm(state.N, state.images[p].exponent * p ** (n - 1))
-    excised = _excise_found_classes(ctx, state, n)
+    state.N = math.lcm(state.N, ctx.images[p].exponent * p ** (n - 1))
+    excised = _excise_found_classes(ctx, state, gamma_log, n)
     if not unresolved:
         # every residue disc carries exactly its known points, so the
         # found set already is all of C(Q): clear the remaining classes
         state.refine(1, lambda label, s: False)
         state.notes.append("all %d residue discs resolved at level 1"
-                           % len(state.disc_certs))
+                           % len(state.disc_certificates))
     state.trace.append({"step": "deepen", "n": n, "N": state.N,
                         "excised": excised,
                         "unresolved_discs": list(unresolved),
-                        "survivors": state.survivor_count()})
+                        "survivors": state.survivor_count})
     return state
 
 
-class SieveResult:
-    """Certificate bundle of a finished run."""
-
-    __slots__ = ("status", "closing", "points", "disc_certificates",
-                 "survivor_count", "survivors_sample", "hypotheses", "trace",
-                 "notes", "N", "level", "iterations", "escalations")
-
-    def __init__(self, status, closing, points, disc_certificates,
-                 survivor_count, survivors_sample, trace, notes, N, level,
-                 iterations, escalations):
-        self.status = status
-        self.closing = closing
-        self.points = points
-        self.disc_certificates = disc_certificates
-        self.survivor_count = survivor_count
-        self.survivors_sample = survivors_sample
-        self.hypotheses = HYPOTHESES
-        self.trace = trace
-        self.notes = notes
-        self.N = N
-        self.level = level
-        self.iterations = iterations
-        self.escalations = escalations
-
-    @property
-    def complete(self) -> bool:
-        return self.status == "complete"
-
-
-def run(ctx: SieveContext) -> SieveResult:
+def run(ctx: SieveContext) -> SieveState:
     """One round: sieve passes at every prime, then, if classes survive,
-    the point search and one deepening.  A second round could change
-    nothing: every pass's modulus already divides M, the search would
-    read a subset of the classes it read, and deepening would meet the
-    same form and found points.  A zero iteration budget runs no
-    round."""
+    the point search and one deepening; the state is the run's result.
+    A second round could change nothing: every pass's modulus already
+    divides M, the search would read a subset of the classes it read,
+    and deepening would meet the same form and found points.  A zero
+    iteration budget runs no round."""
     state = initial_state(ctx)
-    status, closing = "inconclusive", "iteration budget is zero"
-    if ctx.max_iterations > 0:
-        for q in (ctx.prime,) + ctx.aux_primes:
-            sieve_pass(ctx, state, q)
-        if state.survivor_count():
-            search_points(ctx, state)
-            deepen(ctx, state)
-        if state.survivor_count():
-            closing = "no further progress within the configured data"
-        else:
-            status, closing = "complete", "surviving class set is empty"
-    return SieveResult(
-        status=status, closing=closing, points=list(state.found),
-        disc_certificates=dict(state.disc_certs),
-        survivor_count=state.survivor_count(),
-        survivors_sample=state.survivor_sample(),
-        trace=state.trace, notes=state.notes, N=state.N, level=state.level,
-        iterations=int(ctx.max_iterations > 0), escalations=state.escalations)
+    if ctx.max_iterations == 0:
+        state.closing = "iteration budget is zero"
+        return state
+    state.iterations = 1
+    for q in (ctx.prime,) + ctx.aux_primes:
+        sieve_pass(ctx, state, q)
+    if state.survivor_count:
+        search_points(ctx, state)
+        deepen(ctx, state)
+    if state.survivor_count:
+        state.closing = "no further progress within the configured data"
+    else:
+        state.status, state.closing = "complete", "surviving class set is empty"
+    return state

@@ -923,6 +923,21 @@ class TestIotaPairs:
             assert len(calls) == 2, (P, rel)
             self._assert_direct_log(C, Q, p, rel, real)
 
+    def test_log_outlives_its_entrys_eviction(self, C, gamma, monkeypatch):
+        # with room for one entry, the kernel logs of log_jacobian evict
+        # the center's entry; the log still lands on the cached entry, so
+        # a second count of the disc computes no log
+        rel = 20
+        w, _, real, calls = self._setup(C, gamma, 7, rel, monkeypatch)
+        monkeypatch.setattr(coleman, "DISC_LAMBDA_CACHE_LIMIT", 1)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            disc_zero_count(C, w, (3, 1), 7, rel=rel)
+            counts.append(len(calls))
+        assert counts == [1, 0]
+        self._assert_direct_log(C, (3, 1), 7, rel, real)
+
 
 class TestAnchoredSeries:
     def test_single_point_criterion_at_each_known_point(self, C, form7):

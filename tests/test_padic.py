@@ -509,6 +509,14 @@ class TestHelpers:
         with pytest.raises(PrecisionLossError):
             with_precision_retry(fn, 10, 1)
 
+    @pytest.mark.parametrize("escalations", [-1, -3])
+    def test_with_precision_retry_refuses_a_negative_budget(self,
+                                                            escalations):
+        calls = []
+        with pytest.raises(ValueError, match="escalations must be at least 0"):
+            with_precision_retry(calls.append, 10, escalations)
+        assert calls == []
+
     def test_valuation_is_negative(self):
         assert valuation_is_negative(N(Fraction(3, 49)))
         assert not valuation_is_negative(N(14))
