@@ -3,7 +3,7 @@
 The package certifies the full set of rational points on a curve
 y^2 = f(x), deg f = 5 monic, when the Jacobian is simple of Mordell-Weil
 rank 1: p-adic Jacobian logarithms produce an annihilating differential,
-Strassmann counts bound the zeros of its antiderivative on each residue
+Strassmann counts bound the zeros of its integral on each residue
 disc, and a Mordell-Weil sieve resolves the discs the analytic bound
 leaves ambiguous.
 """

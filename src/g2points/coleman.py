@@ -4,8 +4,10 @@ Tiny integrals of regular 1-forms between points of one residue disc,
 the p-adic logarithm on the Jacobian (tiny integrals against the basis
 dx/2y, x dx/2y after multiplying into the kernel of reduction), the
 1-form annihilating a given logarithm vector, and Strassmann-certified
-zero counts of its antiderivative on residue discs.  Everything returns
-capped-precision values or raises; no answer is ever silently rounded.
+zero counts of its integral on residue discs, each integral read at a
+point (PadicPowerSeries.integral_at) or as a series in t/p^n
+(PadicPowerSeries.integral).  Everything returns capped-precision values
+or raises; no answer is ever silently rounded.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .curve import (
     CurvePoint,
     Differential,
     HyperellipticCurve,
-    _taylor_coeffs,
     centers_a_frame,
     disc_center,
     disc_parameter,
@@ -80,8 +81,8 @@ class LogVector:
 def tiny_integral(C: HyperellipticCurve, w, frm: CurvePoint, to: CurvePoint,
                   p: int, rel: int = DEFAULT_PRECISION):
     """Integral of w from frm to to, both in one residue disc, combined
-    from the antiderivatives of the basis forms, which are expanded afresh
-    on each call from the disc's cached frame.
+    from the integrals of the basis forms, which are expanded afresh on
+    each call from the disc's cached frame.
 
     Endpoints may have rational, p-adic, or quadratic-extension coordinates;
     the value lies in the same field (a conjugate-symmetric extension value
@@ -180,16 +181,16 @@ def _disc_frame(C: HyperellipticCurve, disc_key, p: int, rel: int):
 
 def _disc_sums(C: HyperellipticCurve, key, terms, p: int, rel: int):
     """The sums of s * lambda(t(P)) over the pairs (P, s) of terms, for the
-    antiderivatives lambda of dx/2y and x dx/2y on the cached frame of the
+    integrals lambda of dx/2y and x dx/2y on the cached frame of the
     residue disc labeled key; each P lies in that disc, each s is +1 or -1."""
     center, frame = _disc_frame(C, key, p, rel)
-    lams = [expand_on_frame(w, frame).antiderivative() for w in _basis(p, rel)]
+    forms = [expand_on_frame(w, frame) for w in _basis(p, rel)]
     ts = [(disc_parameter(P, center, p, rel), s) for P, s in terms]
     out = []
-    for lam in lams:
+    for a in forms:
         acc = PadicNumber.exact_zero(p)
         for t, s in ts:
-            acc = acc + lam.evaluate(t) if s > 0 else acc - lam.evaluate(t)
+            acc = acc + a.integral_at(t) if s > 0 else acc - a.integral_at(t)
         out.append(acc)
     return tuple(out)
 
@@ -227,7 +228,7 @@ def _kernel_log(C: HyperellipticCurve, delta: MumfordDivisor, p: int, rel: int):
     each true root, it is capped at eps at infinity, where dt/dx has
     positive valuation, and at eps + v(v1) on an affine disc, where t = y
     and dy = v'(x) dx along the support; a constant v leaves t exact.  The
-    basis antiderivatives have integral coefficients in t, so
+    basis integrals have integral coefficients in t, so
     |lambda(t + dt) - lambda(t)| <= |dt|.  An affine midpoint must reduce
     to a branch point; anywhere else the zeroish discriminant was precision
     erosion, not a genuine double root, and the class is retried.
@@ -338,7 +339,7 @@ class DiscCertificate:
 
 def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
                     known_points=(), rel: int = DEFAULT_PRECISION) -> DiscCertificate:
-    """Strassmann count of zeros of the antiderivative of w on the depth-n
+    """Strassmann count of zeros of the integral of w on the depth-n
     sub-disc around the canonical center of an F_p-point's residue disc.
 
     The series counted is kappa + int(w), kappa the pairing of w with the
@@ -376,8 +377,7 @@ def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
     a = expand_on_frame(w, frame)
     a0 = a.coeff_of_degree(0)
     v_w = None if a0.is_zeroish() else int(a0.valuation)
-    series = PadicPowerSeries(p, [kappa]) \
-        + a.antiderivative().rescale_argument(n)
+    series = PadicPowerSeries(p, [kappa]) + a.integral(n)
     count = strassmann_count(series)
     inside = 0
     for Q in known_points:
@@ -400,39 +400,16 @@ def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
 
 def point_anchored_series(C: HyperellipticCurve, w, Q: CurvePoint, p: int,
                           n: int = 1, rel: int = DEFAULT_PRECISION) -> PadicPowerSeries:
-    """Antiderivative of w as a series in t/p^n, anchored at Q itself with
-    constant term exactly 0 (so r = 0 is the zero at Q)."""
+    """Integral of w from Q as a series in t/p^n, constant term exactly 0
+    (so r = 0 is the zero at Q)."""
     if centers_a_frame(lift_anchor(Q, p, rel)):
         _, frame = _anchor_frame(C, Q, p, rel)
-        return expand_on_frame(w, frame).antiderivative().rescale_argument(n)
+        return expand_on_frame(w, frame).integral(n)
     # Q centers no frame (a point above a branch point, or of the disc at
-    # infinity): recenter its disc's series at t0 = t(Q)
+    # infinity): integrate its disc's series from t0 = t(Q)
     center, frame = _disc_frame(C, reduce_point(C, Q, p), p, rel)
-    lam = expand_on_frame(w, frame).antiderivative()
     t0 = disc_parameter(Q, center, p, rel)
-    return _recentered_series(lam, t0).rescale_argument(n)
-
-
-def _recentered_series(lam: PadicPowerSeries, t0: PadicNumber) -> PadicPowerSeries:
-    """lam(t0 + s) - lam(t0) as a series in s, for v(t0) >= 1.
-
-    The polynomial part shifts exactly; the tail contributes at least
-    M - k v(t0) to the degree-k coefficient, M the tail cap of lam at t0.
-    """
-    if t0.is_zeroish() or t0.valuation < 1:
-        raise ValueError("recentering requires certified v(t0) >= 1")
-    p = lam.prime
-    v0 = Fraction(int(t0.valuation))
-    bs = _taylor_coeffs(lam.coeffs, t0)
-    M = lam._eval_tail_cap(v0)
-    if M != _INF:
-        bs = [b.with_abs_cap(int(math.floor(M - k * v0)))
-              for k, b in enumerate(bs)]
-    bs[0] = PadicNumber.exact_zero(p)
-    # for d > T the tail contributions keep the penalized shape: the log
-    # term grows by at most 1 per unit of degree while v(t0) >= 1
-    return PadicPowerSeries(p, bs, lam.tail_valuation_bound,
-                            tail_log_penalty=lam.tail_log_penalty)
+    return expand_on_frame(w, frame).integral(n, t0)
 
 
 def single_point_criterion(v_w, p: int, n: int, series: PadicPowerSeries) -> bool:
@@ -441,8 +418,6 @@ def single_point_criterion(v_w, p: int, n: int, series: PadicPowerSeries) -> boo
     other certified coefficient and the truncation tail.  Never raises;
     any uncertainty returns False."""
     if v_w is None or p < 3 or n < v_w + 1:
-        return False
-    if series.tail_log_penalty:
         return False
     b1 = series.coeff_of_degree(1)
     if b1.is_zeroish():

@@ -20,6 +20,7 @@ from .padic import (
     QuadExtension,
     QuadExtNumber,
     _horner,
+    _taylor_coeffs,
     hensel_root,
     legendre_symbol,
     lift,
@@ -384,22 +385,6 @@ def lift_anchor(center: CurvePoint, p: int, rel: int) -> CurvePoint:
     if center.at_infinity:
         return center
     return CurvePoint(lift(center.x, p, rel), lift(center.y, p, rel), False)
-
-
-def _taylor_coeffs(fc, x0):
-    """Coefficients of f(x0 + t) by repeated synthetic division."""
-    cs = list(fc)
-    out = []
-    while cs:
-        b = cs[-1]
-        qs = [b]
-        for c in reversed(cs[:-1]):
-            b = b * x0 + c
-            qs.append(b)
-        out.append(b)
-        qs.reverse()
-        cs = qs[1:]
-    return out
 
 
 def _expansion_at_infinity(fc, T):

@@ -22,12 +22,15 @@ count half-integers doubled.
 
 Power series carry an explicit truncation order and a tail valuation bound,
 which is what lets Strassmann counts and series evaluations return certified
-precisions instead of hopeful ones.  Their products, inverses and square
-roots (series_mul, series_inv, series_sqrt) run on int lanes: each operand is
-read once into valuations, absolute precisions and units scaled to a common
-shift, and every coefficient is built once from the exact sum of unit
-products and the least absolute precision over its pairs, over Q_p and over
-Q_p(sqrt(d)) alike, digit for digit what the operator fold gives.
+precisions instead of hopeful ones.  An integral's degree-d coefficient loses
+up to floor(log_p d) digits against that bound, so an integral is only read
+as a series in t/p^n or at a point (PadicPowerSeries.integral, integral_at),
+where the loss is accounted for.  Their products, inverses and square roots
+(series_mul, series_inv, series_sqrt) run on int lanes: each operand is read
+once into valuations, absolute precisions and units scaled to a common shift,
+and every coefficient is built once from the exact sum of unit products and
+the least absolute precision over its pairs, over Q_p and over Q_p(sqrt(d))
+alike, digit for digit what the operator fold gives.
 """
 
 from __future__ import annotations
@@ -694,16 +697,12 @@ class PadicPowerSeries:
 
     ``tail_valuation_bound`` promises v(coefficient of t^d) >= bound for every
     d beyond truncation_order; a bound of +inf means those coefficients
-    vanish exactly (a genuine polynomial).  When ``tail_log_penalty`` is set
-    the promise weakens to bound - floor(log_p d), which is what
-    antiderivatives produce; the penalty is discharged back into an integer
-    bound by argument rescaling or by evaluation at |t| < 1.
+    vanish exactly (a genuine polynomial).
     """
 
-    __slots__ = ("prime", "coeffs", "tail_valuation_bound", "tail_log_penalty")
+    __slots__ = ("prime", "coeffs", "tail_valuation_bound")
 
-    def __init__(self, prime: int, coeffs, tail_valuation_bound=_INF, *,
-                 tail_log_penalty: bool = False):
+    def __init__(self, prime: int, coeffs, tail_valuation_bound=_INF):
         self.prime = prime
         self.coeffs = list(coeffs) or [PadicNumber.exact_zero(prime)]
         for c in self.coeffs:
@@ -711,9 +710,6 @@ class PadicPowerSeries:
                 raise TypeError("series coefficient %r is not p-adic; lift it "
                                 "at the digits it should carry" % (c,))
         self.tail_valuation_bound = tail_valuation_bound
-        self.tail_log_penalty = tail_log_penalty
-        if tail_log_penalty and tail_valuation_bound == _INF:
-            self.tail_log_penalty = False
 
     @property
     def truncation_order(self) -> int:
@@ -738,8 +734,6 @@ class PadicPowerSeries:
 
     def is_normal(self) -> bool:
         """All coefficients integral and tending to 0."""
-        if self.tail_log_penalty:
-            return False
         if any(c.valuation < 0 for c in self.coeffs):
             return False
         return self.tail_valuation_bound > 0
@@ -753,7 +747,6 @@ class PadicPowerSeries:
         hi = min(self._horizon(), other._horizon())
         if hi == _INF:
             hi = max(self.truncation_order, other.truncation_order)
-        hi = int(hi)
         # past one operand's end the other's coefficient is copied: adding an
         # exact zero would return it unchanged
         a, b = self.coeffs, other.coeffs
@@ -763,11 +756,11 @@ class PadicPowerSeries:
                 coeffs.append(a[d] + b[d] if d < len(b) else a[d])
             else:
                 coeffs.append(b[d] if d < len(b) else PadicNumber.exact_zero(p))
-        tail = min(self.tail_valuation_bound, other.tail_valuation_bound)
-        penalty = self.tail_log_penalty or other.tail_log_penalty
-        # a log penalty only ever weakens the bound, so keeping the flag on the
-        # min of the bases stays sound
-        return PadicPowerSeries(p, coeffs, tail, tail_log_penalty=penalty)
+        # a known coefficient past hi joins the sum's tail
+        tail = min(self.tail_valuation_bound, other.tail_valuation_bound,
+                   *(c.valuation for c in a[hi + 1:]),
+                   *(c.valuation for c in b[hi + 1:]))
+        return PadicPowerSeries(p, coeffs, tail)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, PadicNumber)):
@@ -778,58 +771,85 @@ class PadicPowerSeries:
             if isinstance(other, PadicNumber) and other.is_zeroish():
                 raise PrecisionLossError("scaling a series by a value with no known digits")
             return PadicPowerSeries(self.prime, [x * other for x in self.coeffs],
-                                    self.tail_valuation_bound + v,
-                                    tail_log_penalty=self.tail_log_penalty)
+                                    self.tail_valuation_bound + v)
         if not isinstance(other, PadicPowerSeries):
             return NotImplemented
-        if self.tail_log_penalty or other.tail_log_penalty:
-            raise ValueError("multiplying log-penalized tails is unsupported")
         p = self.prime
         hi = min(self._horizon(), other._horizon())
         if hi == _INF:
             hi = self.truncation_order + other.truncation_order
-        out = series_mul(p, self.coeffs, other.coeffs, int(hi) + 1)
+        out = series_mul(p, self.coeffs, other.coeffs, hi + 1)
         if self.tail_valuation_bound == _INF and other.tail_valuation_bound == _INF:
             tail = _INF
         else:
             tail = min(self.tail_valuation_bound + other._finite_min_val(),
                        other.tail_valuation_bound + self._finite_min_val())
+        # a product a_i b_j of known coefficients with i + j > hi joins the
+        # tail: suf[j] is the least v(b_j') over j' >= j
+        b = other.coeffs
+        suf = [_INF] * (len(b) + 1)
+        for j in reversed(range(len(b))):
+            suf[j] = min(suf[j + 1], b[j].valuation)
+        for i, c in enumerate(self.coeffs):
+            tail = min(tail, c.valuation + suf[min(max(hi + 1 - i, 0), len(b))])
         return PadicPowerSeries(p, out, tail)
 
     __rmul__ = __mul__
 
     def derivative(self) -> "PadicPowerSeries":
         coeffs = [self.coeffs[i] * i for i in range(1, len(self.coeffs))]
-        return PadicPowerSeries(self.prime, coeffs, self.tail_valuation_bound,
-                                tail_log_penalty=self.tail_log_penalty)
+        return PadicPowerSeries(self.prime, coeffs, self.tail_valuation_bound)
 
-    def antiderivative(self) -> "PadicPowerSeries":
-        """Termwise integral with constant 0; the tail picks up a log penalty."""
-        if self.tail_log_penalty:
-            raise ValueError("iterated antiderivatives are unsupported")
-        p = self.prime
-        coeffs = [PadicNumber.exact_zero(p)]
-        coeffs.extend(c / (i + 1) for i, c in enumerate(self.coeffs))
-        return PadicPowerSeries(p, coeffs, self.tail_valuation_bound,
-                                tail_log_penalty=self.tail_valuation_bound != _INF)
+    def integral(self, n: int, t0=None) -> "PadicPowerSeries":
+        """The integral of self from t0 as a series in t/p^n, for n >= 1 and
+        v(t0) >= 1 (t0 = 0 by default), with constant term exactly 0.
 
-    def rescale_argument(self, n: int) -> "PadicPowerSeries":
-        """Substitute t = p^n r; discharges any tail log penalty (n >= 1)."""
+        Past its truncation order T the integral's degree-d coefficient has
+        valuation at least base - floor(log_p d), base the tail bound of
+        self.  From t0 the known part shifts exactly, the tail adding at
+        least M - k v(t0) at degree k, M = log_penalty_tail_cap at v(t0),
+        and past T the loss still grows by at most 1 per degree.  Rescaling
+        adds n d, so the tail bound is base - floor(log_p(T + 1)) + n (T + 1).
+        """
         if n < 1:
             raise ValueError("level must be >= 1")
         p = self.prime
-        coeffs = [c.pshift(n * i) for i, c in enumerate(self.coeffs)]
-        T = self.truncation_order
+        base = self.tail_valuation_bound
+        coeffs = [PadicNumber.exact_zero(p)]
+        coeffs.extend(c / (i + 1) for i, c in enumerate(self.coeffs))
+        if t0 is not None:
+            if t0.is_zeroish() or t0.valuation < 1:
+                raise ValueError("recentering requires certified v(t0) >= 1")
+            v0 = Fraction(int(t0.valuation))
+            coeffs = _taylor_coeffs(coeffs, t0)
+            if base != _INF:
+                M = log_penalty_tail_cap(p, len(coeffs) - 1, base, v0)
+                coeffs = [b.with_abs_cap(int(math.floor(M - k * v0)))
+                          for k, b in enumerate(coeffs)]
+            coeffs[0] = PadicNumber.exact_zero(p)
+        coeffs = [c.pshift(n * i) for i, c in enumerate(coeffs)]
+        T = len(coeffs) - 1
+        tail = _INF if base == _INF else base - _ilog(p, T + 1) + n * (T + 1)
+        return PadicPowerSeries(p, coeffs, tail)
+
+    def integral_at(self, t):
+        """The integral of self from 0 to t, for v(t) > 0; its precision
+        includes the tail's contribution, log_penalty_tail_cap at v(t)."""
+        p = self.prime
+        coeffs = [PadicNumber.exact_zero(p)]
+        coeffs.extend(c / (i + 1) for i, c in enumerate(self.coeffs))
+        delta = t.valuation_p()
+        if delta == _INF:
+            return coeffs[0]
+        delta = Fraction(delta)
+        if delta <= 0:
+            raise ValueError("series evaluation requires v(t) > 0")
+        acc = _horner(coeffs, t)
         base = self.tail_valuation_bound
         if base == _INF:
-            tail = _INF
-        elif self.tail_log_penalty:
-            # min over d > T of base - floor(log_p d) + n d; each step changes
-            # the value by n - (log jump) >= 0, so the minimum is at d = T + 1
-            tail = base - _ilog(p, T + 1) + n * (T + 1)
-        else:
-            tail = base + n * (T + 1)
-        return PadicPowerSeries(p, coeffs, tail)
+            return acc
+        cap = log_penalty_tail_cap(p, len(coeffs) - 1, base, delta)
+        return acc.with_abs_cap(int(math.floor(cap)))
 
     def evaluate(self, t):
         """Value at t with v_p(t) > 0; the result's precision includes the
@@ -841,19 +861,11 @@ class PadicPowerSeries:
         if delta <= 0:
             raise ValueError("series evaluation requires v(t) > 0")
         acc = _horner(self.coeffs, t)
-        cap = self._eval_tail_cap(delta)
-        if cap == _INF:
-            return acc
-        return acc.with_abs_cap(int(math.floor(cap)))
-
-    def _eval_tail_cap(self, delta: Fraction):
         base = self.tail_valuation_bound
         if base == _INF:
-            return _INF
-        T = self.truncation_order
-        if not self.tail_log_penalty:
-            return base + (T + 1) * delta
-        return log_penalty_tail_cap(self.prime, T, base, delta)
+            return acc
+        cap = base + (self.truncation_order + 1) * delta
+        return acc.with_abs_cap(int(math.floor(cap)))
 
     def inverse(self) -> "PadicPowerSeries":
         """1/self for an integral series with unit constant term."""
@@ -868,9 +880,9 @@ class PadicPowerSeries:
         return PadicPowerSeries(p, out, tail)
 
     def __repr__(self):
-        return "PadicPowerSeries(p=%d, T=%d, tail>=%s%s)" % (
-            self.prime, self.truncation_order, self.tail_valuation_bound,
-            ", log-penalty" if self.tail_log_penalty else "")
+        return "PadicPowerSeries(p=%d, T=%d, tail>=%s)" % (
+            self.prime, self.truncation_order, self.tail_valuation_bound)
+
 
 
 # -- sums of products on int lanes --------------------------------------------
@@ -1139,11 +1151,27 @@ def _horner(coeffs, x):
     return acc
 
 
+def _taylor_coeffs(fc, x0):
+    """Coefficients of f(x0 + t) by repeated synthetic division."""
+    cs = list(fc)
+    out = []
+    while cs:
+        b = cs[-1]
+        qs = [b]
+        for c in reversed(cs[:-1]):
+            b = b * x0 + c
+            qs.append(b)
+        out.append(b)
+        qs.reverse()
+        cs = qs[1:]
+    return out
+
+
 def log_penalty_tail_cap(p: int, T: int, base, delta: Fraction):
     """min over d > T of base - floor(log_p d) + d*delta, for delta > 0.
 
-    The lower bound on v(c_d t^d) for every degree d past T of a series
-    whose tail carries a log penalty, evaluated at v(t) = delta.
+    The lower bound on v(c_d t^d) for every degree d past T of an integral
+    whose integrand's tail bound is base, evaluated at v(t) = delta.
     """
     # scan a window past T, then use floor(log_p d) <= d*delta/2 beyond it
     end = T + 2
@@ -1173,8 +1201,6 @@ def strassmann_count(f: PadicPowerSeries) -> int:
     with no known digits is tolerated only when its valuation floor certifiably
     clears mu; a tail bound <= mu raises InconclusiveTruncationError.
     """
-    if f.tail_log_penalty:
-        raise InconclusiveTruncationError("tail bound carries an undischarged log penalty")
     mu = None
     for c in f.coeffs:
         if not c.is_zeroish() and (mu is None or c.valuation < mu):

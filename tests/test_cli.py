@@ -392,5 +392,13 @@ class TestMain:
     def test_invalid_override_values(self, capsys):
         assert main(["run", str(FIXTURES / "flynn.json"),
                      "--precision", "0"]) == 1
+        assert "precision: must be at least 1" in capsys.readouterr().err
         assert main(["run", str(FIXTURES / "flynn.json"),
                      "--max-iter", "-1"]) == 1
+        assert ("budgets.iterations: must be at least 0"
+                in capsys.readouterr().err)
+        text = _fixture("flynn.json")
+        with pytest.raises(ConfigError, match="^precision: must be at least 1"):
+            parse_config(text, precision=0)
+        cfg = parse_config(text, precision=24, iterations=0)
+        assert (cfg.precision, cfg.iterations) == (24, 0)

@@ -8,6 +8,7 @@ the per-disc Strassmann counts with the full set of known rational
 points.
 """
 
+import hashlib
 import os
 import random
 from fractions import Fraction
@@ -979,17 +980,23 @@ class TestAnchoredSeries:
     def test_recentered_anchor_above_branch_point(self):
         # (1, 7) on y^2 = x^5 + 48 sits inside the Weierstrass disc above
         # x = 1 without being the branch point, so the disc series in t = y
-        # has to be recentered; check against the integral to (1, -7),
-        # which lives at t = -14 from the new anchor
-        from g2points.coleman import _recentered_series
+        # is integrated from t0 = 7; at r = s/7 it reads the integral from
+        # (1, 7) to the disc's point at t = 7 + s, for v(s) >= 2
         C2 = HyperellipticCurve([48, 0, 0, 0, 0, 1])
         w = Differential(1, 0, 7)
-        center = disc_center(C2, reduce_point(C2, aff(1, 7), 7), 7)
-        lam = expand_differential(C2, w, center, 7, 80).antiderivative()
-        rc = _recentered_series(lam, PadicNumber.from_int(7, 7))
-        got = rc.evaluate(PadicNumber.from_int(-14, 7))
-        want = tiny_integral(C2, w, aff(1, 7), aff(1, -7), 7)
-        assert padic_agree(got, want)
+        label = reduce_point(C2, aff(1, 7), 7)
+        center = disc_center(C2, label, 7)
+        a = expand_differential(C2, w, center, 7, 80)
+        t0 = PadicNumber.from_int(7, 7)
+        rc = a.integral(1, t0)
+        for s in (49, -98, 3 * 7 ** 3):
+            r = PadicNumber.from_int(s // 7, 7)
+            got = rc.evaluate(r)
+            t = PadicNumber.from_int(7 + s, 7)
+            assert padic_agree(got, a.integral_at(t) - a.integral_at(t0))
+            want = tiny_integral(C2, w, aff(1, 7), frame_point(C2, label, 7, t), 7)
+            assert padic_agree(got, want)
+            assert not got.is_zeroish()
         s = point_anchored_series(C2, w, aff(1, 7), 7, n=1)
         assert s.coeffs[0].is_exact_zero()
         assert not s.coeff_of_degree(1).is_zeroish()
@@ -1010,6 +1017,80 @@ class TestAnchoredSeries:
         got = s.evaluate(t0 * Fraction(-1, 7))
         assert padic_agree(got, tiny_integral(Cx, form, P, INF, 7))
         assert not got.is_zeroish()
+
+
+def pinned_digest(rows):
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+BRANCH_48 = [48, 0, 0, 0, 0, 1]
+INFINITY_DISC = [64 + 7 ** 20, 0, 0, 0, 0, 1]
+P_INFINITY_DISC = aff(Fraction(4, 7 ** 4), Fraction(32 + 7 ** 20, 7 ** 10))
+PIN_FORMS = ((1, 0), (0, 1), (2, 3))
+
+
+class TestRecenteringPins:
+    """The digits of the series of anchors that center no frame, which no
+    golden report reaches: (1, +-7) above the branch point x = 1 of
+    y^2 = x^5 + 48, and a point of the disc at infinity of
+    y^2 = x^5 + 64 + 7^20, for dx/2y, x dx/2y and (2 + 3x) dx/2y at
+    levels 1, 2 and 3; with the tiny integrals between the endpoints the
+    tests above integrate over."""
+
+    ANCHOR_DIGESTS = {
+        ("(1, 7)", 8):
+            "51b3fb697216a1caf92deee2f9f34c6080d46b09c41fdc82d9af5f82e8f770c1",
+        ("(1, 7)", 20):
+            "d6b185dec5be063d79271d324bc25e08f2cec9bf055c9c2ef8c9118f46d93a87",
+        ("(1, 7)", 40):
+            "945ff292ec66e72357fccd8b0a7575866226a230b8db68116da30fdb70da0595",
+        ("(1, -7)", 8):
+            "225b136a9e7b6c2103cc1c93296550f634e4b603594eb2446b8939dfa47ea4cc",
+        ("(1, -7)", 20):
+            "d153e95376f5f64a71903be1f00d6cbf519080d7f62e2e463459f349d49eed95",
+        ("(1, -7)", 40):
+            "94022ce4139407c219b997cebe04729b782f417c639aaeb506769341cfb579da",
+        ("P", 8):
+            "3c7de037f6bfc9058b7b6526e2305f744745eed7b1fef7bcb9b1161d07aceb47",
+        ("P", 20):
+            "cd2d8082a4a2789a0cde0df57b6bcd73e846611804b1240a2898211b468a2914",
+        ("P", 40):
+            "e43bb43fd9aba52e2ea54ca5fa4dd085ec34aa422ecf08229500e67ea34863a0",
+    }
+
+    TINY_DIGESTS = {
+        8: "3ff89cfa18bb042922ef7a4608b95e009de225bb6d25465a667ac100d1f9fa52",
+        20: "f8549a3262a3639a53bffce8254c40405c67d081247077932a2b602e599eb38b",
+        40: "3407591ed58f25dc67223e36647cb9153496890dddbbde65b5d1cc04f8e82e63",
+    }
+
+    @pytest.mark.parametrize("anchor, rel", list(ANCHOR_DIGESTS))
+    def test_recentered_series_digits_are_pinned(self, anchor, rel):
+        fc, Q = {"(1, 7)": (BRANCH_48, aff(1, 7)),
+                 "(1, -7)": (BRANCH_48, aff(1, -7)),
+                 "P": (INFINITY_DISC, P_INFINITY_DISC)}[anchor]
+        Cq = HyperellipticCurve(fc)
+        rows = []
+        for n in (1, 2, 3):
+            for c1, c2 in PIN_FORMS:
+                s = point_anchored_series(Cq, Differential(c1, c2, 7, rel), Q,
+                                          7, n=n, rel=rel)
+                rows.append(([digits(c) for c in s.coeffs],
+                             s.tail_valuation_bound))
+        assert pinned_digest(rows) == self.ANCHOR_DIGESTS[anchor, rel]
+
+    @pytest.mark.parametrize("rel", list(TINY_DIGESTS))
+    def test_tiny_integral_digits_are_pinned(self, C, rel):
+        C2, Cx = HyperellipticCurve(BRANCH_48), HyperellipticCurve(INFINITY_DISC)
+        P1 = infinity_disc_point(C, Fraction(1, 49), 7)
+        P2 = infinity_disc_point(C, Fraction(4, 49), 7)
+        endpoints = [(C, aff(3, 6), aff(10, -120)), (C, aff(3, 6), aff(3, 6)),
+                     (C, INF, P1), (C, P1, P2), (C2, aff(1, 7), aff(1, -7)),
+                     (Cx, P_INFINITY_DISC, INF)]
+        rows = [digits(tiny_integral(Cq, Differential(c1, c2, 7, rel), frm, to,
+                                     7, rel=rel))
+                for Cq, frm, to in endpoints for c1, c2 in PIN_FORMS]
+        assert pinned_digest(rows) == self.TINY_DIGESTS[rel]
 
 
 class TestFiltrationLevel:

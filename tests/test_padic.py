@@ -12,7 +12,6 @@ from g2points.curve import (
     CurvePoint,
     HyperellipticCurve,
     _affine_y_coeffs,
-    _taylor_coeffs,
 )
 from g2points.jacobian import embed_point
 from g2points.padic import (
@@ -25,10 +24,13 @@ from g2points.padic import (
     QuadExtension,
     QuadExtNumber,
     _horner,
+    _taylor_coeffs,
     hensel_root,
     legendre_symbol,
     lift,
+    log_penalty_tail_cap,
     mahler_bound_holds,
+    padic_agree,
     padic_sqrt,
     series_inv,
     series_mul,
@@ -318,13 +320,6 @@ class TestStrassmann:
         with pytest.raises(InconclusiveTruncationError):
             strassmann_count(f)
 
-    def test_log_penalty_is_inconclusive(self):
-        base = PadicPowerSeries(7, Ns([1, 1]), tail_valuation_bound=1)
-        g = base.antiderivative()
-        assert g.tail_log_penalty
-        with pytest.raises(InconclusiveTruncationError):
-            strassmann_count(g)
-
     def test_zeroish_coefficient_at_minimum_raises(self):
         f = PadicPowerSeries(7, [N(7), N(1), PadicNumber.zeroish(7, 0)],
                              tail_valuation_bound=1)
@@ -359,6 +354,17 @@ class TestPowerSeries:
         assert (t.coeff_of_degree(3) - 4).is_zeroish()
         assert t.tail_valuation_bound == 2
 
+    def test_add_tail_covers_dropped_coefficients(self):
+        # the sum stops at the truncated operand's order 0, so t + t^2 of
+        # the polynomial joins its tail: the two zeros of 14 + t + t^2 in
+        # the unit ball must not be counted as none
+        s = PadicPowerSeries(7, Ns([7, 1, 1])) \
+            + PadicPowerSeries(7, [N(7)], tail_valuation_bound=5)
+        assert s.truncation_order == 0
+        assert s.tail_valuation_bound == 0
+        with pytest.raises(InconclusiveTruncationError):
+            strassmann_count(s)
+
     def test_mul_respects_completeness_horizon(self):
         s = PadicPowerSeries(7, Ns([1, 1, 1]), tail_valuation_bound=3)
         c = PadicPowerSeries(7, [N(2)])
@@ -367,20 +373,48 @@ class TestPowerSeries:
         assert (prod.coeff_of_degree(2) - 2).is_zeroish()
         assert prod.tail_valuation_bound == 3
 
+    def test_mul_tail_covers_dropped_products(self):
+        # the product stops at order 1, and its degree-2 coefficient 2
+        # comes from known coefficients alone: t * t and 1 * t^2
+        a = PadicPowerSeries(7, Ns([1, 1]), tail_valuation_bound=10)
+        b = PadicPowerSeries(7, Ns([1, 1, 1]), tail_valuation_bound=10)
+        for prod in (a * b, b * a):
+            assert prod.truncation_order == 1
+            assert prod.tail_valuation_bound == 0
+
     def test_derivative_antiderivative_roundtrip(self):
+        # the integral in t/7 has c_d 7^(d+1) t^d as its derivative
         s = PadicPowerSeries(7, Ns([2, 3, 5, 7]), tail_valuation_bound=1)
-        back = s.antiderivative().derivative()
+        back = s.integral(1).derivative()
         for d in range(4):
-            assert (back.coeff_of_degree(d) - s.coeff_of_degree(d)).is_zeroish()
+            assert (back.coeff_of_degree(d)
+                    - s.coeff_of_degree(d) * 7 ** (d + 1)).is_zeroish()
 
     def test_rescale_discharges_log_penalty(self):
         s = PadicPowerSeries(7, Ns([1] * 10), tail_valuation_bound=0)
-        g = s.antiderivative()
-        assert g.tail_log_penalty
-        h = g.rescale_argument(1)
-        assert not h.tail_log_penalty
+        h = s.integral(1)
+        assert h.coeffs[0].is_exact_zero()
         # base 0, T = 10: tail = 0 - ilog(7, 11) + 1*11 = 10
         assert h.tail_valuation_bound == 10
+        assert s.integral(2).tail_valuation_bound == 21
+        with pytest.raises(ValueError, match="level"):
+            s.integral(0)
+
+    def test_recentered_integral_matches_values(self):
+        # from t0 = 7 the integral read at s/7 is lambda(t0 + s) - lambda(t0)
+        s = PadicPowerSeries(7, Ns([3, 1, 4, 1, 5, 9, 2, 6]),
+                             tail_valuation_bound=1)
+        t0 = N(7)
+        h = s.integral(1, t0)
+        assert h.coeffs[0].is_exact_zero()
+        assert h.tail_valuation_bound == s.integral(1).tail_valuation_bound
+        for k in (1, 3, -5, 50):
+            r = N(7 * k)
+            got = h.evaluate(r)
+            want = s.integral_at(t0 + r * 7) - s.integral_at(t0)
+            assert padic_agree(got, want), k
+        with pytest.raises(ValueError, match="v\\(t0\\) >= 1"):
+            s.integral(1, N(3))
 
     def test_evaluate_caps_by_tail(self):
         s = PadicPowerSeries(7, Ns([1, 1]), tail_valuation_bound=0)
@@ -390,11 +424,13 @@ class TestPowerSeries:
         assert (v - 8).is_zeroish()
 
     def test_evaluate_log_penalty_still_converges(self):
-        s = PadicPowerSeries(7, Ns([1] * 8), tail_valuation_bound=0).antiderivative()
-        v = s.evaluate(N(7))
+        s = PadicPowerSeries(7, Ns([1] * 8), tail_valuation_bound=0)
+        v = s.integral_at(N(7))
         geom = sum(Fraction(7 ** (i + 1), i + 1) for i in range(8))
         assert (v - N(geom, rel=40)).is_zeroish()
         assert v.abs_precision >= 5
+        # the cap is log_penalty_tail_cap at v(t) = 1: 9 - floor(log_7 9)
+        assert v.abs_precision == log_penalty_tail_cap(7, 8, 0, Fraction(1)) == 8
 
     def test_evaluate_on_extension_element(self):
         ext = QuadExtension(7, QuadExtension.RAMIFIED)
@@ -423,12 +459,6 @@ class TestPowerSeries:
             PadicPowerSeries(7, [1, 2])
         with pytest.raises(TypeError, match="not p-adic"):
             PadicPowerSeries(7, [N(1), Fraction(1, 2)])
-
-    def test_log_penalty_is_keyword_only(self):
-        # a stale fourth positional argument must not turn the penalty on
-        with pytest.raises(TypeError):
-            PadicPowerSeries(7, Ns([1, 1]), 0, -2)
-        assert not PadicPowerSeries(7, Ns([1, 1]), 0).tail_log_penalty
 
 
 class TestMahler:
@@ -607,7 +637,7 @@ def dot_inputs(draw):
 
 @st.composite
 def series_lists(draw, p, max_size=12):
-    """Coefficient lists with negative valuations (antiderivatives make
+    """Coefficient lists with negative valuations (integrals make
     them), zeroish entries with negative floors and runs of exact zeros;
     some long, with few classes (valuation, absolute precision), some even
     in t, as local expansions are."""
@@ -795,17 +825,10 @@ class TestDotKernel:
             [ext_fields(c) for c in ref_affine_y(fc, x0, y0, T)]
 
 
-# -- tail cap of a log-penalized series ---------------------------------------
+# -- tail cap of an integral --------------------------------------------------
 
-def scanned_tail_cap(s, delta):
+def scanned_tail_cap(p, T, base, delta):
     """Reference: the degree-by-degree scan the block minimum replaced."""
-    base = s.tail_valuation_bound
-    if base == math.inf:
-        return math.inf
-    T = s.truncation_order
-    p = s.prime
-    if not s.tail_log_penalty:
-        return base + (T + 1) * delta
     end = T + 2
     while not (end * delta >= 2 * (_ilog(p, end) + 1) and p ** _ilog(p, end) >= 4 * (T + 2)):
         end += max(T, 8)
@@ -818,20 +841,16 @@ class TestTailCap:
         for p in (3, 5, 7, 11):
             for T in (0, 1, 2, 6, 9, 26, 86, 160):
                 for base in (-3, 0, 5):
-                    for penalty in (False, True):
-                        s = PadicPowerSeries(p, Ns([1] * (T + 1), p), base,
-                                             tail_log_penalty=penalty)
-                        for delta in (Fraction(1, 3), Fraction(1, 2), Fraction(1),
-                                      Fraction(3, 2), Fraction(2), Fraction(5)):
-                            got = s._eval_tail_cap(delta)
-                            want = scanned_tail_cap(s, delta)
-                            assert got == want and type(got) is type(want), \
-                                (p, T, base, penalty, delta)
+                    for delta in (Fraction(1, 3), Fraction(1, 2), Fraction(1),
+                                  Fraction(3, 2), Fraction(2), Fraction(5)):
+                        got = log_penalty_tail_cap(p, T, base, delta)
+                        want = scanned_tail_cap(p, T, base, delta)
+                        assert got == want and type(got) is type(want), \
+                            (p, T, base, delta)
 
     def test_tiny_valuation_raises_instead_of_capping_silently(self):
-        s = PadicPowerSeries(7, Ns([1] * 5), tail_valuation_bound=0).antiderivative()
         with pytest.raises(InconclusiveTruncationError):
-            s._eval_tail_cap(Fraction(1, 10 ** 6))
+            log_penalty_tail_cap(7, 5, 0, Fraction(1, 10 ** 6))
 
 
 def unram(a, b):
@@ -980,7 +999,8 @@ class TestIntScalars:
             return PadicNumber.from_rational(n, 7, max(c.rel_precision, 1))
 
         want = (fields(x * lifted(x, 5)), fields(x * lifted(x, 5).inverse()),
-                [fields(c * lifted(c, i + 1).inverse()) for i, c in enumerate(s.coeffs)],
+                [fields((c * lifted(c, i + 1).inverse()).pshift(i + 1))
+                 for i, c in enumerate(s.coeffs)],
                 [fields(c * lifted(c, i)) for i, c in enumerate(s.coeffs) if i])
 
         def no_lift(*args, **kwargs):
@@ -988,7 +1008,7 @@ class TestIntScalars:
 
         monkeypatch.setattr(PadicNumber, "from_rational", no_lift)
         got = (fields(x * 5), fields(x / 5),
-               [fields(c) for c in s.antiderivative().coeffs[1:]],
+               [fields(c) for c in s.integral(1).coeffs[1:]],
                [fields(c) for c in s.derivative().coeffs])
         assert got == want
 
