@@ -107,12 +107,6 @@ def _basis(p: int, rel: int):
     return (Differential(1, 0, p, rel), Differential(0, 1, p, rel))
 
 
-#: most entries [center, frame, center log] _DISC_LAMBDA_CACHE keeps, the
-#: oldest dropped first.  A job at Chabauty prime p reads about 1.4 (p + 1)
-#: frames per precision (54 at p = 37, 132 at p = 97), so it keeps every
-#: entry up to about p = 83; above, an entry read again after its eviction
-#: is rebuilt with the same digits (138 builds for 132 frames at p = 97)
-DISC_LAMBDA_CACHE_LIMIT = 128
 _DISC_LAMBDA_CACHE: dict = {}
 
 
@@ -141,8 +135,8 @@ def _anchor_entry(C: HyperellipticCurve, anchor: CurvePoint, p: int, rel: int):
     TRUNCATION_FACTOR * rel, and log [center - infinity] once
     disc_zero_count has read it, else None.  Cached per curve and
     precision by the lifted coordinates, so a rational point that is its
-    disc's center shares the disc's entry; up to DISC_LAMBDA_CACHE_LIMIT
-    entries are kept.
+    disc's center shares the disc's entry; the cache holds one curve's
+    entries, and an entry of another curve empties it first.
 
     A miss at an affine, non-branch center (x, y) whose iota-partner
     (x, -y) is cached reads its frame off the partner's: the same k and
@@ -162,8 +156,8 @@ def _anchor_entry(C: HyperellipticCurve, anchor: CurvePoint, p: int, rel: int):
             frame = k, xs, (PadicPowerSeries(p, [-c for c in h.coeffs],
                                              h.tail_valuation_bound),)
         hit = [center, frame, None]
-        while len(_DISC_LAMBDA_CACHE) >= DISC_LAMBDA_CACHE_LIMIT:
-            del _DISC_LAMBDA_CACHE[next(iter(_DISC_LAMBDA_CACHE))]
+        if _DISC_LAMBDA_CACHE and next(iter(_DISC_LAMBDA_CACHE))[0] != ck[0]:
+            _DISC_LAMBDA_CACHE.clear()
         _DISC_LAMBDA_CACHE[ck] = hit
     return hit
 
@@ -250,10 +244,7 @@ def _kernel_log(C: HyperellipticCurve, delta: MumfordDivisor, p: int, rel: int):
         P, Q = points
         key = reduce_point(C, P, p)
         if P is Q:
-            fbar = 0
-            for k in reversed(C.f_coeffs):
-                fbar = (fbar * key[0] + k) % p
-            if key[1] % p != 0 or fbar != 0:
+            if key[1] % p != 0 or C.f_eval(key[0]) % p != 0:
                 raise PrecisionLossError("eroded kernel data: midpoint does "
                                          "not reduce to a branch point")
         elif reduce_point(C, Q.involution(), p) != key:
@@ -355,8 +346,8 @@ def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
     if not C.good_reduction(p):
         raise ValueError("zero counts need a prime of good reduction")
     w = w.normalized()
-    center, frame, log = _anchor_entry(C, disc_center(C, fp_point, p, rel),
-                                       p, rel)
+    entry = _anchor_entry(C, disc_center(C, fp_point, p, rel), p, rel)
+    center, frame, log = entry
     if center.at_infinity or is_branch_point(center):
         # [center - infinity] is trivial or 2-torsion: kappa = 0 exactly
         kappa = PadicNumber.exact_zero(p)
@@ -369,10 +360,7 @@ def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
                 log = log_jacobian(C, embed_point(
                     C, center, CurvePoint.infinity(),
                     domain=PadicDomain(p, rel)), p, rel=rel)
-            # log_jacobian reads other discs' frames through the cache and
-            # may have evicted this entry: look it up again, which puts it
-            # back, before keeping the log on it
-            _anchor_entry(C, center, p, rel)[2] = log
+            entry[2] = log
         kappa = w.apply(log)
     a = expand_on_frame(w, frame)
     a0 = a.coeff_of_degree(0)

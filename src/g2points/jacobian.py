@@ -12,7 +12,8 @@ generic composition.
 The sieve reads J(F_q) without listing it (order_and_exponent): the order
 from the zeta identity, and the exponent one Sylow subgroup at a time
 (_sylow_exponent), cached per (f, q): the one record of J(F_q) that the
-torsion bound, the sieve and the logarithm read.  Full listing,
+torsion bound, the sieve and the logarithm read.  The cache holds the
+records of one curve, which are all a job reads.  Full listing,
 enumerate_Fp_jacobian, is for the tests.
 """
 
@@ -426,9 +427,6 @@ def _sylow_exponent(C: HyperellipticCurve, q: int, order: int, ell: int,
                           "reached %d classes" % (q, ell, size))
 
 
-#: most (order, exponent) records _enumeration_cache keeps, the oldest
-#: dropped first; a job reads one per prime, Chabauty or auxiliary
-ENUMERATION_CACHE_LIMIT = 32
 _enumeration_cache: dict = {}
 
 
@@ -436,16 +434,17 @@ def order_and_exponent(C: HyperellipticCurve, q: int):
     """(|J(F_q)|, its exponent) without listing J(F_q): the order from the
     zeta identity, the exponent one Sylow subgroup at a time from the
     classes of _fq_classes, generated only as far as it reads them.
-    Cached per (f, q), up to ENUMERATION_CACHE_LIMIT records."""
-    ck = (tuple(C.f_coeffs), q)
+    Cached per (f, q); the cache holds one curve's records, and a record
+    of another curve empties it first."""
+    ck = (C.f_coeffs, q)
     if ck not in _enumeration_cache:
         order, exponent = jacobian_order(C, q), 1
         for ell, k in _prime_powers(order):
             # an ell-part of order ell is cyclic and needs no class
             exponent *= (ell if k == 1
                          else _sylow_exponent(C, q, order, ell, k))
-        while len(_enumeration_cache) >= ENUMERATION_CACHE_LIMIT:
-            del _enumeration_cache[next(iter(_enumeration_cache))]
+        if _enumeration_cache and next(iter(_enumeration_cache))[0] != ck[0]:
+            _enumeration_cache.clear()
         _enumeration_cache[ck] = order, exponent
     return _enumeration_cache[ck]
 

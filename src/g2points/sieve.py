@@ -397,12 +397,11 @@ def _excise_found_classes(ctx, state, gamma_log, n):
     if vg is None:
         return 0
     mod = math.lcm(m, ctx.prime ** max(n - vg, 0))
-    excised = 0
-    for rec in state.points:
-        if rec.criterion or rec.zero_count == 1:
-            excised += state.refine(mod, lambda label, s: (
-                label != rec.label or (s - rec.s) % mod != 0))
-    return excised
+    found = {(rec.label, rec.s % mod) for rec in state.points
+             if rec.zero_count == 1}
+    if not found:
+        return 0
+    return state.refine(mod, lambda label, s: (label, s % mod) not in found)
 
 
 def deepen(ctx: SieveContext, state: SieveState) -> SieveState:

@@ -714,22 +714,24 @@ class TestPartnerFrames:
         assert len(expansions) == len(anchors)
 
 
-class TestFrameCacheLimit:
-    def test_three_times_the_limit_and_a_rebuilt_frame(self, C, monkeypatch):
-        # frames at low precision over every disc of a few primes: 3x the
-        # limit of distinct keys leaves the newest, and the first frame,
-        # evicted, is rebuilt digit for digit
-        monkeypatch.setattr(coleman, "_DISC_LAMBDA_CACHE", {})
-        limit = coleman.DISC_LAMBDA_CACHE_LIMIT
+class TestFrameCache:
+    def test_one_curves_frames_all_stay(self, C, expansions):
+        # frames at low precision over every disc of a few primes, each
+        # read twice: 243 are built, the others are read off their
+        # iota-partners, the second reads build nothing, the first frame
+        # keeps its digits, and a frame of another curve empties the cache
         keys = [(key, p, rel) for rel in (2, 3, 4) for p in (7, 11, 13, 29, 31, 37)
-                for key in fp_curve_points(C, p)][: 3 * limit]
-        assert len(keys) == 3 * limit
+                for key in fp_curve_points(C, p)][:384]
+        assert len(keys) == 384
         first = frame_digits(coleman._disc_frame(C, *keys[0])[1])
-        for key, p, rel in keys:
+        for key, p, rel in keys + keys:
             coleman._disc_frame(C, key, p, rel)
-            assert len(coleman._DISC_LAMBDA_CACHE) <= limit
-        assert len(coleman._DISC_LAMBDA_CACHE) == limit
+        assert len(coleman._DISC_LAMBDA_CACHE) == 384
+        assert len(expansions) == 243
         assert frame_digits(coleman._disc_frame(C, *keys[0])[1]) == first
+        D = HyperellipticCurve(CURVE2)
+        coleman._disc_frame(D, (5, 0), 7, 2)
+        assert [k[0] for k in coleman._DISC_LAMBDA_CACHE] == [D.f_coeffs]
 
 
 def min_digits(s):
@@ -901,9 +903,8 @@ class TestIotaPairs:
 
     @pytest.mark.parametrize("p", [7, 11])
     def test_absent_partner_log_is_computed(self, C, gamma, p, monkeypatch):
-        # a partner entry holding no log yet, or dropped from the cache as
-        # an evicted one is: the second center computes its own log, with
-        # the same digits
+        # a partner entry holding no log yet, or dropped from the cache: the
+        # second center computes its own log, with the same digits
         rel = 20
         w, pairs, real, calls = self._setup(C, gamma, p, rel, monkeypatch)
         for P, Q in pairs:
@@ -925,12 +926,11 @@ class TestIotaPairs:
             self._assert_direct_log(C, Q, p, rel, real)
 
     def test_log_outlives_its_entrys_eviction(self, C, gamma, monkeypatch):
-        # with room for one entry, the kernel logs of log_jacobian evict
-        # the center's entry; the log still lands on the cached entry, so
-        # a second count of the disc computes no log
+        # the kernel logs of log_jacobian read other discs' frames of the
+        # same curve, which evicts nothing: the log lands on the center's
+        # cached entry, so a second count of the disc computes no log
         rel = 20
         w, _, real, calls = self._setup(C, gamma, 7, rel, monkeypatch)
-        monkeypatch.setattr(coleman, "DISC_LAMBDA_CACHE_LIMIT", 1)
         counts = []
         for _ in range(2):
             calls.clear()

@@ -492,20 +492,29 @@ class TestSylowExponent:
         assert cli.run_job(cfg).status == "complete"
         assert len(scans) == 5
 
-    def test_the_cache_keeps_its_limit_oldest_first(self, fresh_cache):
-        # y^2 = x^5 + c has good reduction at q = 3, 7, 11, 13 for c prime
-        # to them; 3x the limit of distinct (f, q) keys leaves the newest
-        limit = jacobian.ENUMERATION_CACHE_LIMIT
-        keys = []
-        for c in (c for c in range(1, 10 * limit) if math.gcd(c, 3003) == 1):
-            for q in (3, 7, 11, 13):
-                keys.append(([c, 0, 0, 0, 0, 1], q))
-        keys = keys[: 3 * limit]
-        for f, q in keys:
-            order_and_exponent(HyperellipticCurve(f), q)
-            assert len(jacobian._enumeration_cache) <= limit
+    def test_the_cache_keeps_one_curves_records(self, C, monkeypatch,
+                                                fresh_cache):
+        # every record of one curve stays: the first 40 good primes of
+        # Flynn, each read twice, compute 40 orders, and a record of
+        # another curve empties the cache first
+        calls = []
+        real = jacobian.jacobian_order
+
+        def counted(curve, q):
+            calls.append(q)
+            return real(curve, q)
+
+        monkeypatch.setattr(jacobian, "jacobian_order", counted)
+        primes = _good_primes(C, 191)
+        assert len(primes) == 40
+        for q in primes + primes:
+            order_and_exponent(C, q)
+        assert calls == primes
         assert list(jacobian._enumeration_cache) == \
-            [(tuple(f), q) for f, q in keys[-limit:]]
+            [(C.f_coeffs, q) for q in primes]
+        D = HyperellipticCurve(X5_PLUS_4)
+        order_and_exponent(D, 7)
+        assert list(jacobian._enumeration_cache) == [(D.f_coeffs, 7)]
 
 
 class TestReduction:
