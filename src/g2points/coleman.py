@@ -4,8 +4,8 @@ Tiny integrals of regular 1-forms between points of one residue disc,
 the p-adic logarithm on the Jacobian (tiny integrals against the basis
 dx/2y, x dx/2y after multiplying into the kernel of reduction), the
 1-form annihilating a given logarithm vector, and Strassmann-certified
-zero counts of its integral on residue discs, each integral read at a
-point (PadicPowerSeries.integral_at) or as a series in t/p^n
+zero counts of its integral on residue discs, each integral read at
+points (PadicPowerSeries.integrals_at) or as a series in t/p^n
 (PadicPowerSeries.integral).  Everything returns capped-precision values
 or raises; no answer is ever silently rounded.
 """
@@ -28,6 +28,7 @@ from .curve import (
     lift_anchor,
     local_frame,
     reduce_point,
+    store_for_curve,
 )
 from .jacobian import (
     MumfordDivisor,
@@ -155,10 +156,7 @@ def _anchor_entry(C: HyperellipticCurve, anchor: CurvePoint, p: int, rel: int):
             k, xs, (h,) = partner[1]
             frame = k, xs, (PadicPowerSeries(p, [-c for c in h.coeffs],
                                              h.tail_valuation_bound),)
-        hit = [center, frame, None]
-        if _DISC_LAMBDA_CACHE and next(iter(_DISC_LAMBDA_CACHE))[0] != ck[0]:
-            _DISC_LAMBDA_CACHE.clear()
-        _DISC_LAMBDA_CACHE[ck] = hit
+        hit = store_for_curve(_DISC_LAMBDA_CACHE, ck, [center, frame, None])
     return hit
 
 
@@ -178,13 +176,13 @@ def _disc_sums(C: HyperellipticCurve, key, terms, p: int, rel: int):
     integrals lambda of dx/2y and x dx/2y on the cached frame of the
     residue disc labeled key; each P lies in that disc, each s is +1 or -1."""
     center, frame = _disc_frame(C, key, p, rel)
-    forms = [expand_on_frame(w, frame) for w in _basis(p, rel)]
-    ts = [(disc_parameter(P, center, p, rel), s) for P, s in terms]
+    ts = [disc_parameter(P, center, p, rel) for P, _ in terms]
     out = []
-    for a in forms:
+    for w in _basis(p, rel):
         acc = PadicNumber.exact_zero(p)
-        for t, s in ts:
-            acc = acc + a.integral_at(t) if s > 0 else acc - a.integral_at(t)
+        vals = expand_on_frame(w, frame).integrals_at(ts)
+        for val, (_, s) in zip(vals, terms):
+            acc = acc + val if s > 0 else acc - val
         out.append(acc)
     return tuple(out)
 

@@ -138,6 +138,16 @@ class HyperellipticCurve:
         return "HyperellipticCurve(f=%r)" % (list(self.f_coeffs),)
 
 
+def store_for_curve(cache: dict, key, value):
+    """cache[key] = value, returned; key[0] is the curve's f_coeffs.  A
+    cache holds one curve's records, so a record of another curve empties
+    it first."""
+    if cache and next(iter(cache))[0] != key[0]:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
 class CurvePoint:
     """A point on the curve: Affine(x, y) or the point at infinity.
 

@@ -23,7 +23,8 @@ import math
 from fractions import Fraction
 
 from .curve import (FP_INFINITY, CurvePoint, HyperellipticCurve, count_Fp_points,
-                    count_Fp2_points, fp_curve_points, reduce_point)
+                    count_Fp2_points, fp_curve_points, reduce_point,
+                    store_for_curve)
 from .padic import DEFAULT_PRECISION, PadicNumber, lift, padic_sqrt, sqrt_mod_p
 from .polys import (PadicDomain, PrimeFieldDomain, RationalDomain, poly_add,
                     poly_degree_certified, poly_divexact, poly_eq, poly_lift,
@@ -443,9 +444,7 @@ def order_and_exponent(C: HyperellipticCurve, q: int):
             # an ell-part of order ell is cyclic and needs no class
             exponent *= (ell if k == 1
                          else _sylow_exponent(C, q, order, ell, k))
-        if _enumeration_cache and next(iter(_enumeration_cache))[0] != ck[0]:
-            _enumeration_cache.clear()
-        _enumeration_cache[ck] = order, exponent
+        store_for_curve(_enumeration_cache, ck, (order, exponent))
     return _enumeration_cache[ck]
 
 

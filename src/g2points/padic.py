@@ -835,21 +835,30 @@ class PadicPowerSeries:
     def integral_at(self, t):
         """The integral of self from 0 to t, for v(t) > 0; its precision
         includes the tail's contribution, log_penalty_tail_cap at v(t)."""
+        return self.integrals_at([t])[0]
+
+    def integrals_at(self, ts):
+        """[integral_at(t) for t in ts], read from one list of integral
+        coefficients."""
         p = self.prime
         coeffs = [PadicNumber.exact_zero(p)]
         coeffs.extend(c / (i + 1) for i, c in enumerate(self.coeffs))
-        delta = t.valuation_p()
-        if delta == _INF:
-            return coeffs[0]
-        delta = Fraction(delta)
-        if delta <= 0:
-            raise ValueError("series evaluation requires v(t) > 0")
-        acc = _horner(coeffs, t)
         base = self.tail_valuation_bound
-        if base == _INF:
-            return acc
-        cap = log_penalty_tail_cap(p, len(coeffs) - 1, base, delta)
-        return acc.with_abs_cap(int(math.floor(cap)))
+        out = []
+        for t in ts:
+            delta = t.valuation_p()
+            if delta == _INF:
+                out.append(coeffs[0])
+                continue
+            delta = Fraction(delta)
+            if delta <= 0:
+                raise ValueError("series evaluation requires v(t) > 0")
+            acc = _horner(coeffs, t)
+            if base != _INF:
+                cap = log_penalty_tail_cap(p, len(coeffs) - 1, base, delta)
+                acc = acc.with_abs_cap(int(math.floor(cap)))
+            out.append(acc)
+        return out
 
     def evaluate(self, t):
         """Value at t with v_p(t) > 0; the result's precision includes the

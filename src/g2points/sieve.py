@@ -10,18 +10,26 @@ round: each disc certificate depends only on the annihilating form and
 the found points, so a second round would repeat the first.  A success
 is always conditional on the stated hypotheses; classes left after the
 round are reported inconclusive rather than guessed at.
+
+What a context derives from the job's inputs alone is cached per curve
+in _CONTEXT_CACHE: each prime's ImageData under (f, torsion, gamma, q)
+and the torsion sums over Q under (f, torsion), the torsion read as its
+(T.key(), order) entries and gamma as gamma.key().  It holds one curve's
+records, and a record of another curve empties it first.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .coleman import (annihilating_form, disc_zero_count, log_jacobian,
                       point_anchored_series, single_point_criterion,
                       transversality_certificate)
 from .curve import (CurvePoint, HyperellipticCurve, fp_curve_points,
-                    is_on_curve, reduce_point)
+                    is_on_curve, reduce_point, store_for_curve)
 from .jacobian import (MumfordDivisor, cantor_add, curve_preimage,
                        cyclic_walk, element_order, fp_point_class,
                        order_and_exponent, reduce_divisor, scalar_mul,
@@ -45,14 +53,17 @@ HYPOTHESES = (
 class SieveContext:
     """Validated inputs of one run, and what they alone determine.
 
-    The generator is certified non-torsion (a torsion multiple bound
-    from the configured primes must not kill it); every torsion element
-    must be on the Jacobian with exactly its claimed order, which must
-    divide that bound, and the torsion sums must hold the rational
+    Every torsion element must be on the Jacobian with exactly its
+    claimed order, which must divide the torsion multiple bound of the
+    configured primes; the generator is certified non-torsion (its
+    reductions have two orders, or their one order m leaves m*gamma
+    nonzero over Q); and the torsion sums must hold the rational
     2-torsion of f's integer roots (_check_rational_two_torsion).  Primes
     of bad reduction are silently dropped from the auxiliary list.  The
     context keeps each torsion label's class sum over Q, each prime's
-    image data (Chabauty prime first) and N, the lcm of their exponents.
+    image data (Chabauty prime first) and N, the lcm of their exponents;
+    the sums and images are records of _CONTEXT_CACHE, so a context of
+    the same (f, torsion, gamma) builds neither again.
     """
 
     __slots__ = ("curve", "gamma", "torsion", "prime", "aux_primes", "N",
@@ -76,7 +87,8 @@ class SieveContext:
         self.prime = prime
         self.aux_primes = tuple(q for q in sorted(set(aux_primes))
                                 if q != prime and curve.good_reduction(q))
-        bnd = torsion_multiple_bound(curve, (prime,) + self.aux_primes)
+        primes = (prime,) + self.aux_primes
+        bnd = torsion_multiple_bound(curve, primes)
         tor = []
         for D, order in torsion:
             D.validate(curve)
@@ -94,20 +106,28 @@ class SieveContext:
                 raise ValueError("claimed torsion order is not minimal")
             tor.append((D, order))
         self.torsion = tuple(tor)
-        if scalar_mul(curve, bnd, gamma).is_identity():
+        self.gamma = gamma
+        self.images = {q: build_images(self, q) for q in primes}
+        # rational torsion injects into J(F_q) at odd good q, so a torsion
+        # gamma reduces to one order m at every prime, and m divides bnd:
+        # two orders certify gamma non-torsion, and one asks m*gamma over Q
+        orders = {img.gamma_order for img in self.images.values()}
+        if len(orders) == 1 and scalar_mul(curve, orders.pop(),
+                                           gamma).is_identity():
             raise ValueError("generator is torsion: killed by the bound %d"
                              % bnd)
-        self.gamma = gamma
         self.bound = bound
         self.rel = rel
         self.max_iterations = max_iterations
         self.max_escalations = max_escalations
-        self.torsion_sums = _torsion_sums(curve, [T for T, _ in self.torsion],
-                                          self.torsion_labels(),
-                                          RationalDomain())
+        ck = (curve.f_coeffs, _torsion_key(self))
+        sums = _CONTEXT_CACHE.get(ck)
+        if sums is None:
+            sums = store_for_curve(_CONTEXT_CACHE, ck, MappingProxyType(
+                _torsion_sums(curve, [T for T, _ in self.torsion],
+                              self.torsion_labels(), RationalDomain())))
+        self.torsion_sums = sums
         _check_rational_two_torsion(self)
-        self.images = {q: build_images(self, q)
-                       for q in (prime,) + self.aux_primes}
         self.N = math.lcm(*(img.exponent for img in self.images.values()))
 
     def torsion_labels(self):
@@ -136,19 +156,25 @@ class PointRecord:
                                                     self.label)
 
 
-class ImageData:
+class ImageData(NamedTuple):
     """What the sieve reads from J(F_q): its order and exponent, the size
     of the curve image, the order m of the reduced generator, and per
-    torsion label t the residues s < m with s*gamma + t on the image."""
+    torsion label t the residues s < m with s*gamma + t on the image.
+    Read-only: _CONTEXT_CACHE shares one record between contexts."""
 
-    __slots__ = ("order", "exponent", "image_size", "gamma_order", "residues")
+    order: int
+    exponent: int
+    image_size: int
+    gamma_order: int
+    residues: Mapping
 
-    def __init__(self, order, exponent, image_size, gamma_order, residues):
-        self.order = order
-        self.exponent = exponent
-        self.image_size = image_size
-        self.gamma_order = gamma_order
-        self.residues = residues
+
+# keys and rule in the module docstring
+_CONTEXT_CACHE: dict = {}
+
+
+def _torsion_key(ctx: SieveContext):
+    return tuple((T.key(), order) for T, order in ctx.torsion)
 
 
 def _torsion_sums(C, divisors, labels, domain):
@@ -171,8 +197,13 @@ def _torsion_sums(C, divisors, labels, domain):
 
 def build_images(ctx: SieveContext, q: int) -> ImageData:
     """The image of C(F_q) in J(F_q), and per torsion label the residues
-    s mod the reduced generator's order that land on it."""
+    s mod the reduced generator's order that land on it; a record of
+    _CONTEXT_CACHE when one is held."""
     C = ctx.curve
+    ck = (C.f_coeffs, _torsion_key(ctx), ctx.gamma.key(), q)
+    hit = _CONTEXT_CACHE.get(ck)
+    if hit is not None:
+        return hit
     order, exponent = order_and_exponent(C, q)
     fdom = PrimeFieldDomain(q)
     image = [fp_point_class(fdom, c) for c in fp_curve_points(C, q)]
@@ -187,7 +218,8 @@ def build_images(ctx: SieveContext, q: int) -> ImageData:
         neg_t = t.neg()
         keys = (cantor_add(C, P, neg_t).key() for P in image)
         residues[label] = frozenset(index[k] for k in keys if k in index)
-    return ImageData(order, exponent, len(image), len(walk), residues)
+    return store_for_curve(_CONTEXT_CACHE, ck, ImageData(
+        order, exponent, len(image), len(walk), MappingProxyType(residues)))
 
 
 class SieveState:

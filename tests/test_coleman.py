@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2points import coleman, curve
+from g2points import coleman, curve, sieve
 from g2points.coleman import (DecompositionFailureError, LogVector,
                               _kernel_log, annihilating_form, disc_zero_count,
                               log_jacobian, point_anchored_series,
@@ -642,6 +642,7 @@ def expansions(monkeypatch):
 
     monkeypatch.setattr(coleman, "local_frame", counted)
     monkeypatch.setattr(coleman, "_DISC_LAMBDA_CACHE", {})
+    monkeypatch.setattr(sieve, "_CONTEXT_CACHE", {})
     return calls
 
 
@@ -674,6 +675,7 @@ class TestSharedFrame:
 
         monkeypatch.setattr(coleman, "expand_on_frame", counted)
         monkeypatch.setattr(jacobian, "_enumeration_cache", {})
+        monkeypatch.setattr(sieve, "_CONTEXT_CACHE", {})
         with open(FIXTURE, encoding="utf-8") as fh:
             run_job(parse_config(fh.read()))
         assert len(expansions) == 8

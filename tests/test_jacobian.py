@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2points import cli, coleman, jacobian
+from g2points import cli, coleman, jacobian, sieve
 from g2points.curve import (CurvePoint, HyperellipticCurve, fp_curve_points,
                             reduce_point)
 from g2points.jacobian import (MumfordDivisor, cantor_add, curve_preimage,
@@ -397,8 +397,10 @@ def _good_primes(C, top):
 
 @pytest.fixture
 def fresh_cache(monkeypatch):
-    # every order_and_exponent call in the test certifies afresh
+    # every order_and_exponent call in the test certifies afresh, and no
+    # sieve context recalls the images that read it
     monkeypatch.setattr(jacobian, "_enumeration_cache", {})
+    monkeypatch.setattr(sieve, "_CONTEXT_CACHE", {})
 
 
 class TestSylowExponent:
@@ -477,6 +479,7 @@ class TestSylowExponent:
         # the one (order, exponent) record per prime: a cold job counts
         # C(F_{q^2}) once for each of its 5 primes, and a rerun not at all
         monkeypatch.setattr(coleman, "_DISC_LAMBDA_CACHE", {})
+        monkeypatch.setattr(sieve, "_CONTEXT_CACHE", {})
         scans = []
         count = jacobian.count_Fp2_points
 

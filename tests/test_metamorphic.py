@@ -16,7 +16,7 @@ import json
 import os
 from fractions import Fraction
 
-from g2points import coleman, sieve
+from g2points import coleman, jacobian, sieve
 from g2points.cli import emit_report, parse_config, run_job
 
 from contract import assert_lists_naive_points, naive_points, point_keys
@@ -184,6 +184,7 @@ def test_chabauty_prime_37_reads_one_log_per_pair(monkeypatch):
     monkeypatch.setattr(sieve, "log_jacobian", counted)
     monkeypatch.setattr(coleman, "local_frame", counted_frame)
     monkeypatch.setattr(coleman, "_DISC_LAMBDA_CACHE", {})
+    monkeypatch.setattr(sieve, "_CONTEXT_CACHE", {})
     job = dict(FLYNN_JOB, chabauty_prime=37, aux_primes=[7, 11, 13, 17, 23])
     for logs, builds in ((19, 30), (1, 0)):
         calls.clear()
@@ -234,6 +235,38 @@ def test_model_translated_the_other_way():
     job = _translated_job(-1)
     assert _points(job, "7feffdb90c27ed4671684b4d74d696e03b6f3a1141e684aa"
                         "3bceca0f8af9a1c2", 0, shift=-1) == FLYNN_POINTS
+
+
+def _cold(monkeypatch):
+    for mod, name in ((sieve, "_CONTEXT_CACHE"),
+                      (jacobian, "_enumeration_cache"),
+                      (coleman, "_DISC_LAMBDA_CACHE")):
+        monkeypatch.setattr(mod, name, {})
+
+
+def test_negated_generator_after_the_generator(monkeypatch):
+    # the images of -gamma are not the ones gamma's run left in the cache
+    minus = dict(FLYNN_JOB, generator=dict(FLYNN_JOB["generator"],
+                                           v_coeffs=[-6]))
+    _cold(monkeypatch)
+    rep, _, cold = _run(minus)
+    assert rep.status == "complete"
+    _cold(monkeypatch)
+    _run(FLYNN_JOB)
+    assert _run(minus)[2] == cold
+
+
+def test_torsion_subset_after_the_full_torsion(monkeypatch):
+    # three of the four torsion generators miss (5, 0); the full torsion's
+    # sums and images must not answer for the subset
+    subset = dict(FLYNN_JOB, torsion=FLYNN_JOB["torsion"][:3])
+    _cold(monkeypatch)
+    rep, report, cold = _run(subset)
+    assert rep.status == "error"
+    assert "(5, 0)" in report["closing"], report["closing"]
+    _cold(monkeypatch)
+    _run(FLYNN_JOB)
+    assert _run(subset)[2] == cold
 
 
 def test_low_working_precision():

@@ -82,9 +82,39 @@ class TestContext:
         assert ctx.N == 6270
 
     def test_torsion_generator_rejected(self, curve):
+        # raised before the supplied torsion, here none, is found to miss
+        # J(Q)[2]
         T0 = MumfordDivisor(RationalDomain(), [Fraction(0), Fraction(1)], [])
-        with pytest.raises(ValueError, match="torsion"):
+        with pytest.raises(ValueError, match="^generator is torsion: killed "
+                                             "by the bound 16$"):
             SieveContext(curve, T0, prime=7, aux_primes=(11,))
+
+    def test_torsion_generator_rejected_at_one_prime(self, curve):
+        # one reduction, of order 2: 2*gamma is read over Q
+        T0 = MumfordDivisor(RationalDomain(), [Fraction(0), Fraction(1)], [])
+        with pytest.raises(ValueError, match="^generator is torsion: killed "
+                                             "by the bound 240$"):
+            SieveContext(curve, T0, prime=13)
+
+    @pytest.mark.parametrize("prime, aux, ladders", ((7, AUX, []),
+                                                     (13, (), [30])))
+    def test_generator_ladder_over_q(self, curve, monkeypatch, prime, aux,
+                                     ladders):
+        # reductions of two orders certify gamma non-torsion with no
+        # ladder over Q; one order m asks m*gamma, not bound*gamma
+        # (bound 240 at 13 alone)
+        calls = []
+        real = sieve.scalar_mul
+
+        def counted(C, m, D):
+            calls.append(m)
+            return real(C, m, D)
+
+        monkeypatch.setattr(sieve, "_CONTEXT_CACHE", {})
+        monkeypatch.setattr(sieve, "scalar_mul", counted)
+        SieveContext(curve, _gamma(), torsion=_torsion(), prime=prime,
+                     aux_primes=aux)
+        assert calls == ladders
 
     def test_wrong_claimed_order_rejected(self, curve):
         dom = RationalDomain()
@@ -195,18 +225,18 @@ class TestImages:
         for q in (7,) + AUX:
             assert 0 in ctx.images[q].residues[(0, 0, 0, 0)]
 
-    def test_rebuild_matches(self, ctx):
-        img = build_images(ctx, 7)
-        assert img.gamma_order == ctx.images[7].gamma_order
-        assert img.residues == ctx.images[7].residues
+    def test_rebuild_matches(self, ctx, monkeypatch):
+        img = _rebuilt(monkeypatch, ctx, 7)
+        assert img is not ctx.images[7]
+        assert img == ctx.images[7]
 
     @staticmethod
-    def _check_residues(ctx):
+    def _check_residues(ctx, monkeypatch):
         # each class s*gamma + t formed on its own by scalar_mul, tested
         # against the points of C(F_q) read off the Mumford pair
         curve = ctx.curve
         for q in (ctx.prime,) + ctx.aux_primes:
-            img = build_images(ctx, q)
+            img = _rebuilt(monkeypatch, ctx, q)
             points = set(fp_curve_points(curve, q)[1:])
             gbar = reduce_divisor(curve, ctx.gamma, q)
             tbars = [reduce_divisor(curve, T, q) for T, _ in ctx.torsion]
@@ -224,10 +254,10 @@ class TestImages:
                         expected.add(s)
                 assert img.residues[label] == expected, (q, label)
 
-    def test_residues_are_the_curve_image(self, ctx):
-        self._check_residues(ctx)
+    def test_residues_are_the_curve_image(self, ctx, monkeypatch):
+        self._check_residues(ctx, monkeypatch)
 
-    def test_residues_see_the_sign_of_the_torsion_label(self):
+    def test_residues_see_the_sign_of_the_torsion_label(self, monkeypatch):
         # every Flynn torsion class has order 2, so t = -t there; on
         # y^2 = x^5 + 4 the class (x, 2) has order 5, and t and -t give
         # different residue sets at every aux prime
@@ -240,9 +270,88 @@ class TestImages:
                             aux_primes=(7, 11, 13))
         assert ctx5.N == 51850
         for q in ctx5.aux_primes:
-            res = build_images(ctx5, q).residues
+            res = _rebuilt(monkeypatch, ctx5, q).residues
             assert any(res[(t,)] != res[(-t % 5,)] for t in range(1, 5))
-        self._check_residues(ctx5)
+        self._check_residues(ctx5, monkeypatch)
+
+
+def _rebuilt(monkeypatch, ctx, q):
+    """build_images with no record held: the image built, not recalled."""
+    monkeypatch.setattr(sieve, "_CONTEXT_CACHE", {})
+    return build_images(ctx, q)
+
+
+def _x5_plus_4(gamma_sign=1, torsion_order=5):
+    """A context on y^2 = x^5 + 4, whose torsion class (x, 2) has order 5,
+    so a label t and -t land on different residues at each aux prime."""
+    dom = RationalDomain()
+    curve = HyperellipticCurve([4, 0, 0, 0, 0, 1])
+    T = MumfordDivisor(dom, [Fraction(0), Fraction(1)], [Fraction(2)])
+    gamma = MumfordDivisor(dom, [Fraction(-2), Fraction(1)],
+                           [Fraction(6 * gamma_sign)])
+    torsion = ((T, torsion_order),) if torsion_order else ()
+    return SieveContext(curve, gamma, torsion=torsion, prime=3,
+                        aux_primes=(7, 11, 13))
+
+
+class TestContextCache:
+    """What a context derives from (f, torsion, gamma) is built once per
+    curve: a second context of the same inputs recalls every record, and
+    one of other inputs gets the records a cold context builds."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        monkeypatch.setattr(sieve, "_CONTEXT_CACHE", {})
+
+    def test_a_warm_golden_context_builds_nothing(self, curve, monkeypatch):
+        first = SieveContext(curve, _gamma(), torsion=_torsion(), prime=7,
+                             aux_primes=AUX)
+        calls = []
+        for name in ("cyclic_walk", "fp_curve_points", "_torsion_sums",
+                     "order_and_exponent"):
+            def counted(*args, _real=getattr(sieve, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(sieve, name, counted)
+        warm = SieveContext(curve, _gamma(), torsion=_torsion(), prime=7,
+                            aux_primes=AUX)
+        assert calls == []
+        assert all(warm.images[q] is first.images[q] for q in (7,) + AUX)
+        assert warm.torsion_sums is first.torsion_sums
+        assert warm.N == first.N == 6270
+
+    def test_records_are_read_only(self, ctx):
+        img = ctx.images[7]
+        with pytest.raises(AttributeError):
+            img.gamma_order = 1
+        with pytest.raises(TypeError):
+            img.residues[(0, 0, 0, 0)] = frozenset()
+        with pytest.raises(TypeError):
+            ctx.torsion_sums[(0, 0, 0, 0)] = None
+
+    def test_negated_generator_gets_its_own_images(self, monkeypatch):
+        # -gamma lands label t where gamma lands -t, and t != -t here
+        _x5_plus_4()
+        warm = _x5_plus_4(gamma_sign=-1)
+        for q in warm.images:
+            assert warm.images[q] == _rebuilt(monkeypatch, warm, q)
+        assert any(warm.images[q] != _x5_plus_4().images[q]
+                   for q in warm.aux_primes)
+
+    def test_torsion_is_part_of_the_key(self, monkeypatch):
+        _x5_plus_4()
+        warm = _x5_plus_4(torsion_order=0)
+        assert list(warm.torsion_sums) == [()]
+        for q in warm.images:
+            assert warm.images[q] == _rebuilt(monkeypatch, warm, q)
+
+    def test_another_curve_empties_the_cache(self, curve):
+        SieveContext(curve, _gamma(), torsion=_torsion(), prime=7,
+                     aux_primes=AUX)
+        assert len(sieve._CONTEXT_CACHE) == 6
+        ctx5 = _x5_plus_4()
+        assert {k[0] for k in sieve._CONTEXT_CACHE} == {ctx5.curve.f_coeffs}
+        assert len(sieve._CONTEXT_CACHE) == 5
 
 
 class TestPasses:
