@@ -3,11 +3,13 @@
 Tiny integrals of regular 1-forms between points of one residue disc,
 the p-adic logarithm on the Jacobian (tiny integrals against the basis
 dx/2y, x dx/2y after multiplying into the kernel of reduction), the
-1-form annihilating a given logarithm vector, and Strassmann-certified
-zero counts of its integral on residue discs, each integral read at
-points (PadicPowerSeries.integrals_at) or as a series in t/p^n
-(PadicPowerSeries.integral).  Everything returns capped-precision values
-or raises; no answer is ever silently rounded.
+1-form annihilating a given logarithm vector, its transversality (a0 of
+its expansion at a disc center), and Strassmann-certified zero counts of
+its integral on residue discs.  Each disc and precision has one cache
+entry, read by the disc's label, which expands each form once; integrals
+are read off those series at points (PadicPowerSeries.integrals_at) or
+as series in t/p^n (PadicPowerSeries.integral).  Everything returns
+capped-precision values or raises; no answer is ever silently rounded.
 """
 
 from __future__ import annotations
@@ -82,8 +84,8 @@ class LogVector:
 def tiny_integral(C: HyperellipticCurve, w, frm: CurvePoint, to: CurvePoint,
                   p: int, rel: int = DEFAULT_PRECISION):
     """Integral of w from frm to to, both in one residue disc, combined
-    from the integrals of the basis forms, which are expanded afresh on
-    each call from the disc's cached frame.
+    from the integrals of the basis forms, whose expansions the disc's
+    cache entry keeps.
 
     Endpoints may have rational, p-adic, or quadratic-extension coordinates;
     the value lies in the same field (a conjugate-symmetric extension value
@@ -103,10 +105,6 @@ def tiny_integral(C: HyperellipticCurve, w, frm: CurvePoint, to: CurvePoint,
 
 
 # -- the Jacobian logarithm --------------------------------------------------
-
-def _basis(p: int, rel: int):
-    return (Differential(1, 0, p, rel), Differential(0, 1, p, rel))
-
 
 _DISC_LAMBDA_CACHE: dict = {}
 
@@ -131,13 +129,13 @@ def _partner_entry(C: HyperellipticCurve, center: CurvePoint, p: int, rel: int):
 
 
 def _anchor_entry(C: HyperellipticCurve, anchor: CurvePoint, p: int, rel: int):
-    """The cache entry [center, local frame, center log] at an anchor point:
-    the anchor as local_frame lifts it, its frame at truncation order
-    TRUNCATION_FACTOR * rel, and log [center - infinity] once
-    disc_zero_count has read it, else None.  Cached per curve and
-    precision by the lifted coordinates, so a rational point that is its
-    disc's center shares the disc's entry; the cache holds one curve's
-    entries, and an entry of another curve empties it first.
+    """The cache entry [center, local frame, center log, expansions] at an
+    anchor point: the anchor as local_frame lifts it, its frame at
+    truncation order TRUNCATION_FACTOR * rel, log [center - infinity] once
+    disc_zero_count has read it (else None), and the series of _expansion.
+    Cached per curve and precision by the lifted coordinates, so a rational
+    point that is its disc's center shares the disc's entry; the cache
+    holds one curve's entries, and one of another curve empties it.
 
     A miss at an affine, non-branch center (x, y) whose iota-partner
     (x, -y) is cached reads its frame off the partner's: the same k and
@@ -156,31 +154,40 @@ def _anchor_entry(C: HyperellipticCurve, anchor: CurvePoint, p: int, rel: int):
             k, xs, (h,) = partner[1]
             frame = k, xs, (PadicPowerSeries(p, [-c for c in h.coeffs],
                                              h.tail_valuation_bound),)
-        hit = store_for_curve(_DISC_LAMBDA_CACHE, ck, [center, frame, None])
+        hit = store_for_curve(_DISC_LAMBDA_CACHE, ck, [center, frame, None, {}])
     return hit
 
 
-def _anchor_frame(C: HyperellipticCurve, anchor: CurvePoint, p: int, rel: int):
-    """(center, local frame) of the anchor's cache entry."""
-    return _anchor_entry(C, anchor, p, rel)[:2]
+def _disc_entry(C: HyperellipticCurve, label, p: int, rel: int):
+    """The cache entry at the canonical center of the residue disc labeled
+    label, as reduce_point labels it; stored under the label too, so a
+    read by label makes no Hensel lift."""
+    key = (C.f_coeffs, p, rel, label)
+    return _DISC_LAMBDA_CACHE.get(key) or store_for_curve(
+        _DISC_LAMBDA_CACHE, key,
+        _anchor_entry(C, disc_center(C, label, p, rel), p, rel))
 
 
-def _disc_frame(C: HyperellipticCurve, disc_key, p: int, rel: int):
-    """(center, local frame) at the canonical center of a residue disc,
-    labeled as reduce_point labels it."""
-    return _anchor_frame(C, disc_center(C, disc_key, p, rel), p, rel)
+def _expansion(entry, w: Differential) -> PadicPowerSeries:
+    """The expansion of w on the entry's frame, made once per form: keyed
+    by the digits of c1 and c2."""
+    key = (_field_key(w.c1), _field_key(w.c2))
+    series = entry[3].get(key)
+    if series is None:
+        series = entry[3][key] = expand_on_frame(w, entry[1])
+    return series
 
 
 def _disc_sums(C: HyperellipticCurve, key, terms, p: int, rel: int):
     """The sums of s * lambda(t(P)) over the pairs (P, s) of terms, for the
     integrals lambda of dx/2y and x dx/2y on the cached frame of the
     residue disc labeled key; each P lies in that disc, each s is +1 or -1."""
-    center, frame = _disc_frame(C, key, p, rel)
-    ts = [disc_parameter(P, center, p, rel) for P, _ in terms]
+    entry = _disc_entry(C, key, p, rel)
+    ts = [disc_parameter(P, entry[0], p, rel) for P, _ in terms]
     out = []
-    for w in _basis(p, rel):
+    for w in (Differential(1, 0, p, rel), Differential(0, 1, p, rel)):
         acc = PadicNumber.exact_zero(p)
-        vals = expand_on_frame(w, frame).integrals_at(ts)
+        vals = _expansion(entry, w).integrals_at(ts)
         for val, (_, s) in zip(vals, terms):
             acc = acc + val if s > 0 else acc - val
         out.append(acc)
@@ -274,19 +281,12 @@ def transversality_certificate(C: HyperellipticCurve, w, Q: CurvePoint, p: int,
     center of Q's residue disc, (False, None) when it vanishes at working
     precision.
 
-    a0, the value of w/dt at the disc center, is the paper's transversality
-    condition at the disc: w nonvanishing there.  It is the product of the
-    constant terms of the disc's cached frame, c1 (when k = 0) + c2 X(0)
-    times the head of each factor, the 1/2 at infinity included, so no
-    expansion is made; this first reader of a found point's disc still
-    builds the frame for the disc's later readers."""
-    k, xs, factors = _disc_frame(C, reduce_point(C, Q, p), p, rel)[1]
-    w = w.normalized()
-    a0 = w.c2 * xs.coeffs[0]
-    if k == 0:
-        a0 = w.c1 + a0
-    for h in factors:
-        a0 = a0 * (h.coeffs[0] if isinstance(h, PadicPowerSeries) else h)
+    a0, the constant term of w's expansion on the disc's cached frame, is
+    the value of w/dt at the disc center: the paper's transversality
+    condition at the disc is a0 != 0.  The expansion stays on the disc's
+    entry for its later readers."""
+    entry = _disc_entry(C, reduce_point(C, Q, p), p, rel)
+    a0 = _expansion(entry, w.normalized()).coeff_of_degree(0)
     if a0.is_zeroish():
         return False, None
     return True, int(a0.valuation)
@@ -344,8 +344,8 @@ def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
     if not C.good_reduction(p):
         raise ValueError("zero counts need a prime of good reduction")
     w = w.normalized()
-    entry = _anchor_entry(C, disc_center(C, fp_point, p, rel), p, rel)
-    center, frame, log = entry
+    entry = _disc_entry(C, fp_point, p, rel)
+    center, _, log, _ = entry
     if center.at_infinity or is_branch_point(center):
         # [center - infinity] is trivial or 2-torsion: kappa = 0 exactly
         kappa = PadicNumber.exact_zero(p)
@@ -360,7 +360,7 @@ def disc_zero_count(C: HyperellipticCurve, w, fp_point, p: int, n: int = 1,
                     domain=PadicDomain(p, rel)), p, rel=rel)
             entry[2] = log
         kappa = w.apply(log)
-    a = expand_on_frame(w, frame)
+    a = _expansion(entry, w)
     a0 = a.coeff_of_degree(0)
     v_w = None if a0.is_zeroish() else int(a0.valuation)
     series = PadicPowerSeries(p, [kappa]) + a.integral(n)
@@ -389,13 +389,12 @@ def point_anchored_series(C: HyperellipticCurve, w, Q: CurvePoint, p: int,
     """Integral of w from Q as a series in t/p^n, constant term exactly 0
     (so r = 0 is the zero at Q)."""
     if centers_a_frame(lift_anchor(Q, p, rel)):
-        _, frame = _anchor_frame(C, Q, p, rel)
-        return expand_on_frame(w, frame).integral(n)
+        return _expansion(_anchor_entry(C, Q, p, rel), w).integral(n)
     # Q centers no frame (a point above a branch point, or of the disc at
     # infinity): integrate its disc's series from t0 = t(Q)
-    center, frame = _disc_frame(C, reduce_point(C, Q, p), p, rel)
-    t0 = disc_parameter(Q, center, p, rel)
-    return expand_on_frame(w, frame).integral(n, t0)
+    entry = _disc_entry(C, reduce_point(C, Q, p), p, rel)
+    t0 = disc_parameter(Q, entry[0], p, rel)
+    return _expansion(entry, w).integral(n, t0)
 
 
 def single_point_criterion(v_w, p: int, n: int, series: PadicPowerSeries) -> bool:

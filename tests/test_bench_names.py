@@ -26,11 +26,11 @@ WORK_CEILINGS = {
     "polys.fq_mul_calls": 6689,
     "polys.q_mul_calls": 1565,
     "polys.qp_mul_calls": 393,
-    "padic.number_mul_calls": 4730,
-    "padic.number_add_calls": 2106,
+    "padic.number_mul_calls": 3853,
+    "padic.number_add_calls": 1882,
     "jacobian.scalar_mul_calls": 54,
     "coleman.log_jacobian_calls": 2,
-    "curve.disc_center_calls": 20,
+    "curve.disc_center_calls": 8,
 }
 
 

@@ -614,13 +614,17 @@ class TestTransversality:
                                                             p, rel):
         # every disc of C(F_p) with four forms: gamma's annihilating form,
         # dx/2y (at infinity c2 = 0 takes the lead path), x dx/2y, and a
-        # form with c1 exactly 0 and c2 that of the annihilating form
+        # form with c1 exactly 0 and c2 that of the annihilating form.  The
+        # certificate is v(a0) of a fresh expansion on a fresh frame, whose
+        # a0 is the product of that frame's constant terms, and the disc
+        # entry's expansion has the same a0
         wg = annihilating_form(with_precision_retry(
             lambda r: log_jacobian(C, gamma, p, rel=r), rel, 3))
         forms = [wg, Differential(1, 0, p, rel), Differential(0, 1, p, rel),
                  Differential(0, wg.c2, p, rel)]
         for key in fp_curve_points(C, p):
-            center, frame = coleman._disc_frame(C, key, p, rel)
+            center = disc_center(C, key, p, rel)
+            frame = local_frame(C, center, p, TRUNCATION_FACTOR * rel, rel)
             for w in forms:
                 w = w.normalized()
                 a0 = curve.expand_on_frame(w, frame).coeff_of_degree(0)
@@ -628,6 +632,9 @@ class TestTransversality:
                     else (True, int(a0.valuation))
                 assert transversality_certificate(C, w, center, p, rel) == want
                 assert digits(head_product(w, frame)) == digits(a0), (key, w)
+                entry = coleman._disc_entry(C, key, p, rel)
+                assert digits(coleman._expansion(entry, w).coeff_of_degree(0)) \
+                    == digits(a0), (key, w)
 
 
 @pytest.fixture
@@ -665,21 +672,83 @@ class TestSharedFrame:
 
     def test_work_of_a_cold_golden_job(self, expansions, monkeypatch):
         # 10 frames, of which (3, 6) and (10, 120) are read off their
-        # iota-partners, and no expansion for the 10 transversality checks
-        expanded = []
-        real = coleman.expand_on_frame
+        # iota-partners, one expansion per form read on each, and one
+        # center per disc; a warm rerun reads every disc by its label and
+        # every series off its entry
+        work = {"expand_on_frame": [], "disc_center": []}
+        for name, calls in work.items():
+            real = getattr(coleman, name)
 
-        def counted(w, frame):
-            expanded.append(frame)
-            return real(w, frame)
+            def counted(*args, real=real, calls=calls):
+                calls.append(args)
+                return real(*args)
 
-        monkeypatch.setattr(coleman, "expand_on_frame", counted)
+            monkeypatch.setattr(coleman, name, counted)
         monkeypatch.setattr(jacobian, "_enumeration_cache", {})
         monkeypatch.setattr(sieve, "_CONTEXT_CACHE", {})
         with open(FIXTURE, encoding="utf-8") as fh:
-            run_job(parse_config(fh.read()))
+            cfg = parse_config(fh.read())
+        run_job(cfg)
         assert len(expansions) == 8
-        assert len(expanded) == 22
+        assert len(work["expand_on_frame"]) == 14
+        assert len(work["disc_center"]) == 8
+        for calls in [expansions] + list(work.values()):
+            calls.clear()
+        run_job(cfg)
+        assert len(expansions) == 0
+        assert len(work["expand_on_frame"]) == 0
+        assert len(work["disc_center"]) == 0
+
+
+def series_digits(s):
+    """The prime, the digits of every coefficient and the tail bound."""
+    return (s.prime, [coleman._field_key(c) for c in s.coeffs],
+            s.tail_valuation_bound)
+
+
+class TestExpansionMemo:
+    """A disc's cache entry keeps one expansion per form, keyed by the
+    form's digits: each is the expansion a fresh frame gives."""
+
+    def test_entry_expansions_are_fresh_expansions(self, C, gamma,
+                                                   expansions):
+        # every disc of Flynn at 7 and 11 and two precisions, from one
+        # cache, so a label read at another p or rel meets the first's
+        # entry; the second disc of each iota-pair is read off the first
+        read = 0
+        for p in (7, 11):
+            wg = annihilating_form(log_jacobian(C, gamma, p))
+            for rel in (20, 40):
+                forms = [wg, Differential(1, 0, p, rel),
+                         Differential(0, 1, p, rel), Differential(3, 5, p, rel),
+                         Differential(0, wg.c2, p, rel)]
+                for label in fp_curve_points(C, p):
+                    entry = coleman._disc_entry(C, label, p, rel)
+                    read += 1
+                    frame = local_frame(C, disc_center(C, label, p, rel), p,
+                                        TRUNCATION_FACTOR * rel, rel)
+                    for w in forms:
+                        w = w.normalized()
+                        got = coleman._expansion(entry, w)
+                        assert coleman._expansion(entry, w) is got
+                        assert series_digits(got) == series_digits(
+                            curve.expand_on_frame(w, frame)), (label, p, rel)
+        assert len(expansions) < read
+
+    @pytest.mark.parametrize("p", [7, 11])
+    def test_forms_differing_in_c2_or_c1_digits_get_their_own_series(
+            self, C, p, expansions):
+        rel = 20
+        forms = [Differential(1, 3, p, rel), Differential(1, 4, p, rel),
+                 Differential(lift(1, p, rel // 2), 3, p, rel)]
+        for label in fp_curve_points(C, p):
+            entry = coleman._disc_entry(C, label, p, rel)
+            frame = local_frame(C, disc_center(C, label, p, rel), p,
+                                TRUNCATION_FACTOR * rel, rel)
+            got = [series_digits(coleman._expansion(entry, w)) for w in forms]
+            assert got == [series_digits(curve.expand_on_frame(w, frame))
+                           for w in forms], label
+            assert got[0] != got[1] and got[0] != got[2], label
 
 
 def frame_digits(frame):
@@ -709,8 +778,9 @@ class TestPartnerFrames:
         anchors.append(aff(10, 120))
         for P in anchors:
             coleman._DISC_LAMBDA_CACHE.clear()
-            coleman._anchor_frame(C, P, p, rel)
-            center, handed = coleman._anchor_frame(C, P.involution(), p, rel)
+            coleman._anchor_entry(C, P, p, rel)
+            center, handed = coleman._anchor_entry(C, P.involution(), p,
+                                                   rel)[:2]
             built = local_frame(C, center, p, TRUNCATION_FACTOR * rel, rel)
             assert frame_digits(handed) == frame_digits(built), (P, p, rel)
         assert len(expansions) == len(anchors)
@@ -721,19 +791,22 @@ class TestFrameCache:
         # frames at low precision over every disc of a few primes, each
         # read twice: 243 are built, the others are read off their
         # iota-partners, the second reads build nothing, the first frame
-        # keeps its digits, and a frame of another curve empties the cache
+        # keeps its digits, and a frame of another curve empties the cache.
+        # An entry is stored under its center and, but at infinity, where
+        # the two keys agree, under its label: 384 + 367 keys
         keys = [(key, p, rel) for rel in (2, 3, 4) for p in (7, 11, 13, 29, 31, 37)
                 for key in fp_curve_points(C, p)][:384]
         assert len(keys) == 384
-        first = frame_digits(coleman._disc_frame(C, *keys[0])[1])
+        first = frame_digits(coleman._disc_entry(C, *keys[0])[1])
         for key, p, rel in keys + keys:
-            coleman._disc_frame(C, key, p, rel)
-        assert len(coleman._DISC_LAMBDA_CACHE) == 384
+            coleman._disc_entry(C, key, p, rel)
+        assert len({id(e) for e in coleman._DISC_LAMBDA_CACHE.values()}) == 384
+        assert len(coleman._DISC_LAMBDA_CACHE) == 751
         assert len(expansions) == 243
-        assert frame_digits(coleman._disc_frame(C, *keys[0])[1]) == first
+        assert frame_digits(coleman._disc_entry(C, *keys[0])[1]) == first
         D = HyperellipticCurve(CURVE2)
-        coleman._disc_frame(D, (5, 0), 7, 2)
-        assert [k[0] for k in coleman._DISC_LAMBDA_CACHE] == [D.f_coeffs]
+        coleman._disc_entry(D, (5, 0), 7, 2)
+        assert [k[0] for k in coleman._DISC_LAMBDA_CACHE] == [D.f_coeffs] * 2
 
 
 def min_digits(s):
@@ -882,7 +955,7 @@ class TestIotaPairs:
     def _assert_direct_log(C, Q, p, rel, real):
         # the log on the entry of Q's center is the log computed there
         center = disc_center(C, Q, p, rel)
-        got = coleman._anchor_entry(C, center, p, rel)[2]
+        got = coleman._disc_entry(C, Q, p, rel)[2]
         want = real(C, embed_point(C, center, INF, domain=PadicDomain(p, rel)),
                     p, rel=rel)
         assert digits(got.l1) == digits(want.l1), (Q, rel)
@@ -912,7 +985,7 @@ class TestIotaPairs:
         for P, Q in pairs:
             coleman._DISC_LAMBDA_CACHE.clear()
             calls.clear()
-            coleman._anchor_entry(C, disc_center(C, P, p, rel), p, rel)
+            coleman._disc_entry(C, P, p, rel)
             disc_zero_count(C, w, Q, p, rel=rel)
             assert len(calls) == 1, (P, rel)
             self._assert_direct_log(C, Q, p, rel, real)
@@ -923,6 +996,7 @@ class TestIotaPairs:
             center = coleman.lift_anchor(disc_center(C, P, p, rel), p, rel)
             del coleman._DISC_LAMBDA_CACHE[coleman._cache_key(C, center, p,
                                                               rel)]
+            del coleman._DISC_LAMBDA_CACHE[(C.f_coeffs, p, rel, P)]
             disc_zero_count(C, w, Q, p, rel=rel)
             assert len(calls) == 2, (P, rel)
             self._assert_direct_log(C, Q, p, rel, real)
